@@ -50,10 +50,13 @@ from .sampler import (
 from .tetrad import (
     DataMatrix,
     TetradIndex,
+    TetradWald,
     WaldReport,
     asymptotic_v_normal,
     empirical_covariance,
     tetrad_stat,
+    tetrad_wald,
+    wald_tetrad_scan,
     wald_tetrad_test,
 )
 from .verify import VerificationResult, coverage_manifest, run_suite
@@ -77,6 +80,7 @@ __all__ = [
     "QuadraticForm",
     "ScaledChiSquare",
     "TetradIndex",
+    "TetradWald",
     "TetradSingular",
     "TwoChiSquareMix",
     "VerificationResult",
@@ -105,7 +109,9 @@ __all__ = [
     "stable_density",
     "tetrad_singular_cdf",
     "tetrad_stat",
+    "tetrad_wald",
     "two_sample_ks",
     "validate_covariance",
+    "wald_tetrad_scan",
     "wald_tetrad_test",
 ]

@@ -22,7 +22,13 @@ from .gaussian import load_matrix, validate_covariance
 from .laws import parse_law
 from .poly import load_polynomial
 from .sampler import WaldSampleConfig, sample_wald
-from .tetrad import TetradIndex, all_tetrads, load_data_csv, wald_tetrad_test
+from .tetrad import (
+    DEGENERATE_MESSAGE,
+    TetradIndex,
+    load_data_csv,
+    wald_tetrad_scan,
+    wald_tetrad_test,
+)
 from .verify import format_report, run_suite
 
 
@@ -123,6 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_WRITE_CHUNK = 1 << 16
+
+_TETRAD_HEADER = "i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n"
+
+
+def _tetrad_row(idx, gamma, t_stat, p_regular, p_singular, regime) -> str:
+    i, j, k, l = idx
+    return (
+        f"{i}\t{j}\t{k}\t{l}\t{gamma:.10g}\t{t_stat:.10g}\t"
+        f"{p_regular:.10g}\t{p_singular:.10g}\t{regime}\n"
+    )
+
+
 def _open_out(path: str):
     if path == "-":
         return sys.stdout, False
@@ -154,8 +173,11 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         sigma = validate_covariance(load_matrix(args.sigma))
         cfg = WaldSampleConfig(n=args.n, seed=seed, threads=threads)
         emp = sample_wald(poly, sigma, cfg)
-        for v in emp.values:
-            out.write(format(v, ".17g") + "\n")
+        # One write per chunk: joining all n lines at once would hold a
+        # second copy of the whole output in memory.
+        for start in range(0, emp.values.size, _WRITE_CHUNK):
+            chunk = emp.values[start : start + _WRITE_CHUNK].tolist()
+            out.write("%.17g\n" * len(chunk) % tuple(chunk))
         return 0
 
     if args.command == "cdf":
@@ -193,25 +215,36 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
     if args.command == "tetrad-test":
         data = load_data_csv(args.data)
         if args.all:
-            indices = list(all_tetrads(data.p))
+            idx = None
         elif args.indices:
             try:
                 i, j, k, l = (int(tok) for tok in args.indices.split(","))
             except ValueError:
                 print("error: --indices must be i,j,k,l", file=sys.stderr)
                 return 2
-            indices = [TetradIndex(i, j, k, l)]
+            idx = TetradIndex(i, j, k, l)
         else:
             print("error: provide --indices or --all", file=sys.stderr)
             return 2
-        out.write("i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n")
-        for idx in indices:
+        out.write(_TETRAD_HEADER)
+        if idx is not None:
             rep = wald_tetrad_test(data, idx)
-            out.write(
-                f"{idx.i}\t{idx.j}\t{idx.k}\t{idx.l}\t{rep.gamma_hat:.10g}\t"
-                f"{rep.t_stat:.10g}\t{rep.p_regular:.10g}\t{rep.p_singular:.10g}\t"
-                f"{rep.regime_hint}\n"
+            out.write(_tetrad_row((idx.i, idx.j, idx.k, idx.l), rep.gamma_hat,
+                                  rep.t_stat, rep.p_regular, rep.p_singular,
+                                  rep.regime_hint))
+            return 0
+        scan = wald_tetrad_scan(data)
+        bad = np.flatnonzero(scan.degenerate)
+        stop = int(bad[0]) if bad.size else len(scan.idx)
+        out.write("".join(
+            _tetrad_row(*row) for row in zip(
+                scan.idx[:stop].tolist(), scan.gamma_hat[:stop].tolist(),
+                scan.t_stat[:stop].tolist(), scan.p_regular[:stop].tolist(),
+                scan.p_singular[:stop].tolist(), scan.regime_hint[:stop].tolist(),
             )
+        ))
+        if bad.size:
+            raise ValueError(DEGENERATE_MESSAGE)
         return 0
 
     if args.command == "verify":

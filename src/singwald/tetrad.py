@@ -17,6 +17,12 @@ when all four cross covariances vanish the limit is the tetrad singular law
 conservative.  Both tail probabilities are always reported and a gradient
 heuristic flags which regime the data resemble; the hint never changes the
 p-values.
+
+One batched kernel, :func:`tetrad_wald`, computes the statistic for m
+tetrads of one covariance or of a stack of covariances, with no Python loop
+over tetrads.  The single test, the scan of every tetrad (which computes the
+empirical covariance once) and the calibration simulation in
+``singwald.verify`` all go through it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,11 @@ __all__ = [
     "empirical_covariance",
     "tetrad_stat",
     "asymptotic_v_normal",
+    "TetradWald",
+    "tetrad_wald",
     "wald_tetrad_test",
+    "wald_tetrad_scan",
+    "tetrad_index_array",
     "all_tetrads",
     "load_data_csv",
 ]
@@ -139,17 +149,84 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
 
     Entry for row pair (a, b) and column pair (c, d) is
     theta_ac * theta_bd + theta_ad * theta_bc.
+
+    ``pairs`` is a sequence of (a, b) or an integer array of shape
+    (..., q, 2); ``theta`` may be a stack of shape (..., p, p).  The result
+    has shape (theta stack..., pairs stack..., q, q).
     """
     theta = np.asarray(theta, dtype=float)
-    if np.abs(theta - theta.T).max() > 1e-10 * max(np.abs(theta).max(), 1e-300):
+    if np.abs(theta - np.swapaxes(theta, -1, -2)).max() > 1e-10 * max(
+        np.abs(theta).max(), 1e-300
+    ):
         raise ValueError("theta must be symmetric")
-    pairs = list(pairs)
-    m = len(pairs)
-    v = np.empty((m, m))
-    for r, (a, b) in enumerate(pairs):
-        for s, (c, d) in enumerate(pairs):
-            v[r, s] = theta[a, c] * theta[b, d] + theta[a, d] * theta[b, c]
-    return v
+    pairs = np.asarray(pairs, dtype=np.intp)
+    a, b = pairs[..., 0], pairs[..., 1]
+    a_row, b_row = a[..., :, None], b[..., :, None]
+    a_col, b_col = a[..., None, :], b[..., None, :]
+    return (
+        theta[..., a_row, a_col] * theta[..., b_row, b_col]
+        + theta[..., a_row, b_col] * theta[..., b_row, a_col]
+    )
+
+
+# Positions in (i, j, k, l) of the pairs C = (ik, il, jk, jl).
+_PAIR_POSITIONS = [[0, 2], [0, 3], [1, 2], [1, 3]]
+
+DEGENERATE_MESSAGE = (
+    "estimated asymptotic variance is not positive; the empirical "
+    "covariance is degenerate, collect more data"
+)
+
+
+@dataclass(frozen=True)
+class TetradWald:
+    """Tetrad Wald results as arrays of shape (theta stack..., m).
+
+    ``degenerate`` marks tetrads whose estimated variance ``grad^T V grad``
+    is not positive and finite; their other entries are meaningless.
+    """
+
+    idx: np.ndarray
+    gamma_hat: np.ndarray
+    t_stat: np.ndarray
+    p_regular: np.ndarray
+    p_singular: np.ndarray
+    gradient_norm: np.ndarray
+    regime_hint: np.ndarray
+    degenerate: np.ndarray
+
+
+def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
+    """Wald statistics of the tetrads ``idx`` (shape (m, 4), rows i, j, k, l)
+    of a covariance ``theta`` of shape (p, p), or of a stack (..., p, p),
+    each estimated from n observations."""
+    theta = np.asarray(theta, dtype=float)
+    idx = np.asarray(idx, dtype=np.intp)
+    i, j, k, l = idx.T
+    t_ik, t_il = theta[..., i, k], theta[..., i, l]
+    t_jk, t_jl = theta[..., j, k], theta[..., j, l]
+    gamma = t_ik * t_jl - t_il * t_jk
+    grad = np.stack([t_jl, -t_jk, -t_il, t_ik], axis=-1)
+    vmat = asymptotic_v_normal(theta, idx[:, _PAIR_POSITIONS])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = np.einsum("...i,...ij,...j->...", grad, vmat, grad)
+        t_stat = n * gamma**2 / denom
+        p_regular = chi2_sf(t_stat, 1)
+        p_singular = 1.0 - tetrad_singular_cdf(t_stat)
+    grad_sq = np.einsum("...i,...i->...", grad, grad)
+    threshold = 4.0 * np.diagonal(vmat, axis1=-2, axis2=-1).max(axis=-1) * np.sqrt(
+        np.log(n) / n
+    )
+    return TetradWald(
+        idx=idx,
+        gamma_hat=gamma,
+        t_stat=t_stat,
+        p_regular=p_regular,
+        p_singular=p_singular,
+        gradient_norm=np.sqrt(grad_sq),
+        regime_hint=np.where(grad_sq < threshold, "near_singular", "regular"),
+        degenerate=~((denom > 0.0) & np.isfinite(denom)),
+    )
 
 
 def wald_tetrad_test(data: DataMatrix, idx: TetradIndex) -> WaldReport:
@@ -158,37 +235,40 @@ def wald_tetrad_test(data: DataMatrix, idx: TetradIndex) -> WaldReport:
         raise ValueError(
             f"tetrad indices {idx} out of range for p={data.p} columns"
         )
-    n = data.n
-    if n <= 4:
+    if data.n <= 4:
         raise ValueError("need more than 4 observations")
-    theta = empirical_covariance(data)
-    gamma, grad = tetrad_stat(theta, idx)
-    vmat = asymptotic_v_normal(theta, idx.pairs)
-    denom = float(grad @ vmat @ grad)
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise ValueError(
-            "estimated asymptotic variance is not positive; the empirical "
-            "covariance is degenerate, collect more data"
-        )
-    t_stat = n * gamma**2 / denom
-    grad_sq = float(grad @ grad)
-    threshold = 4.0 * float(np.diag(vmat).max()) * np.sqrt(np.log(n) / n)
-    return WaldReport(
-        gamma_hat=gamma,
-        t_stat=float(t_stat),
-        p_regular=float(chi2_sf(t_stat, 1)),
-        p_singular=float(1.0 - tetrad_singular_cdf(t_stat)),
-        gradient_norm=float(np.sqrt(grad_sq)),
-        regime_hint="near_singular" if grad_sq < threshold else "regular",
+    res = tetrad_wald(
+        empirical_covariance(data), data.n, [(idx.i, idx.j, idx.k, idx.l)]
     )
+    if res.degenerate[0]:
+        raise ValueError(DEGENERATE_MESSAGE)
+    return WaldReport(
+        gamma_hat=float(res.gamma_hat[0]),
+        t_stat=float(res.t_stat[0]),
+        p_regular=float(res.p_regular[0]),
+        p_singular=float(res.p_singular[0]),
+        gradient_norm=float(res.gradient_norm[0]),
+        regime_hint=str(res.regime_hint[0]),
+    )
+
+
+def wald_tetrad_scan(data: DataMatrix) -> TetradWald:
+    """Every tetrad of ``data``, in :func:`all_tetrads` order, from one
+    empirical covariance.  Degenerate tetrads are flagged, not raised."""
+    return tetrad_wald(empirical_covariance(data), data.n, tetrad_index_array(data.p))
+
+
+def tetrad_index_array(p: int) -> np.ndarray:
+    """Every tetrad on p columns as rows (i, j, k, l): each 4-subset in its
+    3 pairings (ab|cd), (ac|bd), (ad|bc)."""
+    quads = np.array(list(combinations(range(p), 4)), dtype=np.intp).reshape(-1, 4)
+    return quads[:, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]]].reshape(-1, 4)
 
 
 def all_tetrads(p: int):
     """Every tetrad index on p columns: each 4-subset in its 3 pairings."""
-    for a, b, c, d in combinations(range(p), 4):
-        yield TetradIndex(a, b, c, d)
-        yield TetradIndex(a, c, b, d)
-        yield TetradIndex(a, d, b, c)
+    for row in tetrad_index_array(p).tolist():
+        yield TetradIndex(*row)
 
 
 def _looks_like_header(row: list[str]) -> bool:

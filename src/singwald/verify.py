@@ -41,6 +41,7 @@ from .sampler import (
     sample_wald,
     two_sample_ks,
 )
+from .tetrad import tetrad_wald
 
 __all__ = [
     "VerificationResult",
@@ -644,9 +645,6 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
     return results
 
 
-_TETRAD_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-
 def _simulate_tetrad_stats(
     theta: np.ndarray, n_data: int, replicates: int, seed: int
 ) -> np.ndarray:
@@ -665,18 +663,7 @@ def _simulate_tetrad_stats(
         x = z @ chol.T
         xc = x - x.mean(axis=1, keepdims=True)
         covs = np.einsum("rni,rnj->rij", xc, xc) / n_data
-        gam = covs[:, 0, 2] * covs[:, 1, 3] - covs[:, 0, 3] * covs[:, 1, 2]
-        grad = np.stack(
-            [covs[:, 1, 3], -covs[:, 1, 2], -covs[:, 0, 3], covs[:, 0, 2]], axis=1
-        )
-        v = np.empty((r, 4, 4))
-        for a_i, (a, b) in enumerate(_TETRAD_PAIRS):
-            for b_i, (c, d) in enumerate(_TETRAD_PAIRS):
-                v[:, a_i, b_i] = (
-                    covs[:, a, c] * covs[:, b, d] + covs[:, a, d] * covs[:, b, c]
-                )
-        den = np.einsum("ri,rij,rj->r", grad, v, grad)
-        stats[done : done + r] = n_data * gam**2 / den
+        stats[done : done + r] = tetrad_wald(covs, n_data, [(0, 1, 2, 3)]).t_stat[:, 0]
         done += r
     return stats
 

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from singwald.classify import classify
+from singwald.cli import run
 from singwald.errors import ParseError
 from singwald.gaussian import make_generator, validate_covariance
 from singwald.laws import FoldedBetaProduct, chi2_sf, tetrad_singular_cdf
@@ -13,11 +16,40 @@ from singwald.tetrad import (
     asymptotic_v_normal,
     empirical_covariance,
     parse_data_csv,
+    tetrad_index_array,
     tetrad_stat,
+    tetrad_wald,
     wald_tetrad_test,
 )
+from singwald.verify import _simulate_tetrad_stats
 
 IDX = TetradIndex(0, 1, 2, 3)
+HEADER = "i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n"
+
+
+def v_loop(theta, pairs):
+    """Reference: the Gaussian fourth-moment covariance entry by entry."""
+    v = np.empty((len(pairs), len(pairs)))
+    for r, (a, b) in enumerate(pairs):
+        for s, (c, d) in enumerate(pairs):
+            v[r, s] = theta[a, c] * theta[b, d] + theta[a, d] * theta[b, c]
+    return v
+
+
+def write_csv(path, values):
+    path.write_text(
+        "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in values)
+    )
+    return path
+
+
+def single_row(csv, idx, capsys):
+    """The data row ``wald tetrad-test --indices`` prints for one tetrad."""
+    assert run(["tetrad-test", "--data", str(csv), "--indices",
+                f"{idx.i},{idx.j},{idx.k},{idx.l}"]) == 0
+    header, row = capsys.readouterr().out.splitlines(keepends=True)
+    assert header == HEADER
+    return row
 
 
 def simulate(theta, n, seed):
@@ -120,6 +152,21 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError, match="symmetric"):
             asymptotic_v_normal(np.array([[1.0, 1.0], [0.0, 1.0]]), [(0, 1)])
 
+    def test_matches_entrywise_loop(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((5, 8))
+        theta = a @ a.T
+        theta = (theta + theta.T) / 2
+        pairs = [(0, 2), (4, 1), (3, 3), (2, 0), (1, 4)]
+        np.testing.assert_array_equal(
+            asymptotic_v_normal(theta, pairs), v_loop(theta, pairs)
+        )
+        stack = np.stack([theta, 2.0 * theta])
+        got = asymptotic_v_normal(stack, np.array([pairs, pairs[::-1]]))
+        assert got.shape == (2, 2, 5, 5)
+        np.testing.assert_array_equal(got[1, 0], v_loop(2.0 * theta, pairs))
+        np.testing.assert_array_equal(got[0, 1], v_loop(theta, pairs[::-1]))
+
 
 class TestWaldTetradTest:
     def test_scale_invariance_of_statistic(self):
@@ -174,6 +221,106 @@ class TestWaldTetradTest:
         data = simulate(np.eye(4), 100, 37)
         with pytest.raises(ValueError, match="out of range"):
             wald_tetrad_test(data, TetradIndex(0, 1, 2, 7))
+
+
+class TestBatchedKernel:
+    def test_scan_equals_single_tests(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(300)[:, None] * rng.uniform(0.5, 1.5, 6)
+        csv = write_csv(tmp_path / "six.csv", x + rng.standard_normal((300, 6)))
+        assert run(["tetrad-test", "--data", str(csv), "--all"]) == 0
+        scan = capsys.readouterr().out
+        rows = [single_row(csv, idx, capsys) for idx in all_tetrads(6)]
+        assert len(rows) == 45
+        assert scan == HEADER + "".join(rows)
+
+    def test_stack_matches_closed_form(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((40, 4, 7))
+        covs = a @ a.transpose(0, 2, 1) / 7
+        covs = (covs + covs.transpose(0, 2, 1)) / 2
+        n = 300
+        tetrads = list(all_tetrads(4))
+        res = tetrad_wald(covs, n, [(t.i, t.j, t.k, t.l) for t in tetrads])
+        assert res.t_stat.shape == (40, 3)
+        assert not res.degenerate.any()
+        for r in range(covs.shape[0]):
+            for m, idx in enumerate(tetrads):
+                gamma, grad = tetrad_stat(covs[r], idx)
+                t = n * gamma**2 / (grad @ v_loop(covs[r], idx.pairs) @ grad)
+                for got, want in (
+                    (res.gamma_hat[r, m], gamma),
+                    (res.t_stat[r, m], t),
+                    (res.gradient_norm[r, m], np.sqrt(grad @ grad)),
+                ):
+                    assert abs(got - want) <= 1e-13 * abs(want)
+                assert res.p_regular[r, m] == pytest.approx(chi2_sf(t, 1), rel=1e-12)
+                assert res.p_singular[r, m] == pytest.approx(
+                    1.0 - tetrad_singular_cdf(t), rel=1e-12
+                )
+
+    def test_simulation_bitwise_unchanged(self):
+        # the per-entry loop the simulation used before it shared the kernel
+        pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+        def old_simulation(theta, n_data, replicates, seed):
+            chol = np.linalg.cholesky(theta)
+            stats = np.empty(replicates)
+            chunk = max(1, int(2e6 // max(n_data, 1)))
+            done = stream = 0
+            while done < replicates:
+                r = min(chunk, replicates - done)
+                z = make_generator(seed, stream).standard_normal((r, n_data, 4))
+                stream += 1
+                xc = z @ chol.T
+                xc = xc - xc.mean(axis=1, keepdims=True)
+                covs = np.einsum("rni,rnj->rij", xc, xc) / n_data
+                gam = covs[:, 0, 2] * covs[:, 1, 3] - covs[:, 0, 3] * covs[:, 1, 2]
+                grad = np.stack(
+                    [covs[:, 1, 3], -covs[:, 1, 2], -covs[:, 0, 3], covs[:, 0, 2]],
+                    axis=1,
+                )
+                v = np.empty((r, 4, 4))
+                for a_i, (a, b) in enumerate(pairs):
+                    for b_i, (c, d) in enumerate(pairs):
+                        v[:, a_i, b_i] = (
+                            covs[:, a, c] * covs[:, b, d] + covs[:, a, d] * covs[:, b, c]
+                        )
+                den = np.einsum("ri,rij,rj->r", grad, v, grad)
+                stats[done : done + r] = n_data * gam**2 / den
+                done += r
+            return stats
+
+        theta = np.eye(4)
+        theta[0, 1] = theta[1, 0] = 0.7
+        theta[0, 2] = theta[2, 0] = 0.3
+        np.testing.assert_array_equal(
+            _simulate_tetrad_stats(theta, 2000, 3000, 5),
+            old_simulation(theta, 2000, 3000, 5),
+        )
+
+    def test_degenerate_scan_keeps_rows_before_first_failure(self, tmp_path, capsys):
+        # constant columns 4 and 5 zero the variance of (0, 1, 2, 4), the
+        # first tetrad that touches them
+        rng = np.random.default_rng(3)
+        values = np.column_stack([rng.standard_normal((50, 4)), np.ones(50), np.full(50, 2.0)])
+        csv = write_csv(tmp_path / "degenerate.csv", values)
+        assert run(["tetrad-test", "--data", str(csv), "--all"]) == 2
+        captured = capsys.readouterr()
+        assert "collect more data" in captured.err
+        before = list(all_tetrads(6))[:3]
+        assert [(t.i, t.j, t.k, t.l) for t in before] == [
+            (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),
+        ]
+        rows = [single_row(csv, idx, capsys) for idx in before]
+        assert captured.out == HEADER + "".join(rows)
+
+    def test_index_array_order(self):
+        for p in (4, 5, 7):
+            want = []
+            for a, b, c, d in combinations(range(p), 4):
+                want += [[a, b, c, d], [a, c, b, d], [a, d, b, c]]
+            assert tetrad_index_array(p).tolist() == want
 
 
 class TestCalibration:
