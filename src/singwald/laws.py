@@ -17,8 +17,9 @@ The branch zoo
 
         F(t) = 1 - exp(-2t) + sqrt(2*pi*t) * (1 - Phi(2*sqrt(t))).
 
-    The density diverges at 0, so only the CDF, quantile, and sampler are
-    exposed.
+    The density diverges at 0, so only the CDF, the survival function
+    (``tetrad_singular_sf``, free of the cancellation in ``1 - F``),
+    quantile, and sampler are exposed.
 ``FoldedBetaProduct(k1, k2)``
     Law of ``R^2*(2B-1)^2/4`` with ``R^2 ~ chi2_{k1+k2}`` independent of
     ``B ~ Beta(k1/2, k2/2)``; the limit for quadratic forms whose canonical
@@ -39,7 +40,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .gaussian import make_generator
 from .poly import MonomialForm
@@ -57,6 +58,7 @@ __all__ = [
     "stable_cdf",
     "sample_stable",
     "tetrad_singular_cdf",
+    "tetrad_singular_sf",
     "chi2_cdf",
     "chi2_sf",
     "normal_cdf",
@@ -101,6 +103,18 @@ def tetrad_singular_cdf(t):
     upper_tail = 0.5 * special.erfc(np.sqrt(2.0 * tp))  # 1 - Phi(2 sqrt t)
     val = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
     out = np.where(t > 0, val, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def tetrad_singular_sf(t):
+    """Survival function ``1 - F(t)`` of ``R^2*U^2/4``, written as
+    ``exp(-2t) * (1 - sqrt(2*pi*t)/2 * erfcx(sqrt(2t)))`` so that it keeps
+    full relative accuracy in the tail, where ``1 - F`` cancels."""
+    t = np.asarray(t, dtype=float)
+    tp = np.maximum(t, 0.0)
+    root = np.sqrt(2.0 * tp)
+    val = np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * special.erfcx(root))
+    out = np.where(t > 0, val, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -176,6 +190,8 @@ class LimitLaw:
             hi *= 2.0
             if hi > 1e300:
                 raise RuntimeError("quantile bracket failed to close")
+        from scipy import optimize  # here, not at import: start-up skips it
+
         q = optimize.brentq(
             lambda t: float(self.cdf(t)) - p, 0.0, hi, xtol=1e-13, rtol=8.9e-16,
             maxiter=200,

@@ -35,7 +35,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParseError
-from .laws import chi2_sf, tetrad_singular_cdf
+# tetrad_singular_cdf is unused here but stays importable from this module,
+# where bench/tracer.py wraps it by name.
+from .laws import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
 
 __all__ = [
     "DataMatrix",
@@ -212,7 +214,7 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
         denom = np.einsum("...i,...ij,...j->...", grad, vmat, grad)
         t_stat = n * gamma**2 / denom
         p_regular = chi2_sf(t_stat, 1)
-        p_singular = 1.0 - tetrad_singular_cdf(t_stat)
+        p_singular = tetrad_singular_sf(t_stat)
     grad_sq = np.einsum("...i,...i->...", grad, grad)
     threshold = 4.0 * np.diagonal(vmat, axis1=-2, axis2=-1).max(axis=-1) * np.sqrt(
         np.log(n) / n

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .classify import classify, sample_canonical
 from .gaussian import MvnSampler, factor, make_generator, validate_covariance
@@ -299,6 +298,8 @@ def _angle_moment(sigma: float, phi: float, m: int, tol: float = 1e-10) -> float
         if 0.0 < e < 2.0 * np.pi:
             edges.add(e)
     panels = sorted(edges)
+    from scipy import integrate  # here, not at import: start-up skips it
+
     val = 0.0
     err = 0.0
     for lo, hi in zip(panels[:-1], panels[1:]):

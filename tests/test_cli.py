@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import singwald
 from singwald.cli import build_parser, run
 from singwald.verify import VerificationResult
 
@@ -220,3 +226,17 @@ def test_parser_covers_all_subcommands():
     text = parser.format_help()
     for name in ("sample", "cdf", "quantile", "classify", "tetrad-test", "verify", "moments"):
         assert name in text
+
+
+def test_startup_skips_scipy_optimize_and_integrate():
+    # both are imported by the one function that needs them
+    code = (
+        "import sys, singwald.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(singwald.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from singwald.laws import (
     stable_cdf,
     stable_density,
     tetrad_singular_cdf,
+    tetrad_singular_sf,
 )
 from singwald.poly import MonomialForm
 
@@ -51,6 +52,8 @@ class TestTetradSingularCdf:
     def test_support_starts_at_zero(self):
         assert tetrad_singular_cdf(0.0) == 0.0
         assert tetrad_singular_cdf(-0.5) == 0.0
+        assert tetrad_singular_sf(0.0) == 1.0
+        assert tetrad_singular_sf(-0.5) == 1.0
 
     def test_valid_cdf_on_grid(self):
         t = np.linspace(0.0, 20.0, 1000)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from singwald.errors import ParseError
 from singwald.poly import (
+    _BLOCK,
     HomogeneousPolynomial,
     MonomialForm,
     QuadraticForm,
@@ -182,10 +185,10 @@ class TestConstruction:
 
 # Random homogeneous polynomials for the property checks.
 @st.composite
-def polynomials(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
-    d = draw(st.integers(min_value=1, max_value=4))
-    n_terms = draw(st.integers(min_value=1, max_value=4))
+def polynomials(draw, max_k=4, max_d=4, max_terms=4):
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    n_terms = draw(st.integers(min_value=1, max_value=max_terms))
     terms = []
     for _ in range(n_terms):
         # split degree d over k slots
@@ -203,6 +206,89 @@ def polynomials(draw):
     except ValueError:
         # cancellation produced the zero polynomial
         return HomogeneousPolynomial.from_terms([(1.0, tuple([d] + [0] * (k - 1)))], k=k)
+
+
+def loop_evaluate(f, pts):
+    """Reference: the value term by term, one numpy pass per factor."""
+    out = np.zeros(pts.shape[0])
+    for coeff, exps in f.terms:
+        term = np.full(pts.shape[0], coeff)
+        for j, e in enumerate(exps):
+            if e == 1:
+                term = term * pts[:, j]
+            elif e > 1:
+                term = term * pts[:, j] ** e
+        out += term
+    return out
+
+
+def loop_gradient(f, pts):
+    """Reference: each partial derivative term by term."""
+    n = pts.shape[0]
+    grad = np.zeros((n, f.k))
+    for coeff, exps in f.terms:
+        for j, e in enumerate(exps):
+            if e == 0:
+                continue
+            part = np.full(n, coeff * e)
+            for l, el in enumerate(exps):
+                p = el - 1 if l == j else el
+                if p == 1:
+                    part = part * pts[:, l]
+                elif p > 1:
+                    part = part * pts[:, l] ** p
+            grad[:, j] += part
+    return grad
+
+
+@given(
+    polynomials(max_k=6, max_d=6, max_terms=8),
+    st.sampled_from([None, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(  # x1 and x3 absent from every term
+    HomogeneousPolynomial.from_terms([(2.0, (0, 3, 0, 1)), (-0.5, (0, 1, 0, 3))]),
+    _BLOCK + 1,
+    7,
+)
+@example(HomogeneousPolynomial.from_terms([(1.5, (1, 0)), (-2.0, (0, 1))]), None, 8)
+@settings(max_examples=40, deadline=None)
+def test_compiled_kernel_matches_term_loops(f, n, point_seed):
+    # n = None is a single point; the other sizes straddle block edges.
+    # Tolerance 1e-13 * sum_t |c_t m_t(x)|, the reference run on |c| and |x|.
+    rng = np.random.default_rng(point_seed)
+    x = rng.standard_normal(f.k if n is None else (n, f.k))
+    pts = np.atleast_2d(x)
+    size = HomogeneousPolynomial(
+        terms=tuple((abs(c), e) for c, e in f.terms), k=f.k, d=f.d
+    )
+    value, grad = f.evaluate(x), f.gradient(x)
+    if n is None:
+        assert isinstance(value, float) and grad.shape == (f.k,)
+    else:
+        assert value.shape == (n,) and grad.shape == (n, f.k)
+    value, grad = np.atleast_1d(value), np.atleast_2d(grad)
+    assert np.all(
+        np.abs(value - loop_evaluate(f, pts))
+        <= 1e-13 * loop_evaluate(size, np.abs(pts))
+    )
+    assert np.all(
+        np.abs(grad - loop_gradient(f, pts))
+        <= 1e-13 * loop_gradient(size, np.abs(pts))
+    )
+
+
+def test_kernel_memory_is_blocked(quartic):
+    # An unblocked kernel holds a (35, 2^18) monomial buffer, about 73 MB.
+    x = np.random.default_rng(5).standard_normal((1 << 18, 4))
+    tracemalloc.start()
+    try:
+        value, grad = quartic.evaluate(x), quartic.gradient(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.shape == (1 << 18,) and grad.shape == (1 << 18, 4)
+    assert peak < 32 * 2**20, peak / 2**20
 
 
 @given(polynomials(), st.integers(min_value=0, max_value=2**32 - 1))

@@ -61,13 +61,20 @@ class TestSampleWald:
         b = sample_wald(MonomialForm((1.0, 1.0)), cov2(0.5), cfg)
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_threads_do_not_change_output(self):
-        base = WaldSampleConfig(n=40_000, seed=8, batch_size=4096)
-        par = WaldSampleConfig(n=40_000, seed=8, batch_size=4096, threads=4)
-        f = MonomialForm((1.0, 1.0))
-        a = sample_wald(f, cov2(0.2), base)
-        b = sample_wald(f, cov2(0.2), par)
-        assert a.values.tobytes() == b.values.tobytes()
+    def test_threads_do_not_change_output(self, quartic):
+        sigma4 = validate_covariance(np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4)))
+        cases = (
+            (MonomialForm((1.0, 1.0)), cov2(0.2), 40_000, 4096),
+            # 3 batches, each split into polynomial-kernel blocks with a
+            # partial last block
+            (quartic, sigma4, 100_000, 40_000),
+        )
+        for f, sigma, n, batch in cases:
+            a = sample_wald(f, sigma, WaldSampleConfig(n=n, seed=8, batch_size=batch))
+            for threads in (2, 4):
+                cfg = WaldSampleConfig(n=n, seed=8, batch_size=batch, threads=threads)
+                b = sample_wald(f, sigma, cfg)
+                assert a.values.tobytes() == b.values.tobytes(), (f, threads)
 
     def test_batch_size_partitions_streams(self):
         # one batch vs many batches differ in draws but not in law

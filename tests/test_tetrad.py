@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,17 @@ def v_loop(theta, pairs):
         for s, (c, d) in enumerate(pairs):
             v[r, s] = theta[a, c] * theta[b, d] + theta[a, d] * theta[b, c]
     return v
+
+
+def singular_sf_mp(t):
+    """Reference: 1 - F(t) = exp(-2t) - sqrt(2 pi t) * erfc(sqrt(2t)) / 2 for
+    the tetrad singular law, at 40 digits."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(t))
+        return float(
+            mpmath.exp(-2 * t)
+            - mpmath.sqrt(2 * mpmath.pi * t) * mpmath.erfc(mpmath.sqrt(2 * t)) / 2
+        )
 
 
 def write_csv(path, values):
@@ -256,8 +268,22 @@ class TestBatchedKernel:
                     assert abs(got - want) <= 1e-13 * abs(want)
                 assert res.p_regular[r, m] == pytest.approx(chi2_sf(t, 1), rel=1e-12)
                 assert res.p_singular[r, m] == pytest.approx(
-                    1.0 - tetrad_singular_cdf(t), rel=1e-12
+                    singular_sf_mp(res.t_stat[r, m]), rel=1e-12
                 )
+
+    def test_singular_pvalue_keeps_tail_digits(self):
+        # 1 - F(t) loses digits from t ~ 10 and is exactly 0 from t ~ 20;
+        # t grows linearly in n, so n sets t near each target.
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((4, 6))
+        theta = a @ a.T / 6
+        t1 = float(tetrad_wald(theta, 1, [(0, 1, 2, 3)]).t_stat[0])
+        for target in (10.0, 20.0, 40.0):
+            res = tetrad_wald(theta, round(target / t1), [(0, 1, 2, 3)])
+            t, p = float(res.t_stat[0]), float(res.p_singular[0])
+            assert abs(t / target - 1.0) < 0.05
+            want = singular_sf_mp(t)
+            assert p > 0.0 and abs(p - want) <= 1e-13 * want, (t, p, want)
 
     def test_simulation_bitwise_unchanged(self):
         # the per-entry loop the simulation used before it shared the kernel
