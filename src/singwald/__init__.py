@@ -16,12 +16,10 @@ from .gaussian import (
     eigenvalues_of_product,
     factor,
     make_generator,
-    sample_mvn,
     validate_covariance,
 )
 from .laws import (
     EmpiricalDistribution,
-    EmpiricalLaw,
     FoldedBetaProduct,
     LimitLaw,
     ScaledChiSquare,
@@ -69,7 +67,6 @@ __all__ = [
     "DataMatrix",
     "DegenerateSamplingError",
     "EmpiricalDistribution",
-    "EmpiricalLaw",
     "FoldedBetaProduct",
     "HomogeneousPolynomial",
     "LimitLaw",
@@ -103,7 +100,6 @@ __all__ = [
     "parse_polynomial",
     "run_suite",
     "sample_canonical",
-    "sample_mvn",
     "sample_wald",
     "stable_cdf",
     "stable_density",

@@ -22,13 +22,7 @@ from .gaussian import load_matrix, validate_covariance
 from .laws import parse_law
 from .poly import load_polynomial
 from .sampler import WaldSampleConfig, sample_wald
-from .tetrad import (
-    DEGENERATE_MESSAGE,
-    TetradIndex,
-    load_data_csv,
-    wald_tetrad_scan,
-    wald_tetrad_test,
-)
+from .tetrad import TetradIndex, load_data_csv, wald_tetrad_scan, wald_tetrad_test
 from .verify import format_report, run_suite
 
 
@@ -56,6 +50,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # Global options are registered on the main parser and again on every
     # subparser (with SUPPRESS defaults), so they parse in either position.
@@ -65,7 +69,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         help="RNG seed (default: WALD_SEED env var or 42)",
     )
     parser.add_argument(
-        "--threads", type=int, default=d,
+        "--threads", type=_thread_count, default=d,
         help="worker threads (default: available parallelism); "
         "--threads 1 guarantees bitwise-reproducible output",
     )
@@ -234,17 +238,22 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
                                   rep.regime_hint))
             return 0
         scan = wald_tetrad_scan(data)
-        bad = np.flatnonzero(scan.degenerate)
-        stop = int(bad[0]) if bad.size else len(scan.idx)
+        # A degenerate tetrad keeps its gamma; its statistic and p-values
+        # are undefined and print as nan.
+        bad = scan.degenerate
+        undefined = lambda a: np.where(bad, np.nan, a).tolist()
         out.write("".join(
             _tetrad_row(*row) for row in zip(
-                scan.idx[:stop].tolist(), scan.gamma_hat[:stop].tolist(),
-                scan.t_stat[:stop].tolist(), scan.p_regular[:stop].tolist(),
-                scan.p_singular[:stop].tolist(), scan.regime_hint[:stop].tolist(),
+                scan.idx.tolist(), scan.gamma_hat.tolist(), undefined(scan.t_stat),
+                undefined(scan.p_regular), undefined(scan.p_singular),
+                np.where(bad, "degenerate", scan.regime_hint).tolist(),
             )
         ))
-        if bad.size:
-            raise ValueError(DEGENERATE_MESSAGE)
+        if bad.any():
+            constant = np.flatnonzero(np.ptp(data.values, axis=0) == 0).tolist()
+            print(f"# {int(bad.sum())} of {bad.size} tetrads are degenerate "
+                  "(estimated variance not positive); zero-variance columns: "
+                  f"{', '.join(map(str, constant)) or 'none'}", file=sys.stderr)
         return 0
 
     if args.command == "verify":

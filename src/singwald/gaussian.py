@@ -26,7 +26,6 @@ __all__ = [
     "make_generator",
     "validate_covariance",
     "factor",
-    "sample_mvn",
     "eigenvalues_of_product",
     "load_matrix",
     "parse_matrix",
@@ -125,15 +124,11 @@ class MvnSampler:
         b.flags.writeable = False
         return cls(factor_b=b)
 
-    def standard_draws(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """The underlying (n, m) standard normal block, for coupled sampling."""
-        rng = make_generator(seed, stream)
-        return rng.standard_normal((n, self.m))
-
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
+        """n i.i.d. rows from N(0, BB^T); deterministic in (seed, stream, n)."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        return self.standard_draws(n, seed, stream) @ self.factor_b.T
+        return make_generator(seed, stream).standard_normal((n, self.m)) @ self.factor_b.T
 
 
 def factor(sigma: CovarianceMatrix) -> MvnSampler:
@@ -151,11 +146,6 @@ def factor(sigma: CovarianceMatrix) -> MvnSampler:
     if recon > cap:
         raise ValueError(f"factorization failed: reconstruction error {recon:g}")
     return MvnSampler.from_factor(b)
-
-
-def sample_mvn(sampler: MvnSampler, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. rows from N(0, BB^T); deterministic in (seed, n)."""
-    return sampler.sample(n, seed)
 
 
 def eigenvalues_of_product(a: QuadraticForm, sigma: CovarianceMatrix) -> np.ndarray:

@@ -25,8 +25,6 @@ The branch zoo
     ``B ~ Beta(k1/2, k2/2)``; the limit for quadratic forms whose canonical
     eigenvalues are k1 copies of +1 and k2 copies of -1.  ``(2,2)`` equals
     ``TetradSingular`` in distribution.
-``EmpiricalLaw(dist)``
-    A frozen Monte Carlo sample; not resampleable.
 
 Quadrature-backed CDFs (the mixture and the folded-Beta product) are
 evaluated with fixed Gauss-Legendre rules after substitutions that remove
@@ -52,7 +50,6 @@ __all__ = [
     "TwoChiSquareMix",
     "TetradSingular",
     "FoldedBetaProduct",
-    "EmpiricalLaw",
     "monomial_law",
     "stable_density",
     "stable_cdf",
@@ -61,15 +58,14 @@ __all__ = [
     "tetrad_singular_sf",
     "chi2_cdf",
     "chi2_sf",
-    "normal_cdf",
     "parse_law",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Scalar kernels.  The chi-square CDF is the regularized lower incomplete
-# gamma function (relative error well under 1e-12 in this range); the normal
-# CDF goes through erfc for accurate tails.
+# gamma function (relative error well under 1e-12 in this range); normal
+# tail probabilities go through erfc for accuracy.
 # ---------------------------------------------------------------------------
 
 def chi2_cdf(x, df: float):
@@ -88,11 +84,6 @@ def chi2_cdf(x, df: float):
 def chi2_sf(x, df: float):
     x = np.asarray(x, dtype=float)
     out = np.where(x > 0, special.gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0), 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_cdf(x):
-    out = 0.5 * special.erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -138,11 +129,6 @@ class EmpiricalDistribution:
             raise ValueError("samples contain non-finite values")
         values.flags.writeable = False
         return cls(values=values, n=values.size)
-
-    @classmethod
-    def merge(cls, parts) -> "EmpiricalDistribution":
-        arrays = [p.values for p in parts]
-        return cls.from_samples(np.concatenate(arrays))
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -422,26 +408,6 @@ class TetradSingular(LimitLaw):
 
     def spec_string(self) -> str:
         return "tetrad"
-
-
-@dataclass(frozen=True)
-class EmpiricalLaw(LimitLaw):
-    dist: EmpiricalDistribution
-
-    def cdf(self, t):
-        return self.dist.cdf(t)
-
-    def quantile(self, p: float) -> float:
-        return self.dist.quantile(p)
-
-    def sample(self, n, seed, stream=0):
-        raise ValueError("an empirical law cannot be resampled")
-
-    def mean(self) -> float:
-        return self.dist.mean()
-
-    def spec_string(self) -> str:
-        return "empirical"
 
 
 def monomial_law(m: MonomialForm) -> ScaledChiSquare:

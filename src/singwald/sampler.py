@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, MvnSampler, factor, make_generator
-from .laws import EmpiricalDistribution, EmpiricalLaw
+from .laws import EmpiricalDistribution
 from .poly import HomogeneousPolynomial, MonomialForm
 
 __all__ = [
@@ -163,8 +163,6 @@ def ks_distance(emp: EmpiricalDistribution, law) -> float:
     """
     if isinstance(law, EmpiricalDistribution):
         return two_sample_ks(emp, law)
-    if isinstance(law, EmpiricalLaw):
-        return two_sample_ks(emp, law.dist)
     x = emp.values
     n = emp.n
     fvals = np.asarray(law.cdf(x), dtype=float)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -98,6 +99,21 @@ def _evidence_threshold(n: int) -> float:
     return 5.0 / np.sqrt(n)
 
 
+def _ks_result(
+    name: str, tier: str, stat: float, n: int, seed: int, detail: str = ""
+) -> VerificationResult:
+    """A KS row: theorem rows gate at ks_threshold, evidence rows at
+    _evidence_threshold."""
+    thresh = ks_threshold(n) if tier == "theorem" else _evidence_threshold(n)
+    return VerificationResult(name, tier, stat, thresh, n, seed, detail)
+
+
+def _gap_result(name: str, gap: float, n: int, seed: int, detail: str) -> VerificationResult:
+    """A row that passes when a KS distance exceeds 0.01; the statistic and
+    threshold are negated so that passing stays statistic <= threshold."""
+    return VerificationResult(name, "theorem", -gap, -0.01, n, seed, detail)
+
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -112,6 +128,13 @@ def _mvn_draws(sigma: np.ndarray, n: int, seed: int, stream: int = 0) -> np.ndar
     return factor(cov).sample(n, seed, stream)
 
 
+def _weights(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
+        raise ValueError("weights must be nonnegative and sum to one")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Individual checks.
 # ---------------------------------------------------------------------------
@@ -122,18 +145,7 @@ def verify_monomial_theorem(
     """Bivariate power product: Wald ratio is chi-square-1 over degree^2."""
     if m.k != 2:
         raise ValueError("theorem check requires exactly two variables")
-    cov = validate_covariance(sigma)
-    emp = sample_wald(m, cov, WaldSampleConfig(n=n, seed=seed))
-    stat = ks_distance(emp, monomial_law(m))
-    return VerificationResult(
-        name=name,
-        tier="theorem",
-        statistic=stat,
-        threshold=ks_threshold(n),
-        n_used=n,
-        seed=seed,
-        detail=f"exponents={m.exponents}",
-    )
+    return _monomial_result(m, sigma, n, seed, name, "theorem", f"exponents={m.exponents}")
 
 
 def verify_conjecture_monomial(
@@ -142,27 +154,21 @@ def verify_conjecture_monomial(
     """Same law in dimension >= 3: open conjecture, evidence only."""
     if m.k < 3:
         raise ValueError("conjecture regime starts at three variables")
-    cov = validate_covariance(sigma)
-    emp = sample_wald(m, cov, WaldSampleConfig(n=n, seed=seed))
-    stat = ks_distance(emp, monomial_law(m))
-    return VerificationResult(
-        name=name,
-        tier="conjecture",
-        statistic=stat,
-        threshold=_evidence_threshold(n),
-        n_used=n,
-        seed=seed,
-        detail=f"k={m.k} evidence, not a theorem",
+    return _monomial_result(
+        m, sigma, n, seed, name, "conjecture", f"k={m.k} evidence, not a theorem"
     )
+
+
+def _monomial_result(m, sigma, n, seed, name, tier, detail) -> VerificationResult:
+    emp = sample_wald(m, validate_covariance(sigma), WaldSampleConfig(n=n, seed=seed))
+    return _ks_result(name, tier, ks_distance(emp, monomial_law(m)), n, seed, detail)
 
 
 def verify_cauchy(
     p, sigma, n: int, seed: int, name: str | None = None
 ) -> VerificationResult:
     """Convex combination sum p_i * Y_i / X_i is standard Cauchy."""
-    p = np.asarray(p, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
-        raise ValueError("weights must be nonnegative and sum to one")
+    p = _weights(p)
     k = p.size
     x = _mvn_draws(sigma, n, seed, stream=0) if k > 1 else None
     if k == 1:
@@ -171,23 +177,14 @@ def verify_cauchy(
     else:
         y = _mvn_draws(sigma, n, seed, stream=1)
         draws = (p[None, :] * y / x).sum(axis=1)
-    draws = draws[np.isfinite(draws)]
-    emp = EmpiricalDistribution.from_samples(draws)
-    fvals = 0.5 + np.arctan(emp.values) / np.pi
-    i = np.arange(1, emp.n + 1)
-    stat = max(
-        float((i / emp.n - fvals).max()), float((fvals - (i - 1) / emp.n).max())
+    stat = ks_distance(
+        EmpiricalDistribution.from_samples(draws[np.isfinite(draws)]),
+        SimpleNamespace(cdf=lambda t: 0.5 + np.arctan(t) / np.pi),
     )
-    tier = "theorem" if k <= 2 else "conjecture"
-    thresh = ks_threshold(n) if tier == "theorem" else _evidence_threshold(n)
-    return VerificationResult(
-        name=name or ("weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence"),
-        tier=tier,
-        statistic=stat,
-        threshold=thresh,
-        n_used=n,
-        seed=seed,
-        detail=f"k={k} weights={tuple(p)}",
+    return _ks_result(
+        name or ("weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence"),
+        "theorem" if k <= 2 else "conjecture",
+        stat, n, seed, f"k={k} weights={tuple(p)}",
     )
 
 
@@ -195,31 +192,20 @@ def verify_reciprocal(
     p, sigma, n: int, seed: int, name: str | None = None
 ) -> VerificationResult:
     """Quadratic form in reciprocal coordinates matches 1/chi-square-1."""
-    p = np.asarray(p, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
-        raise ValueError("weights must be nonnegative and sum to one")
+    p = _weights(p)
     sigma = np.asarray(sigma, dtype=float)
     x = _mvn_draws(sigma, n, seed)
     v = p[None, :] / x
     q = np.einsum("ij,jk,ik->i", v, sigma, v)
-    q = q[np.isfinite(q) & (q > 0)]
-    emp = EmpiricalDistribution.from_samples(q)
-    fvals = stable_cdf(1.0, emp.values)
-    i = np.arange(1, emp.n + 1)
-    stat = max(
-        float((i / emp.n - fvals).max()), float((fvals - (i - 1) / emp.n).max())
+    stat = ks_distance(
+        EmpiricalDistribution.from_samples(q[np.isfinite(q) & (q > 0)]),
+        SimpleNamespace(cdf=lambda t: stable_cdf(1.0, t)),
     )
     diagonal = np.abs(sigma - np.diag(np.diag(sigma))).max() == 0.0
     tier = "theorem" if (p.size <= 2 or diagonal) else "conjecture"
-    thresh = ks_threshold(n) if tier == "theorem" else _evidence_threshold(n)
-    return VerificationResult(
-        name=name or ("reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence"),
-        tier=tier,
-        statistic=stat,
-        threshold=thresh,
-        n_used=n,
-        seed=seed,
-        detail=f"k={p.size}",
+    return _ks_result(
+        name or ("reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence"),
+        tier, stat, n, seed, f"k={p.size}",
     )
 
 
@@ -251,17 +237,10 @@ def counterexample_negative_weights(
     if rho == 0.8:
         emp = EmpiricalDistribution.from_samples(q)
         gap = ks_distance(emp, ScaledChiSquare(scale=1.0, df=1))
-        results.append(
-            VerificationResult(
-                name="negative-weight-law-gap",
-                tier="theorem",
-                statistic=-gap,
-                threshold=-0.01,
-                n_used=n,
-                seed=seed,
-                detail="distance to chi-square-1 must exceed 0.01; statistic is its negation",
-            )
-        )
+        results.append(_gap_result(
+            "negative-weight-law-gap", gap, n, seed,
+            "distance to chi-square-1 must exceed 0.01; statistic is its negation",
+        ))
     return results
 
 
@@ -395,22 +374,10 @@ def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
         EmpiricalDistribution.from_samples(np.cos(ref_angle) ** 2),
     )
     if c >= 0:
-        return VerificationResult(
-            name=f"trig-equidistribution-c{c:g}",
-            tier="theorem",
-            statistic=gap,
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-        )
-    return VerificationResult(
-        name="trig-negative-weight-gap",
-        tier="theorem",
-        statistic=-gap,
-        threshold=-0.01,
-        n_used=n,
-        seed=seed,
-        detail=f"c={c}: distance must exceed 0.01; statistic is its negation",
+        return _ks_result(f"trig-equidistribution-c{c:g}", "theorem", gap, n, seed)
+    return _gap_result(
+        "trig-negative-weight-gap", gap, n, seed,
+        f"c={c}: distance must exceed 0.01; statistic is its negation",
     )
 
 
@@ -422,14 +389,7 @@ def verify_beta_representation(
     canonical = sample_canonical(lams, n, derive_seed(seed, 11), stream=0)
     law_sample = FoldedBetaProduct(k1=k1, k2=k2).sample(n, derive_seed(seed, 12))
     stat = two_sample_ks(canonical, law_sample)
-    return VerificationResult(
-        name=f"folded-beta-representation-{k1}-{k2}",
-        tier="theorem",
-        statistic=stat,
-        threshold=ks_threshold(n),
-        n_used=n,
-        seed=seed,
-    )
+    return _ks_result(f"folded-beta-representation-{k1}-{k2}", "theorem", stat, n, seed)
 
 
 def verify_pathwise_invariance(n: int, seed: int) -> list[VerificationResult]:
@@ -528,16 +488,7 @@ def verify_tetrad_kronecker(n: int, seed: int, n_pairs: int = 20) -> list[Verifi
     cov = validate_covariance(np.kron(s1, s2))
     emp = sample_wald(f, cov, WaldSampleConfig(n=n, seed=derive_seed(seed, 18)))
     stat = ks_distance(emp, TetradSingular())
-    results.append(
-        VerificationResult(
-            name="tetrad-kronecker-law",
-            tier="theorem",
-            statistic=stat,
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-        )
-    )
+    results.append(_ks_result("tetrad-kronecker-law", "theorem", stat, n, seed))
     return results
 
 
@@ -548,11 +499,25 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
     below that the slack widens with the Monte Carlo noise floor, since the
     envelopes hold with equality on parts of their strata.
     """
-    results = []
     rng = make_generator(derive_seed(seed, 19), 0)
     quarter_chi1 = ScaledChiSquare(scale=0.25, df=1)
     m_emp = max(n // 4, 10_000)
     slack = max(0.005, 3.0 / np.sqrt(m_emp))
+
+    def envelope(name: str, worst: float, detail: str) -> VerificationResult:
+        return VerificationResult(name, "theorem", float(worst), slack, m_emp, seed, detail)
+
+    def worst_below_quarter_chi1(spectra, base: int) -> float:
+        grid = np.linspace(0.0, 12.0, 400)
+        return max(
+            dominance_check(
+                quarter_chi1,
+                sample_canonical(lams, m_emp, derive_seed(seed, base + i)),
+                grid,
+                slack=slack,
+            ).worst_violation
+            for i, lams in enumerate(spectra)
+        )
 
     worst_upper = -np.inf
     for i in range(n_spectra):
@@ -565,68 +530,32 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
         grid = np.linspace(0.0, upper.quantile(0.9995), 400)
         rep = dominance_check(emp, upper, grid, slack=slack)
         worst_upper = max(worst_upper, rep.worst_violation)
-    results.append(
-        VerificationResult(
-            name="upper-envelope-quarter-chisq",
-            tier="theorem",
-            statistic=float(worst_upper),
-            threshold=slack,
-            n_used=m_emp,
-            seed=seed,
-            detail=f"{n_spectra} random spectra, k <= 6",
+    results = [
+        envelope(
+            "upper-envelope-quarter-chisq", worst_upper, f"{n_spectra} random spectra, k <= 6"
         )
-    )
+    ]
 
     emp = sample_canonical(np.ones(3), n, derive_seed(seed, 20))
-    results.append(
-        VerificationResult(
-            name="upper-envelope-equality-case",
-            tier="theorem",
-            statistic=ks_distance(emp, ScaledChiSquare(scale=0.25, df=3)),
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-            detail="constant spectrum attains the quarter chi-square envelope",
-        )
-    )
+    results.append(_ks_result(
+        "upper-envelope-equality-case", "theorem",
+        ks_distance(emp, ScaledChiSquare(scale=0.25, df=3)), n, seed,
+        "constant spectrum attains the quarter chi-square envelope",
+    ))
 
-    worst_lower = -np.inf
-    spectra = [np.array([1.0, 0.5, 0.1]), np.array([1.0, 1.0, 0.25, 0.02])]
-    for i, lams in enumerate(spectra):
-        emp = sample_canonical(lams, m_emp, derive_seed(seed, 200 + i))
-        grid = np.linspace(0.0, 12.0, 400)
-        rep = dominance_check(quarter_chi1, emp, grid, slack=slack)
-        worst_lower = max(worst_lower, rep.worst_violation)
-    results.append(
-        VerificationResult(
-            name="lower-envelope-one-signed",
-            tier="theorem",
-            statistic=float(worst_lower),
-            threshold=slack,
-            n_used=m_emp,
-            seed=seed,
-            detail="nonnegative spectra dominate quarter chi-square-1",
-        )
-    )
-
-    worst_split = -np.inf
-    for i, (k1, k2) in enumerate(((1, 1), (2, 2), (3, 1), (4, 2))):
-        lams = np.concatenate([np.ones(k1), -np.ones(k2)])
-        emp = sample_canonical(lams, m_emp, derive_seed(seed, 300 + i))
-        grid = np.linspace(0.0, 12.0, 400)
-        rep = dominance_check(quarter_chi1, emp, grid, slack=slack)
-        worst_split = max(worst_split, rep.worst_violation)
-    results.append(
-        VerificationResult(
-            name="lower-envelope-balanced",
-            tier="theorem",
-            statistic=float(worst_split),
-            threshold=slack,
-            n_used=m_emp,
-            seed=seed,
-            detail="signed unit spectra dominate quarter chi-square-1",
-        )
-    )
+    one_signed = [np.array([1.0, 0.5, 0.1]), np.array([1.0, 1.0, 0.25, 0.02])]
+    results.append(envelope(
+        "lower-envelope-one-signed", worst_below_quarter_chi1(one_signed, 200),
+        "nonnegative spectra dominate quarter chi-square-1",
+    ))
+    balanced = [
+        np.concatenate([np.ones(k1), -np.ones(k2)])
+        for k1, k2 in ((1, 1), (2, 2), (3, 1), (4, 2))
+    ]
+    results.append(envelope(
+        "lower-envelope-balanced", worst_below_quarter_chi1(balanced, 300),
+        "signed unit spectra dominate quarter chi-square-1",
+    ))
 
     grid = np.linspace(0.0, 50.0, 2001)
     rep = dominance_check(
@@ -710,40 +639,25 @@ def verify_tetrad_convergence(
     )
 
 
-def _stable_results(n: int, seed: int) -> list[VerificationResult]:
-    draws = sample_stable(1.3, n, derive_seed(seed, 25))
-    emp = EmpiricalDistribution.from_samples(draws)
-    fvals = stable_cdf(1.3, emp.values)
-    i = np.arange(1, emp.n + 1)
-    stat_law = max(
-        float((i / emp.n - fvals).max()), float((fvals - (i - 1) / emp.n).max())
+def _stable_ks(draws: np.ndarray, c: float) -> float:
+    """KS distance of draws to the index-half stable law with parameter c."""
+    return ks_distance(
+        EmpiricalDistribution.from_samples(draws),
+        SimpleNamespace(cdf=lambda t: stable_cdf(c, t)),
     )
+
+
+def _stable_results(n: int, seed: int) -> list[VerificationResult]:
+    stat_law = _stable_ks(sample_stable(1.3, n, derive_seed(seed, 25)), 1.3)
     a, b = 0.7, 1.3
     total = sample_stable(a, n, derive_seed(seed, 26)) + sample_stable(
         b, n, derive_seed(seed, 27)
     )
-    emp2 = EmpiricalDistribution.from_samples(total)
-    fvals2 = stable_cdf(a + b, emp2.values)
-    stat_conv = max(
-        float((i / emp2.n - fvals2).max()), float((fvals2 - (i - 1) / emp2.n).max())
-    )
     return [
-        VerificationResult(
-            name="stable-first-passage-law",
-            tier="theorem",
-            statistic=stat_law,
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-        ),
-        VerificationResult(
-            name="stable-convolution",
-            tier="theorem",
-            statistic=stat_conv,
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-            detail="index-half parameters add under convolution",
+        _ks_result("stable-first-passage-law", "theorem", stat_law, n, seed),
+        _ks_result(
+            "stable-convolution", "theorem", _stable_ks(total, a + b), n, seed,
+            "index-half parameters add under convolution",
         ),
     ]
 
@@ -781,23 +695,13 @@ def _bivariate_quadratic_results(n: int, seed: int, pairs: int = 3) -> list[Veri
         )
         worst_mix = max(worst_mix, ks_distance(emp, cls.law))
     return [
-        VerificationResult(
-            name="bivariate-quadratic-split",
-            tier="theorem",
-            statistic=worst_split,
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-            detail=f"{pairs} random factorable forms emit quarter chi-square-1",
+        _ks_result(
+            "bivariate-quadratic-split", "theorem", worst_split, n, seed,
+            f"{pairs} random factorable forms emit quarter chi-square-1",
         ),
-        VerificationResult(
-            name="bivariate-quadratic-mixture",
-            tier="theorem",
-            statistic=worst_mix,
-            threshold=ks_threshold(n),
-            n_used=n,
-            seed=seed,
-            detail=f"{pairs} random definite forms emit the two-component mixture",
+        _ks_result(
+            "bivariate-quadratic-mixture", "theorem", worst_mix, n, seed,
+            f"{pairs} random definite forms emit the two-component mixture",
         ),
     ]
 
@@ -1018,42 +922,36 @@ REQUIRED_CLAIMS = frozenset(
 )
 
 
+_SUITE_TIERS = {
+    "all": ("theorem", "conjecture"),
+    "theorems": ("theorem",),
+    "conjectures": ("conjecture",),
+}
+
+
+def _entries(suite: str) -> list:
+    """Registry entries of a suite, in registry order."""
+    if suite not in _SUITE_TIERS:
+        raise ValueError(f"unknown suite {suite!r}")
+    return [entry for entry in _REGISTRY if entry[1] in _SUITE_TIERS[suite]]
+
+
 def coverage_manifest(suite: str = "all") -> frozenset[str]:
     """Union of claims the registered checks cover."""
-    return frozenset(
-        claim
-        for claims, tier, _ in _REGISTRY
-        if suite == "all"
-        or (suite == "theorems" and tier == "theorem")
-        or (suite == "conjectures" and tier == "conjecture")
-        for claim in claims
-    )
+    return frozenset(claim for claims, _, _ in _entries(suite) for claim in claims)
 
 
 def run_suite(
     suite: str = "all", n: int = 10**6, seed: int = 42, threads: int = 1
 ) -> list[VerificationResult]:
-    """Run the registered checks and return results in registry order."""
-    if suite not in ("all", "theorems", "conjectures"):
-        raise ValueError(f"unknown suite {suite!r}")
-    entries = [
-        entry
-        for entry in _REGISTRY
-        if suite == "all"
-        or (suite == "theorems" and entry[1] == "theorem")
-        or (suite == "conjectures" and entry[1] == "conjecture")
-    ]
+    """Run the registered checks and return results in registry order.
 
-    def run_entry(entry):
-        _, _, fn = entry
-        out = fn(n, seed)
-        return out if isinstance(out, list) else [out]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run_entry, entries))
-    else:
-        blocks = [run_entry(e) for e in entries]
+    Every entry derives its own seeds, so the results do not depend on
+    ``threads``.
+    """
+    entries = _entries(suite)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = list(pool.map(lambda entry: entry[2](n, seed), entries))
     return [r for block in blocks for r in block]
 
 

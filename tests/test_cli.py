@@ -59,6 +59,21 @@ class TestHelp:
             run(["cdf", "tetrad", "--grid", "0:1:1", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "0", "verify"],
+            ["verify", "--threads", "-2"],
+            ["--threads", "0", "sample", "--poly", "p", "--sigma", "s", "--n", "100"],
+            ["cdf", "tetrad", "--grid", "0:1:1", "--threads", "two"],
+        ],
+    )
+    def test_threads_below_one_rejected_at_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
+
 
 class TestCdf:
     def test_golden_tetrad_grid(self, capsys):

@@ -8,7 +8,6 @@ from singwald.gaussian import (
     factor,
     make_generator,
     parse_matrix,
-    sample_mvn,
     validate_covariance,
 )
 from singwald.poly import QuadraticForm
@@ -64,27 +63,27 @@ class TestFactor:
 class TestSampling:
     def test_moments_identity(self):
         s = factor(validate_covariance(np.eye(2)))
-        x = sample_mvn(s, 10**6, 7)
+        x = s.sample(10**6, 7)
         assert np.abs(x.mean(axis=0)).max() < 0.005
         assert np.abs(x.var(axis=0) - 1.0).max() < 0.01
 
     def test_correlation(self):
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
         s = factor(validate_covariance(sigma))
-        x = sample_mvn(s, 10**6, 8)
+        x = s.sample(10**6, 8)
         assert abs(np.corrcoef(x.T)[0, 1] - 0.9) < 0.005
 
     def test_bitwise_determinism(self):
         s = factor(validate_covariance(np.eye(3)))
-        a = sample_mvn(s, 5000, 123)
-        b = sample_mvn(s, 5000, 123)
+        a = s.sample(5000, 123)
+        b = s.sample(5000, 123)
         assert a.tobytes() == b.tobytes()
 
     def test_disjoint_seeds_uncorrelated(self):
         s = factor(validate_covariance(np.eye(1)))
         n = 200_000
-        a = sample_mvn(s, n, 1)[:, 0]
-        b = sample_mvn(s, n, 2)[:, 0]
+        a = s.sample(n, 1)[:, 0]
+        b = s.sample(n, 2)[:, 0]
         assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
 
     def test_stream_index_changes_draws(self):

@@ -5,7 +5,6 @@ from scipy import integrate, stats
 
 from singwald.laws import (
     EmpiricalDistribution,
-    EmpiricalLaw,
     FoldedBetaProduct,
     ScaledChiSquare,
     TetradSingular,
@@ -296,14 +295,6 @@ class TestEmpiricalDistribution:
             p = i / 100.0
             assert emp.cdf(emp.quantile(p)) == pytest.approx(p, abs=1e-12)
 
-    def test_merge_matches_concatenation(self):
-        rng = np.random.default_rng(1)
-        parts = [rng.standard_normal(50) for _ in range(4)]
-        merged = EmpiricalDistribution.merge(
-            [EmpiricalDistribution.from_samples(p) for p in parts]
-        )
-        np.testing.assert_array_equal(merged.values, np.sort(np.concatenate(parts)))
-
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution.from_samples([1.0])
@@ -311,11 +302,6 @@ class TestEmpiricalDistribution:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution.from_samples([1.0, np.nan])
-
-    def test_empirical_law_not_resampleable(self):
-        law = EmpiricalLaw(EmpiricalDistribution.from_samples([1.0, 2.0]))
-        with pytest.raises(ValueError, match="resampled"):
-            law.sample(10, 1)
 
 
 class TestSpecStrings:

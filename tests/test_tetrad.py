@@ -325,21 +325,38 @@ class TestBatchedKernel:
             old_simulation(theta, 2000, 3000, 5),
         )
 
-    def test_degenerate_scan_keeps_rows_before_first_failure(self, tmp_path, capsys):
-        # constant columns 4 and 5 zero the variance of (0, 1, 2, 4), the
-        # first tetrad that touches them
-        rng = np.random.default_rng(3)
-        values = np.column_stack([rng.standard_normal((50, 4)), np.ones(50), np.full(50, 2.0)])
+    @pytest.mark.parametrize(
+        "constant, n_valid, listed",
+        [((4, 5), 3, "zero-variance columns: 4, 5"), ((4,), 15, "zero-variance columns: 4")],
+        ids=["two-constant", "one-constant"],
+    )
+    def test_degenerate_scan_keeps_every_valid_row(
+        self, tmp_path, capsys, constant, n_valid, listed
+    ):
+        # a constant column zeroes the estimated variance of every tetrad
+        # that touches it; the other tetrads stay valid
+        values = np.random.default_rng(3).standard_normal((50, 6))
+        values[:, list(constant)] = 1.0 + np.arange(len(constant))
         csv = write_csv(tmp_path / "degenerate.csv", values)
-        assert run(["tetrad-test", "--data", str(csv), "--all"]) == 2
+        assert run(["tetrad-test", "--data", str(csv), "--all"]) == 0
         captured = capsys.readouterr()
-        assert "collect more data" in captured.err
-        before = list(all_tetrads(6))[:3]
-        assert [(t.i, t.j, t.k, t.l) for t in before] == [
-            (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),
-        ]
-        rows = [single_row(csv, idx, capsys) for idx in before]
-        assert captured.out == HEADER + "".join(rows)
+        header, *rows = captured.out.splitlines(keepends=True)
+        assert header == HEADER
+        assert len(rows) == 45
+        tetrads = list(all_tetrads(6))
+        valid = 0
+        for idx, row in zip(tetrads, rows):
+            if {idx.i, idx.j, idx.k, idx.l}.isdisjoint(constant):
+                assert row == single_row(csv, idx, capsys)
+                valid += 1
+            else:
+                fields = row.rstrip("\n").split("\t")
+                assert fields[:4] == [str(v) for v in (idx.i, idx.j, idx.k, idx.l)]
+                assert float(fields[4]) == 0.0
+                assert fields[5:] == ["nan", "nan", "nan", "degenerate"]
+        assert valid == n_valid
+        assert f"{45 - n_valid} of 45 tetrads are degenerate" in captured.err
+        assert listed in captured.err
 
     def test_index_array_order(self):
         for p in (4, 5, 7):

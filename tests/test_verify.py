@@ -228,13 +228,16 @@ class TestSuiteRunner:
         assert [(r.name, r.statistic) for r in a] == [(r.name, r.statistic) for r in b]
 
     def test_threads_do_not_change_results(self):
-        a = run_suite("conjectures", n=5000, seed=74, threads=1)
-        b = run_suite("conjectures", n=5000, seed=74, threads=3)
+        a = run_suite("all", n=5000, seed=74, threads=1)
+        b = run_suite("all", n=5000, seed=74, threads=2)
+        assert format_report(a) == format_report(b)
         assert [(r.name, r.statistic) for r in a] == [(r.name, r.statistic) for r in b]
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown suite"):
             run_suite("lemmas", n=1000, seed=1)
+        with pytest.raises(ValueError, match="unknown suite"):
+            coverage_manifest("lemmas")
 
     def test_report_format(self):
         results = run_suite("conjectures", n=2000, seed=75)
