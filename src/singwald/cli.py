@@ -22,7 +22,13 @@ from .gaussian import load_matrix, validate_covariance
 from .laws import parse_law
 from .poly import load_polynomial
 from .sampler import WaldSampleConfig, sample_wald
-from .tetrad import TetradIndex, load_data_csv, wald_tetrad_scan, wald_tetrad_test
+from .tetrad import (
+    TetradIndex,
+    load_data_csv,
+    wald_tetrad_scan,
+    wald_tetrad_test,
+    zero_variance_columns,
+)
 from .verify import format_report, run_suite
 
 
@@ -250,7 +256,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
             )
         ))
         if bad.any():
-            constant = np.flatnonzero(np.ptp(data.values, axis=0) == 0).tolist()
+            constant = zero_variance_columns(data)
             print(f"# {int(bad.sum())} of {bad.size} tetrads are degenerate "
                   "(estimated variance not positive); zero-variance columns: "
                   f"{', '.join(map(str, constant)) or 'none'}", file=sys.stderr)

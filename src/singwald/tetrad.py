@@ -50,6 +50,7 @@ __all__ = [
     "tetrad_wald",
     "wald_tetrad_test",
     "wald_tetrad_scan",
+    "zero_variance_columns",
     "tetrad_index_array",
     "all_tetrads",
     "load_data_csv",
@@ -135,6 +136,11 @@ def empirical_covariance(data: DataMatrix | np.ndarray) -> np.ndarray:
         raise ValueError("data contains non-finite entries")
     centered = values - values.mean(axis=0)
     return centered.T @ centered / values.shape[0]
+
+
+def zero_variance_columns(data: DataMatrix) -> list[int]:
+    """Indices of the constant columns of ``data``."""
+    return np.flatnonzero(np.ptp(data.values, axis=0) == 0).tolist()
 
 
 def tetrad_stat(theta: np.ndarray, idx: TetradIndex) -> tuple[float, np.ndarray]:
@@ -243,6 +249,13 @@ def wald_tetrad_test(data: DataMatrix, idx: TetradIndex) -> WaldReport:
         empirical_covariance(data), data.n, [(idx.i, idx.j, idx.k, idx.l)]
     )
     if res.degenerate[0]:
+        touched = (idx.i, idx.j, idx.k, idx.l)
+        constant = [c for c in zero_variance_columns(data) if c in touched]
+        if constant:
+            raise ValueError(
+                "estimated asymptotic variance is not positive; the tetrad "
+                f"touches zero-variance columns: {', '.join(map(str, constant))}"
+            )
         raise ValueError(DEGENERATE_MESSAGE)
     return WaldReport(
         gamma_hat=float(res.gamma_hat[0]),

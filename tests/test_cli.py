@@ -201,6 +201,16 @@ class TestTetradTest:
     def test_bad_indices(self, data_csv, capsys):
         assert run(["tetrad-test", "--data", str(data_csv), "--indices", "0,1,2"]) == 2
 
+    def test_constant_column_named_for_single_tetrad(self, tmp_path, capsys):
+        values = np.random.default_rng(12).standard_normal((30, 5))
+        values[:, 2] = 3.0
+        path = tmp_path / "constant.csv"
+        path.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in values))
+        assert run(["tetrad-test", "--data", str(path), "--indices", "0,1,2,3"]) == 2
+        err = capsys.readouterr().err
+        assert "the tetrad touches zero-variance columns: 2\n" in err
+        assert "more data" not in err
+
     def test_csv_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3,4\n1,2,x,4\n")

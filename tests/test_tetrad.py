@@ -21,6 +21,7 @@ from singwald.tetrad import (
     tetrad_stat,
     tetrad_wald,
     wald_tetrad_test,
+    zero_variance_columns,
 )
 from singwald.verify import _simulate_tetrad_stats
 
@@ -219,15 +220,28 @@ class TestWaldTetradTest:
         rep = wald_tetrad_test(data, IDX)
         assert rep.p_regular < 1e-6
 
-    def test_degenerate_data_advises_more(self):
+    def test_degenerate_data_names_constant_columns(self):
         # constant third and fourth columns zero out the gradient and the
         # variance submatrix exactly
         rng = np.random.default_rng(55)
         values = np.column_stack(
             [rng.standard_normal(10), rng.standard_normal(10), np.ones(10), np.ones(10)]
         )
-        with pytest.raises(ValueError, match="more data"):
+        with pytest.raises(ValueError, match="zero-variance columns: 2, 3$") as exc:
             wald_tetrad_test(DataMatrix(values=values), IDX)
+        assert "more data" not in str(exc.value)
+
+    def test_degenerate_data_advises_more_without_constant_column(self):
+        # +-1 columns with (0, 1) orthogonal to (2, 3): every cross
+        # covariance, hence the gradient, is exactly zero, and no column is
+        # constant
+        a = np.tile([1.0, -1.0], 4)
+        b = np.tile([1.0, 1.0, -1.0, -1.0], 2)
+        c = np.repeat([1.0, -1.0], 4)
+        data = DataMatrix(values=np.column_stack([a, b, c, a * b * c]))
+        assert zero_variance_columns(data) == []
+        with pytest.raises(ValueError, match="collect more data"):
+            wald_tetrad_test(data, IDX)
 
     def test_out_of_range_indices(self):
         data = simulate(np.eye(4), 100, 37)
