@@ -28,7 +28,6 @@ from .laws import (
     monomial_law,
     parse_law,
     stable_cdf,
-    stable_density,
     tetrad_singular_cdf,
 )
 from .poly import (
@@ -52,7 +51,6 @@ from .tetrad import (
     WaldReport,
     asymptotic_v_normal,
     empirical_covariance,
-    tetrad_stat,
     tetrad_wald,
     wald_tetrad_scan,
     wald_tetrad_test,
@@ -102,9 +100,7 @@ __all__ = [
     "sample_canonical",
     "sample_wald",
     "stable_cdf",
-    "stable_density",
     "tetrad_singular_cdf",
-    "tetrad_stat",
     "tetrad_wald",
     "two_sample_ks",
     "validate_covariance",

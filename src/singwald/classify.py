@@ -5,10 +5,12 @@ distributed like
 
     (sum_i lam_i Z_i^2)^2 / (4 sum_i lam_i^2 Z_i^2)
 
-where lam are the eigenvalues of A*Sigma.  A closed-form law exists when
+where lam are the eigenvalues of A*Sigma; only the nonzero ones matter.  A
+closed-form law exists when
 
-* the form is bivariate with positive definite Sigma (full split by the
-  discriminant of A), or
+* at most two eigenvalues are nonzero (quarter chi-square-1 for one, or two
+  of opposite signs; a two-component chi-square mixture for two of one
+  sign), or
 * all eigenvalues share one magnitude (quarter chi-square when they also
   share the sign, folded-Beta product otherwise).
 
@@ -102,11 +104,12 @@ class QuadraticClassification:
 def classify(a: QuadraticForm, sigma: CovarianceMatrix) -> QuadraticClassification:
     """Reduce (A, Sigma) to its eigenvalue spectrum and emit the limit law.
 
-    Bivariate forms with full-rank Sigma use the discriminant split: a
-    nonnegative discriminant of A gives the quarter chi-square-1 law, a
-    negative one the two-component mixture with weights
-    (1/4, det(A*Sigma)/trace(A*Sigma)^2).  In higher dimension the law is
-    closed-form exactly on the equal-magnitude strata.
+    Only the effective spectrum decides, i.e. the eigenvalues of A*Sigma
+    above ``_ZERO_RTOL`` of the largest magnitude.  One eigenvalue, or two
+    of opposite signs, give the quarter chi-square-1 law; two of one sign
+    and unequal magnitudes give the two-component mixture with weights
+    (1/4, lam1*lam2/(lam1 + lam2)^2).  Otherwise the law is closed-form
+    exactly on the equal-magnitude strata.
     """
     lams_all = eigenvalues_of_product(a, sigma)
     top = np.abs(lams_all).max()
@@ -114,37 +117,22 @@ def classify(a: QuadraticForm, sigma: CovarianceMatrix) -> QuadraticClassificati
         raise ValueError("A*Sigma vanishes: the form is zero on the support of Sigma")
     lams = lams_all[np.abs(lams_all) > _ZERO_RTOL * top]
     k_eff = lams.size
-    upper = ScaledChiSquare(scale=0.25, df=k_eff)
-
-    if a.k == 2 and sigma.is_full_rank:
-        # Discriminant route: b^2 - ac = -det(A).
-        disc = a.a[0, 1] ** 2 - a.a[0, 0] * a.a[1, 1]
-        if disc >= 0:
-            law: LimitLaw | None = ScaledChiSquare(scale=0.25, df=1)
-            lower: LimitLaw | None = ScaledChiSquare(scale=0.25, df=1)
-        else:
-            prod = a.a @ sigma.sigma
-            w2 = np.linalg.det(prod) / np.trace(prod) ** 2
-            law = TwoChiSquareMix(w1=0.25, w2=float(w2))
-            lower = ScaledChiSquare(scale=0.25, df=1)
-        return QuadraticClassification(
-            eigenvalues=tuple(float(v) for v in lams_all),
-            law=law,
-            lower_bound=lower,
-            upper_bound=upper,
-        )
-
     n_pos = int(np.sum(lams > 0))
     n_neg = k_eff - n_pos
     same_sign = n_pos == 0 or n_neg == 0
     equal_magnitude = (np.abs(lams).max() - np.abs(lams).min()) <= _EQUAL_RTOL * top
 
-    if same_sign:
+    law: LimitLaw | None
+    lower: LimitLaw | None = ScaledChiSquare(scale=0.25, df=1)
+    if k_eff == 1 or (k_eff == 2 and not same_sign):
+        law = ScaledChiSquare(scale=0.25, df=1)
+    elif k_eff == 2 and not equal_magnitude:
+        w2 = lams[0] * lams[1] / (lams[0] + lams[1]) ** 2
+        law = TwoChiSquareMix(w1=0.25, w2=float(w2))
+    elif same_sign:
         law = ScaledChiSquare(scale=0.25, df=k_eff) if equal_magnitude else None
-        lower = ScaledChiSquare(scale=0.25, df=1)
     elif equal_magnitude:
         law = FoldedBetaProduct(k1=n_pos, k2=n_neg)
-        lower = ScaledChiSquare(scale=0.25, df=1)
     else:
         law = None
         lower = None
@@ -153,7 +141,7 @@ def classify(a: QuadraticForm, sigma: CovarianceMatrix) -> QuadraticClassificati
         eigenvalues=tuple(float(v) for v in lams_all),
         law=law,
         lower_bound=lower,
-        upper_bound=upper,
+        upper_bound=ScaledChiSquare(scale=0.25, df=k_eff),
     )
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "TetradSingular",
     "FoldedBetaProduct",
     "monomial_law",
-    "stable_density",
     "stable_cdf",
     "sample_stable",
     "tetrad_singular_cdf",
@@ -447,17 +446,6 @@ def monomial_law(m: MonomialForm) -> ScaledChiSquare:
 # ---------------------------------------------------------------------------
 # One-sided stable law of index 1/2 (the law of alpha^2 / Z^2).
 # ---------------------------------------------------------------------------
-
-def stable_density(alpha: float, x):
-    """Density alpha/sqrt(2 pi) * x^(-3/2) * exp(-alpha^2/(2x)) for x > 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
-    out = alpha / np.sqrt(2.0 * np.pi) * x**-1.5 * np.exp(-0.5 * alpha**2 / x)
-    return float(out) if out.ndim == 0 else out
-
 
 def stable_cdf(alpha: float, x):
     """First-passage form: P(alpha^2/Z^2 <= x) = 2*(1 - Phi(alpha/sqrt(x)))."""

@@ -44,7 +44,6 @@ __all__ = [
     "TetradIndex",
     "WaldReport",
     "empirical_covariance",
-    "tetrad_stat",
     "asymptotic_v_normal",
     "TetradWald",
     "tetrad_wald",
@@ -141,15 +140,6 @@ def empirical_covariance(data: DataMatrix | np.ndarray) -> np.ndarray:
 def zero_variance_columns(data: DataMatrix) -> list[int]:
     """Indices of the constant columns of ``data``."""
     return np.flatnonzero(np.ptp(data.values, axis=0) == 0).tolist()
-
-
-def tetrad_stat(theta: np.ndarray, idx: TetradIndex) -> tuple[float, np.ndarray]:
-    """Tetrad value and its exact gradient over the pairs C = (ik, il, jk, jl)."""
-    theta = np.asarray(theta, dtype=float)
-    i, j, k, l = idx.i, idx.j, idx.k, idx.l
-    gamma = theta[i, k] * theta[j, l] - theta[i, l] * theta[j, k]
-    grad = np.array([theta[j, l], -theta[j, k], -theta[i, l], theta[i, k]])
-    return float(gamma), grad
 
 
 def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:

@@ -575,27 +575,39 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
     return results
 
 
+def _bartlett_scatter(
+    theta: np.ndarray, n_data: int, replicates: int, seed: int
+) -> np.ndarray:
+    """Centred scatter matrices of n_data Gaussian rows with covariance
+    theta, drawn exactly from their Wishart(n_data - 1, theta) law.
+
+    Bartlett's decomposition: with theta = L L^T and T lower triangular,
+    T_ii^2 ~ chi-square(n_data - 1 - i) and N(0, 1) below the diagonal, all
+    independent, (L T)(L T)^T has that law.  One replicate costs p(p - 1)/2
+    normals and p chi-square draws, all from one Philox stream.
+    """
+    chol = np.linalg.cholesky(theta)
+    p = chol.shape[0]
+    rng = make_generator(seed, 0)
+    t = np.zeros((replicates, p, p))
+    below = np.tril_indices(p, -1)
+    t[:, below[0], below[1]] = rng.standard_normal((replicates, below[0].size))
+    diag = np.arange(p)
+    t[:, diag, diag] = np.sqrt(rng.chisquare(n_data - 1 - diag, (replicates, p)))
+    lt = chol @ t
+    return lt @ lt.transpose(0, 2, 1)
+
+
 def _simulate_tetrad_stats(
     theta: np.ndarray, n_data: int, replicates: int, seed: int
 ) -> np.ndarray:
-    """Wald statistics of the leading tetrad over simulated Gaussian data."""
-    theta = np.asarray(theta, dtype=float)
-    chol = np.linalg.cholesky(theta)
-    stats = np.empty(replicates)
-    chunk = max(1, int(2e6 // max(n_data, 1)))
-    done = 0
-    stream = 0
-    while done < replicates:
-        r = min(chunk, replicates - done)
-        rng = make_generator(seed, stream)
-        stream += 1
-        z = rng.standard_normal((r, n_data, 4))
-        x = z @ chol.T
-        xc = x - x.mean(axis=1, keepdims=True)
-        covs = np.einsum("rni,rnj->rij", xc, xc) / n_data
-        stats[done : done + r] = tetrad_wald(covs, n_data, [(0, 1, 2, 3)]).t_stat[:, 0]
-        done += r
-    return stats
+    """Wald statistics of the leading tetrad over simulated Gaussian data.
+
+    Each replicate's empirical covariance (divisor n_data) comes from
+    :func:`_bartlett_scatter`, which draws it exactly without the rows.
+    """
+    covs = _bartlett_scatter(theta, n_data, replicates, seed) / n_data
+    return tetrad_wald(covs, n_data, [(0, 1, 2, 3)]).t_stat[:, 0]
 
 
 def verify_tetrad_convergence(
@@ -609,7 +621,8 @@ def verify_tetrad_convergence(
     """Finite-sample tetrad Wald statistics against their claimed limit.
 
     At a block-diagonal truth the limit is the tetrad singular law; at a
-    regular null point it is chi-square-1.  The threshold is loose (0.03)
+    regular null point it is chi-square-1.  Both are compared by a one-sample
+    KS distance to the closed-form CDF.  The threshold is loose (0.03)
     because the limit is asymptotic and n_data leaves O(n^-1/2) law error.
     """
     theta_true = np.asarray(theta_true, dtype=float)
@@ -620,18 +633,18 @@ def verify_tetrad_convergence(
     t_stats = _simulate_tetrad_stats(theta_true, n_data, replicates, derive_seed(seed, 23))
     emp = EmpiricalDistribution.from_samples(t_stats)
     if singular:
-        reference = TetradSingular().sample(max(replicates, 10**6), derive_seed(seed, 24))
-        stat = two_sample_ks(emp, reference)
+        law = TetradSingular()
         detail = f"block-diagonal truth, n_data={n_data}, replicates={replicates}"
     else:
-        stat = ks_distance(emp, ScaledChiSquare(scale=1.0, df=1))
+        law = ScaledChiSquare(scale=1.0, df=1)
         detail = f"regular truth, n_data={n_data}, replicates={replicates}"
-    # 0.03 is calibrated for 5000 replicates; widen with the noise floor below.
+    # 0.03 is calibrated for 5000 replicates of the exact Wishart draw, where
+    # the one-sample KS reads about 0.01-0.02; widen with the noise floor below.
     threshold = 0.03 * max(1.0, np.sqrt(5000.0 / replicates))
     return VerificationResult(
         name=name,
         tier="theorem",
-        statistic=stat,
+        statistic=ks_distance(emp, law),
         threshold=threshold,
         n_used=replicates,
         seed=seed,

@@ -1,5 +1,8 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from singwald.classify import classify, k_alpha, sample_canonical
@@ -12,6 +15,13 @@ from singwald.laws import (
 )
 from singwald.poly import HomogeneousPolynomial, QuadraticForm
 from singwald.sampler import WaldSampleConfig, ks_distance, sample_wald
+
+
+def same_law(a, b):
+    """Two laws (or two missing laws) of one family with equal parameters."""
+    if a is None or b is None:
+        return a is b
+    return type(a) is type(b) and np.allclose(astuple(a), astuple(b), rtol=1e-9, atol=0)
 
 
 def tetrad_form():
@@ -31,9 +41,15 @@ class TestClassifyBivariate:
             assert cls.lower_bound == ScaledChiSquare(0.25, 1)
 
     def test_sum_of_squares_identity(self):
+        # equal eigenvalues of one sign: quarter chi-square-2, which is the
+        # equal-weight mixture
         cls = classify(QuadraticForm(np.eye(2)), validate_covariance(np.eye(2)))
-        assert cls.law == TwoChiSquareMix(0.25, 0.25)  # quarter chi-square-2
+        assert cls.law == ScaledChiSquare(0.25, 2)
         assert cls.upper_bound == ScaledChiSquare(0.25, 2)
+        t = np.linspace(0.01, 8.0, 50)
+        np.testing.assert_allclose(
+            cls.law.cdf(t), TwoChiSquareMix(0.25, 0.25).cdf(t), atol=1e-12
+        )
 
     def test_definite_weights_from_det_and_trace(self):
         a = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -51,6 +67,71 @@ class TestClassifyBivariate:
         cls = classify(a, cov)
         assert cls.law == ScaledChiSquare(0.25, 1)
         assert len(cls.eigenvalues) == 1
+
+
+class TestSpectralRule:
+    """The law depends on the nonzero eigenvalues of A*Sigma only."""
+
+    def test_split_form_with_unused_variable(self):
+        a = QuadraticForm(np.array([[1.0, 1.5, 0.0], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        cls = classify(a, validate_covariance(np.eye(3)))
+        assert cls.law == ScaledChiSquare(0.25, 1)
+        assert cls.lower_bound == ScaledChiSquare(0.25, 1)
+        assert cls.upper_bound == ScaledChiSquare(0.25, 2)
+
+    def test_definite_form_with_unused_variable(self):
+        a = QuadraticForm(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        cls = classify(a, validate_covariance(np.eye(3)))
+        # det / trace^2 of the leading 2x2 block
+        assert same_law(cls.law, TwoChiSquareMix(0.25, 1.75 / 9.0))
+        assert cls.lower_bound == ScaledChiSquare(0.25, 1)
+
+    def test_negligible_eigenvalue_dropped(self):
+        cls = classify(QuadraticForm(np.diag([1.0, 1e-15])), validate_covariance(np.eye(2)))
+        assert cls.machine_line() == (
+            "law=scaled-chisq:0.25:1 eigenvalues=1,1e-15 "
+            "lower=scaled-chisq:0.25:1 upper=scaled-chisq:0.25:1"
+        )
+
+    def test_opposite_equal_pair_is_quarter_chi1(self):
+        cls = classify(QuadraticForm(np.diag([1.0, -1.0, 0.0])), validate_covariance(np.eye(3)))
+        assert cls.law == ScaledChiSquare(0.25, 1)
+
+
+@st.composite
+def padded_problems(draw):
+    """(A, Sigma) with known spectrum lams, and the same form padded with
+    unused variables that Sigma may correlate with the used ones."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    grid = st.sampled_from([-3.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    lams = draw(st.lists(grid, min_size=k, max_size=k))
+    unit = st.floats(-1.0, 1.0)
+    scale = st.floats(0.5, 2.0)
+    # well-conditioned lower-triangular factors
+    below = np.array(draw(st.lists(unit, min_size=k * k, max_size=k * k))).reshape(k, k)
+    b = np.tril(below, -1) + np.diag(draw(st.lists(scale, min_size=k, max_size=k)))
+    e = np.array(draw(st.lists(unit, min_size=m * k, max_size=m * k))).reshape(m, k)
+    f = np.diag(draw(st.lists(scale, min_size=m, max_size=m)))
+    # A Sigma = B^-T diag(lams) B^T has eigenvalues lams exactly
+    b_inv = np.linalg.inv(b)
+    a = b_inv.T @ np.diag(lams) @ b_inv
+    b_pad = np.block([[b, np.zeros((k, m))], [e, f]])
+    a_pad = np.zeros((k + m, k + m))
+    a_pad[:k, :k] = a
+    return lams, (a, b @ b.T), (a_pad, b_pad @ b_pad.T)
+
+
+@given(padded_problems())
+@settings(max_examples=60, deadline=None)
+def test_padding_leaves_law_and_bounds_unchanged(problem):
+    lams, *forms = problem
+    want = classify(QuadraticForm(np.diag(lams)), validate_covariance(np.eye(len(lams))))
+    for a, sigma in forms:
+        got = classify(QuadraticForm(a), validate_covariance(sigma))
+        assert same_law(got.law, want.law), (got.law, want.law)
+        assert same_law(got.lower_bound, want.lower_bound)
+        assert got.upper_bound == want.upper_bound
 
 
 class TestClassifyHigherDimension:

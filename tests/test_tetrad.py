@@ -8,8 +8,14 @@ from singwald.classify import classify
 from singwald.cli import run
 from singwald.errors import ParseError
 from singwald.gaussian import make_generator, validate_covariance
-from singwald.laws import FoldedBetaProduct, chi2_sf, tetrad_singular_cdf
+from singwald.laws import (
+    EmpiricalDistribution,
+    FoldedBetaProduct,
+    chi2_sf,
+    tetrad_singular_cdf,
+)
 from singwald.poly import HomogeneousPolynomial
+from singwald.sampler import two_sample_ks
 from singwald.tetrad import (
     DataMatrix,
     TetradIndex,
@@ -18,15 +24,30 @@ from singwald.tetrad import (
     empirical_covariance,
     parse_data_csv,
     tetrad_index_array,
-    tetrad_stat,
     tetrad_wald,
     wald_tetrad_test,
     zero_variance_columns,
 )
-from singwald.verify import _simulate_tetrad_stats
+from singwald.verify import _bartlett_scatter, _simulate_tetrad_stats
 
 IDX = TetradIndex(0, 1, 2, 3)
 HEADER = "i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n"
+
+
+def tetrad_stat(theta, idx):
+    """Reference: the tetrad value and its exact gradient over the pairs
+    C = (ik, il, jk, jl)."""
+    i, j, k, l = idx.i, idx.j, idx.k, idx.l
+    gamma = theta[i, k] * theta[j, l] - theta[i, l] * theta[j, k]
+    grad = np.array([theta[j, l], -theta[j, k], -theta[i, l], theta[i, k]])
+    return float(gamma), grad
+
+
+def assert_kernel_matches(theta, idx, gamma, grad):
+    """The batched kernel reproduces a tetrad value and gradient norm."""
+    res = tetrad_wald(theta, 100, [(idx.i, idx.j, idx.k, idx.l)])
+    assert res.gamma_hat[0] == pytest.approx(gamma, abs=1e-14)
+    assert res.gradient_norm[0] == pytest.approx(np.linalg.norm(grad), abs=1e-14)
 
 
 def v_loop(theta, pairs):
@@ -47,6 +68,38 @@ def singular_sf_mp(t):
             mpmath.exp(-2 * t)
             - mpmath.sqrt(2 * mpmath.pi * t) * mpmath.erfc(mpmath.sqrt(2 * t)) / 2
         )
+
+
+def row_draw_simulation(theta, n_data, replicates, seed):
+    """Reference: leading-tetrad Wald statistics from n_data Gaussian rows per
+    replicate, with the per-entry variance loop."""
+    pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
+    chol = np.linalg.cholesky(theta)
+    stats = np.empty(replicates)
+    chunk = max(1, int(2e6 // max(n_data, 1)))
+    done = stream = 0
+    while done < replicates:
+        r = min(chunk, replicates - done)
+        z = make_generator(seed, stream).standard_normal((r, n_data, 4))
+        stream += 1
+        xc = z @ chol.T
+        xc = xc - xc.mean(axis=1, keepdims=True)
+        covs = np.einsum("rni,rnj->rij", xc, xc) / n_data
+        gam = covs[:, 0, 2] * covs[:, 1, 3] - covs[:, 0, 3] * covs[:, 1, 2]
+        grad = np.stack(
+            [covs[:, 1, 3], -covs[:, 1, 2], -covs[:, 0, 3], covs[:, 0, 2]],
+            axis=1,
+        )
+        v = np.empty((r, 4, 4))
+        for a_i, (a, b) in enumerate(pairs):
+            for b_i, (c, d) in enumerate(pairs):
+                v[:, a_i, b_i] = (
+                    covs[:, a, c] * covs[:, b, d] + covs[:, a, d] * covs[:, b, c]
+                )
+        den = np.einsum("ri,rij,rj->r", grad, v, grad)
+        stats[done : done + r] = n_data * gam**2 / den
+        done += r
+    return stats
 
 
 def write_csv(path, values):
@@ -107,14 +160,16 @@ class TestTetradStat:
         gamma, grad = tetrad_stat(theta, IDX)
         assert gamma == 1.0
         np.testing.assert_array_equal(grad, [1.0, 0.0, 0.0, 1.0])
+        assert_kernel_matches(theta, IDX, 1.0, grad)
 
     def test_rank_one_pattern_vanishes_everywhere(self):
         # factor structure theta_ij = b_i b_j kills every tetrad
         b = np.array([0.8, -0.5, 1.2, 0.3, 0.7])
         theta = np.outer(b, b) + np.diag(np.full(5, 0.5))
         for idx in all_tetrads(5):
-            gamma, _ = tetrad_stat(theta, idx)
+            gamma, grad = tetrad_stat(theta, idx)
             assert gamma == pytest.approx(0.0, abs=1e-14)
+            assert_kernel_matches(theta, idx, 0.0, grad)
 
     def test_block_diagonal_is_doubly_singular(self):
         theta = np.eye(4)
@@ -123,6 +178,7 @@ class TestTetradStat:
         gamma, grad = tetrad_stat(theta, IDX)
         assert gamma == 0.0
         np.testing.assert_array_equal(grad, np.zeros(4))
+        assert_kernel_matches(theta, IDX, 0.0, grad)
 
     def test_gradient_matches_polynomial(self):
         # same ordering as the quadratic form on (t_ik, t_il, t_jk, t_jl)
@@ -136,6 +192,7 @@ class TestTetradStat:
         coords = np.array([theta[0, 2], theta[0, 3], theta[1, 2], theta[1, 3]])
         assert gamma == pytest.approx(f.evaluate(coords))
         np.testing.assert_allclose(grad, f.gradient(coords))
+        assert_kernel_matches(theta, IDX, f.evaluate(coords), f.gradient(coords))
 
     def test_distinct_indices_required(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -299,46 +356,6 @@ class TestBatchedKernel:
             want = singular_sf_mp(t)
             assert p > 0.0 and abs(p - want) <= 1e-13 * want, (t, p, want)
 
-    def test_simulation_bitwise_unchanged(self):
-        # the per-entry loop the simulation used before it shared the kernel
-        pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-        def old_simulation(theta, n_data, replicates, seed):
-            chol = np.linalg.cholesky(theta)
-            stats = np.empty(replicates)
-            chunk = max(1, int(2e6 // max(n_data, 1)))
-            done = stream = 0
-            while done < replicates:
-                r = min(chunk, replicates - done)
-                z = make_generator(seed, stream).standard_normal((r, n_data, 4))
-                stream += 1
-                xc = z @ chol.T
-                xc = xc - xc.mean(axis=1, keepdims=True)
-                covs = np.einsum("rni,rnj->rij", xc, xc) / n_data
-                gam = covs[:, 0, 2] * covs[:, 1, 3] - covs[:, 0, 3] * covs[:, 1, 2]
-                grad = np.stack(
-                    [covs[:, 1, 3], -covs[:, 1, 2], -covs[:, 0, 3], covs[:, 0, 2]],
-                    axis=1,
-                )
-                v = np.empty((r, 4, 4))
-                for a_i, (a, b) in enumerate(pairs):
-                    for b_i, (c, d) in enumerate(pairs):
-                        v[:, a_i, b_i] = (
-                            covs[:, a, c] * covs[:, b, d] + covs[:, a, d] * covs[:, b, c]
-                        )
-                den = np.einsum("ri,rij,rj->r", grad, v, grad)
-                stats[done : done + r] = n_data * gam**2 / den
-                done += r
-            return stats
-
-        theta = np.eye(4)
-        theta[0, 1] = theta[1, 0] = 0.7
-        theta[0, 2] = theta[2, 0] = 0.3
-        np.testing.assert_array_equal(
-            _simulate_tetrad_stats(theta, 2000, 3000, 5),
-            old_simulation(theta, 2000, 3000, 5),
-        )
-
     @pytest.mark.parametrize(
         "constant, n_valid, listed",
         [((4, 5), 3, "zero-variance columns: 4, 5"), ((4,), 15, "zero-variance columns: 4")],
@@ -378,6 +395,45 @@ class TestBatchedKernel:
             for a, b, c, d in combinations(range(p), 4):
                 want += [[a, b, c, d], [a, c, b, d], [a, d, b, c]]
             assert tetrad_index_array(p).tolist() == want
+
+
+class TestBartlettDraw:
+    """The calibration simulation draws each empirical covariance exactly from
+    its Wishart law instead of from n_data Gaussian rows."""
+
+    THETA = np.array(
+        [[1.0, 0.7, 0.3, 0.1], [0.7, 2.0, -0.2, 0.4],
+         [0.3, -0.2, 1.5, 0.5], [0.1, 0.4, 0.5, 1.0]]
+    )
+
+    def test_simulation_matches_row_draw_law(self):
+        theta = np.eye(4)
+        theta[0, 1] = theta[1, 0] = 0.7
+        theta[0, 2] = theta[2, 0] = 0.3
+        new = _simulate_tetrad_stats(theta, 2000, 2000, 5)
+        old = row_draw_simulation(theta, 2000, 2000, 5)
+        d = two_sample_ks(
+            EmpiricalDistribution.from_samples(new), EmpiricalDistribution.from_samples(old)
+        )
+        # asymptotic 1% critical value of the two-sample KS, equal sizes m
+        assert d < 1.628 * np.sqrt(2.0 / 2000)
+
+    def test_scatter_has_exact_wishart_moments(self):
+        # the centred scatter S of n Gaussian rows is Wishart(n - 1, theta):
+        # E S = (n - 1) theta and Var S_ij = (n - 1)(theta_ij^2 + theta_ii theta_jj)
+        n_data, reps = 20, 200_000
+        theta = self.THETA
+        s = _bartlett_scatter(theta, n_data, reps, 11)
+        var = (n_data - 1) * (theta**2 + np.outer(np.diag(theta), np.diag(theta)))
+        se = np.sqrt(var / reps) / (n_data - 1)
+        mean = s.mean(axis=0) / (n_data - 1)
+        assert np.all(np.abs(mean - theta) < 4.0 * se), (mean - theta) / se
+        np.testing.assert_allclose(s.var(axis=0), var, rtol=0.03)
+
+    def test_same_seed_same_bits(self):
+        a = _simulate_tetrad_stats(self.THETA, 500, 300, 9)
+        np.testing.assert_array_equal(a, _simulate_tetrad_stats(self.THETA, 500, 300, 9))
+        assert not np.array_equal(a, _simulate_tetrad_stats(self.THETA, 500, 300, 10))
 
 
 class TestCalibration:

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from singwald.cli import run
 from singwald.poly import MonomialForm
 from singwald.verify import (
     REQUIRED_CLAIMS,
@@ -24,6 +27,7 @@ from singwald.verify import (
 )
 
 N = 30_000  # unit-test sample size; the acceptance suite runs the full sizes
+GOLDEN = Path(__file__).parent / "data" / "verify_theorems_seed7_n20000.tsv"
 
 
 class TestResultType:
@@ -246,3 +250,21 @@ class TestSuiteRunner:
         assert lines[0] == "name\ttier\tstatistic\tthreshold\tpass\tn\tseed"
         assert len(lines) == len(results) + 1
         assert all(len(line.split("\t")) == 7 for line in lines[1:])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_report_matches_golden(tmp_path, threads):
+    """``wald verify`` with the arguments of acceptance criterion 10
+    reproduces the committed report byte for byte, at one and two threads.
+
+    Any change that moves a statistic fails here.  Regenerating the file is
+    a declared behaviour change: write it with ``wald --seed 7 --threads 1
+    verify --suite theorems --n 20000 --out
+    tests/data/verify_theorems_seed7_n20000.tsv`` and name the rows that
+    moved in CHANGES.md.
+    """
+    out = tmp_path / "report.tsv"
+    argv = ["--seed", "7", "--threads", str(threads), "verify", "--suite", "theorems",
+            "--n", "20000", "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_bytes() == GOLDEN.read_bytes()
