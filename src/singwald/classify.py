@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .gaussian import CovarianceMatrix, eigenvalues_of_product, make_generator
 from .laws import (
@@ -188,6 +187,8 @@ def k_alpha(alpha: float, strict: bool = False) -> int:
 
     Computed by exact CDF evaluation and an integer search.
     """
+    from scipy import special  # here, not at import: start-up skips it
+
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     cap = alpha if strict else max(alpha, 0.05)

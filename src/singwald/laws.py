@@ -34,6 +34,11 @@ smaller component is dropped, within (2/pi)*sqrt(ratio).  The folded-Beta
 CDF uses fixed Gauss-Legendre panels after substitutions that remove all
 interior and endpoint singularities; agreement with adaptive quadrature is
 pinned below 1e-9.
+
+Scaled chi-square quantiles are closed form (the inverse regularized
+incomplete gamma function, on the upper tail for p > 1/2); the other laws
+invert their CDFs by bracketed root finding.  ``scipy.special`` is imported
+inside the functions that call it, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .gaussian import make_generator
 from .poly import MonomialForm
@@ -73,6 +77,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def chi2_cdf(x, df: float):
+    from scipy import special  # here, not at import: start-up skips it
+
     x = np.asarray(x, dtype=float)
     safe = np.maximum(x, 0.0)
     if df == 1:
@@ -86,6 +92,8 @@ def chi2_cdf(x, df: float):
 
 
 def chi2_sf(x, df: float):
+    from scipy import special  # here, not at import: start-up skips it
+
     x = np.asarray(x, dtype=float)
     out = np.where(x > 0, special.gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0), 1.0)
     return float(out) if out.ndim == 0 else out
@@ -93,6 +101,8 @@ def chi2_sf(x, df: float):
 
 def tetrad_singular_cdf(t):
     """Distribution function of ``R^2*U^2/4`` in closed form."""
+    from scipy import special  # here, not at import: start-up skips it
+
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     upper_tail = 0.5 * special.erfc(np.sqrt(2.0 * tp))  # 1 - Phi(2 sqrt t)
@@ -105,6 +115,8 @@ def tetrad_singular_sf(t):
     """Survival function ``1 - F(t)`` of ``R^2*U^2/4``, written as
     ``exp(-2t) * (1 - sqrt(2*pi*t)/2 * erfcx(sqrt(2t)))`` so that it keeps
     full relative accuracy in the tail, where ``1 - F`` cancels."""
+    from scipy import special  # here, not at import: start-up skips it
+
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     root = np.sqrt(2.0 * tp)
@@ -172,9 +184,13 @@ class LimitLaw:
         return 50.0
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF by bracketed root finding; |cdf(q) - p| <= 1e-8."""
+        """Inverse CDF at p in (0, 1), by the law's :meth:`_invert`."""
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
+        return self._invert(p)
+
+    def _invert(self, p: float) -> float:
+        """Bracketed root finding on ``cdf(t) - p``; |cdf(q) - p| <= 1e-8."""
         hi = self._bracket_hint()
         while float(self.cdf(hi)) < p:
             hi *= 2.0
@@ -209,8 +225,16 @@ class ScaledChiSquare(LimitLaw):
     def _draw(self, rng, n):
         return self.scale * rng.chisquare(self.df, n)
 
-    def _bracket_hint(self):
-        return 50.0 * self.scale * self.df
+    def _invert(self, p):
+        # closed form; the upper tail inverts the survival function, so
+        # p near 1 keeps full relative accuracy (1 - p is exact for p > 1/2)
+        from scipy import special  # here, not at import: start-up skips it
+
+        if p > 0.5:
+            half = special.gammainccinv(self.df / 2.0, 1.0 - p)
+        else:
+            half = special.gammaincinv(self.df / 2.0, p)
+        return float(2.0 * self.scale * half)
 
     def mean(self) -> float:
         return self.scale * self.df
@@ -342,6 +366,8 @@ def _fb_rule(k1: int, k2: int):
     refine toward theta = pi/4 where the chi-square argument blows up; the
     innermost sliver is added separately from the exact Beta measure.
     """
+    from scipy import special  # here, not at import: start-up skips it
+
     nodes, weights = _leggauss(_FB_NODES)
     bn = special.beta(k1 / 2.0, k2 / 2.0)
     thetas, wdens = [], []
@@ -373,6 +399,8 @@ def _fb_rule(k1: int, k2: int):
 
 
 def _fb_cdf(t: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    from scipy import special  # here, not at import: start-up skips it
+
     u2, wdens, sliver, u2_edge = _fb_rule(k1, k2)
     k = k1 + k2
     out = np.zeros_like(t)
@@ -449,6 +477,8 @@ def monomial_law(m: MonomialForm) -> ScaledChiSquare:
 
 def stable_cdf(alpha: float, x):
     """First-passage form: P(alpha^2/Z^2 <= x) = 2*(1 - Phi(alpha/sqrt(x)))."""
+    from scipy import special  # here, not at import: start-up skips it
+
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)

@@ -29,6 +29,7 @@ from .laws import (
     ScaledChiSquare,
     TetradSingular,
     TwoChiSquareMix,
+    _leggauss,
     monomial_law,
     sample_stable,
     stable_cdf,
@@ -244,55 +245,67 @@ def counterexample_negative_weights(
     return results
 
 
+def _moment_geometry(phi: float, sigma: float):
+    """Where and how deep the denominator of the angular ratio dips.
+
+    The denominator is ``base - amp * cos(psi - psi_star)``, so it equals
+    ``floor + 2 * amp * sin^2((psi - psi_star) / 2)``.  Its minimum
+    ``floor = base - amp`` is written as ``4 sigma^2 cos^4(phi) / (base + amp)``,
+    which keeps full relative accuracy as phi approaches pi/2, where both
+    terms of the difference tend to ``(1 + sigma)^2``.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    base = 1.0 + sigma * sigma + 2.0 * sigma * s * s
+    amp = (1.0 + sigma) * np.hypot((1.0 - sigma) * c, (1.0 + sigma) * s)
+    psi_star = float(np.arctan2(-(1.0 + sigma) * s, -(1.0 - sigma) * c) % (2.0 * np.pi))
+    floor = 4.0 * (sigma * c * c) ** 2 / (base + amp)
+    return psi_star, amp, floor
+
+
 def _moment_integrand(psi, phi: float, sigma: float):
-    num = (
-        2.0
-        - np.cos(2.0 * phi)
-        + 2.0 * np.cos(psi - phi)
-        - np.cos(2.0 * psi)
-        - 2.0 * np.cos(psi + phi)
-    )
-    den = 1.0 - sigma * np.cos(2.0 * phi) + (1.0 + sigma) * (
-        sigma + np.cos(psi - phi) - sigma * np.cos(psi + phi)
-    )
+    """The angular ratio, with numerator ``2 (sin(phi) + sin(psi))^2`` and the
+    denominator of :func:`_moment_geometry`; both forms are free of the
+    cancellation of the expanded cosine sums near phi = pi/2."""
+    psi_star, amp, floor = _moment_geometry(phi, sigma)
+    num = 2.0 * (np.sin(phi) + np.sin(psi)) ** 2
+    den = floor + 2.0 * amp * np.sin((psi - psi_star) / 2.0) ** 2
     return num / den
 
 
 def _angle_moment(sigma: float, phi: float, m: int, tol: float = 1e-10) -> float:
-    """E of the m-th power of the angular ratio, by adaptive quadrature.
+    """E of the m-th power of the angular ratio, by fixed Gauss-Legendre panels.
 
-    The integrand develops a sharp but integrable spike where its
-    denominator is smallest, which a single adaptive pass can silently step
-    over as phi approaches pi/2.  The spike sits at the extremum of the
-    cosine combination in the denominator, so panel edges are forced there
-    before the per-panel adaptive rule runs.
+    As phi approaches pi/2 the ratio changes over a width of about
+    ``sqrt(2 * floor / amp)`` around psi_star, which shrinks like
+    ``cos^2(phi)``.  On top of 16 equal panels, edges sit at psi_star and at
+    offsets 0.3, 0.1, 0.03, 0.01, 0.003, ... on either side, down past that
+    width.  Each panel takes a 32- and a 64-node rule; the sum of their
+    per-panel differences is the error estimate, and the 64-node value is
+    returned.  A non-finite estimate, or one above ``100 * tol``, raises.
     """
-    fn = lambda psi: _moment_integrand(psi, phi, sigma) ** m
-    a = (1.0 + sigma) * (1.0 - sigma) * np.cos(phi)
-    b = (1.0 + sigma) * (1.0 + sigma) * np.sin(phi)
-    psi_star = float(np.arctan2(-b, -a) % (2.0 * np.pi))
+    psi_star, amp, floor = _moment_geometry(phi, sigma)
+    offsets = [0.3, 0.1, 0.03, 0.01]
+    while offsets[-1] ** 2 * amp > 2.0 * floor:
+        offsets.append(offsets[-2] / 10.0)
     edges = set(np.linspace(0.0, 2.0 * np.pi, 17))
-    for off in (-0.3, -0.1, -0.03, -0.01, 0.0, 0.01, 0.03, 0.1, 0.3):
+    for off in [0.0] + offsets + [-off for off in offsets]:
         e = psi_star + off
         if 0.0 < e < 2.0 * np.pi:
             edges.add(e)
-    panels = sorted(edges)
-    from scipy import integrate  # here, not at import: start-up skips it
-
-    val = 0.0
-    err = 0.0
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        v, e = integrate.quad(
-            fn, lo, hi, epsabs=tol / len(panels), epsrel=1e-12, limit=300
-        )
-        val += v
-        err += e
-    if err > 100 * tol:
+    panels = np.array(sorted(edges))
+    mid = (panels[1:] + panels[:-1]) / 2.0
+    half = (panels[1:] - panels[:-1]) / 2.0
+    coarse, fine = (
+        half * ((_moment_integrand(mid[:, None] + half[:, None] * x, phi, sigma) ** m) @ w)
+        for x, w in (_leggauss(32), _leggauss(64))
+    )
+    err = float(np.abs(fine - coarse).sum())
+    if not err <= 100 * tol:
         raise RuntimeError(
             f"moment quadrature failed to converge (err={err:g}) at "
             f"sigma={sigma}, phi={phi}, m={m}"
         )
-    return val / (2.0 * np.pi)
+    return float(fine.sum()) / (2.0 * np.pi)
 
 
 def moment_invariance_check(

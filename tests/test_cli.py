@@ -253,15 +253,31 @@ def test_parser_covers_all_subcommands():
         assert name in text
 
 
-def test_startup_skips_scipy_optimize_and_integrate():
-    # both are imported by the one function that needs them
-    code = (
-        "import sys, singwald.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
-    )
+def _scipy_modules_after(code: str, *argv: str) -> list[str]:
+    """The ``scipy`` modules loaded after running ``code`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(singwald.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
+        [sys.executable, "-c", code + "; import sys; "
+         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+         *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_startup_skips_scipy_optimize_and_integrate(tetrad_files, tmp_path):
+    # scipy.special loads in the functions that call it, scipy.optimize in
+    # the bracketed quantile, and nothing in the package needs scipy.integrate
+    assert _scipy_modules_after("import singwald.cli") == []
+    poly, mat = tetrad_files
+    sample = ("import sys; from singwald.cli import run; "
+              "assert run(sys.argv[1:]) == 0")
+    argv = ("sample", "--poly", str(poly), "--sigma", str(mat), "--n", "100",
+            "--out", str(tmp_path / "w.txt"))
+    assert _scipy_modules_after(sample, *argv) == []
+    loaded = _scipy_modules_after(
+        "from singwald.verify import run_suite; run_suite('all', n=2000, seed=3)"
+    )
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded

@@ -8,6 +8,7 @@ from singwald.poly import MonomialForm
 from singwald.verify import (
     REQUIRED_CLAIMS,
     VerificationResult,
+    _moment_geometry,
     _moment_integrand,
     counterexample_negative_weights,
     coverage_manifest,
@@ -134,6 +135,44 @@ class TestMomentInvariance:
         assert table[0, 0] == pytest.approx(riemann, abs=1e-6)
         # at equal exponents the integrand reduces to sin^2, mean one half
         assert table[0, 0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_matches_adaptive_quadrature(self):
+        # oracle: scipy's adaptive quad on the same integrand, split where
+        # the denominator dips; every cell of the verify suite's table
+        from scipy import integrate
+
+        phis, ms = [0.0, 0.3, 0.7, 1.2, 1.5], [1, 2, 3, 4]
+        for sig in (0.4, 1.0, 2.5):
+            table = moment_invariance_check(sig, phis, ms)
+            for c, phi in enumerate(phis):
+                psi_star = _moment_geometry(phi, sig)[0]
+                for r, m in enumerate(ms):
+                    fn = lambda psi: _moment_integrand(psi, phi, sig) ** m
+                    want = sum(
+                        integrate.quad(fn, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+                        for lo, hi in ((0.0, psi_star), (psi_star, 2.0 * np.pi))
+                    ) / (2.0 * np.pi)
+                    assert table[r, c] == pytest.approx(want, rel=0, abs=1e-12), (sig, phi, m)
+
+    def test_near_right_angle_converges_or_raises(self):
+        # the ratio varies over a width shrinking like cos(phi)^2 near pi/2;
+        # each moment must either resolve it or refuse to answer
+        for sig in (0.4, 1.0, 2.5):
+            for m in (1, 2, 3, 4):
+                want = moment_invariance_check(sig, [0.0], [m])[0, 0]
+                try:
+                    got = moment_invariance_check(sig, [1.57], [m])[0, 0]
+                except RuntimeError as exc:
+                    assert f"sigma={sig}, phi=1.57, m={m}" in str(exc)
+                else:
+                    assert got == pytest.approx(want, rel=0, abs=1e-9), (sig, m)
+
+    def test_non_finite_integrand_raises(self, monkeypatch):
+        import singwald.verify as verify
+
+        monkeypatch.setattr(verify, "_moment_integrand", lambda psi, phi, sigma: psi * np.nan)
+        with pytest.raises(RuntimeError, match=r"sigma=1.0, phi=0.3, m=2"):
+            moment_invariance_check(1.0, [0.3], [2])
 
     def test_phi_domain_validated(self):
         with pytest.raises(ValueError):
