@@ -49,7 +49,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     except ValueError:
         print(f"error: grid must be start:stop:step, got {spec!r}", file=sys.stderr)
         raise SystemExit(2) from None
-    if step <= 0 or stop < start:
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not np.isfinite(value):
+            print(f"error: grid {name} must be finite, got {spec!r}", file=sys.stderr)
+            raise SystemExit(2)
+    if step <= 0 or stop < start or not np.isfinite((stop - start) / step):
         print(f"error: bad grid {spec!r}", file=sys.stderr)
         raise SystemExit(2)
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -208,9 +212,9 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         else:
             print("error: provide --probs or --grid", file=sys.stderr)
             return 2
-        out.write("p\tQ\n")
-        for p in probs:
-            out.write(f"{p:.12g}\t{law.quantile(p):.12g}\n")
+        # every quantile before the first write: a bad p leaves no half table
+        rows = [f"{p:.12g}\t{law.quantile(p):.12g}\n" for p in probs]
+        out.write("p\tQ\n" + "".join(rows))
         return 0
 
     if args.command == "classify":

@@ -26,14 +26,21 @@ The branch zoo
     eigenvalues are k1 copies of +1 and k2 copies of -1.  ``(2,2)`` equals
     ``TetradSingular`` in distribution.
 
-The mixture CDF is a midpoint rule in a rescaled polar angle with one
-exponential per node and positive weights that sum to exactly 1 (see
-``_mix2_rule``); the test suite pins it within 1e-12 of a 30-digit angle
-integral for weight ratios down to 1e-8.  Below a ratio of 1e-16 the
+``TwoChiSquareMix`` and ``FoldedBetaProduct`` are mixtures over an angle,
+so each CDF is one blocked kernel (``_angle_cdf``) over a cached node rule:
+
+    F(t) = sum_j w_j * P(k/2, t * r_j),
+
+with P the regularized lower incomplete gamma function (the chi-square-k
+CDF at 2*t*r_j) and weights that are multiples of 2^-53 summing to exactly
+1, so that F(0) = 0 and F <= 1 hold without clipping.  The mix2 rule
+(``_mix2_rule``, k = 2) is a midpoint rule in a rescaled polar angle with
+one exponential per node; the test suite pins it within 1e-12 of a 30-digit
+angle integral for weight ratios down to 1e-8.  Below a ratio of 1e-16 the
 smaller component is dropped, within (2/pi)*sqrt(ratio).  The folded-Beta
-CDF uses fixed Gauss-Legendre panels after substitutions that remove all
-interior and endpoint singularities; agreement with adaptive quadrature is
-pinned below 1e-9.
+rule (``_fb_rule``, k = k1 + k2) takes Gauss-Legendre panels in the Beta
+angle, graded toward the angle where the rate diverges; agreement with
+adaptive quadrature is pinned below 1e-9.
 
 Scaled chi-square quantiles are closed form (the inverse regularized
 incomplete gamma function, on the upper tail for p > 1/2); the other laws
@@ -186,7 +193,7 @@ class LimitLaw:
     def quantile(self, p: float) -> float:
         """Inverse CDF at p in (0, 1), by the law's :meth:`_invert`."""
         if not 0.0 < p < 1.0:
-            raise ValueError("p must be in (0, 1)")
+            raise ValueError(f"p must be in (0, 1), got {p:.12g}")
         return self._invert(p)
 
     def _invert(self, p: float) -> float:
@@ -243,16 +250,67 @@ class ScaledChiSquare(LimitLaw):
         return f"scaled-chisq:{self.scale:.12g}:{self.df}"
 
 
-# Gauss-Legendre rule behind the folded-Beta panels.
+# Gauss-Legendre rules, shared with the angular moments in verify.py.
 @functools.lru_cache(maxsize=None)
 def _leggauss(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
 
 
-# Points per block of the mix2 kernel, which holds two block-sized buffers.
-_MIX2_BLOCK = 2**14
-# Below this weight ratio the node rule would need more than 8e4 nodes, and
+# Points per block of the angle-rule kernel, which holds two block-sized buffers.
+_BLOCK = 2**14
+
+
+def _node_rule(rate: np.ndarray, p: np.ndarray):
+    """Nodes (r_j, w_j) with the probabilities p rounded to multiples of
+    2^-53 that sum to exactly 1, so that any partial sum of the weights is
+    exact."""
+    units = np.rint(p * 2.0**53).astype(np.int64)
+    units[np.argmax(units)] += 2**53 - units.sum()
+    return tuple(zip(rate.tolist(), (units / 2.0**53).tolist()))
+
+
+def _angle_cdf(t, nodes, df: int):
+    """F(t) = sum_j w_j * P(df/2, t * r_j) over the nodes of an angle rule,
+    with P the regularized lower incomplete gamma function (the chi-square-df
+    CDF at 2*t*r_j).
+
+    Points go in blocks of ``_BLOCK``, and each point's terms are added one
+    node at a time, in the same order for every point.  With nonnegative
+    weights that sum to exactly 1 this gives F(0) = 0, F <= 1 and, wherever
+    P is nondecreasing in floating point, F nondecreasing, without clipping.
+    Points t <= 0 (and NaN) map to 0.  df = 2 needs one ``expm1`` per node
+    and point and no scipy.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    out = np.empty_like(flat)
+    term = np.empty(min(flat.size, _BLOCK))
+    if df != 2:
+        from scipy import special  # here, not at import: start-up skips it
+    for i in range(0, flat.size, _BLOCK):
+        x = flat[i : i + _BLOCK]
+        x = np.where(x > 0, x, 0.0)
+        acc = out[i : i + x.size]
+        acc[:] = 0.0
+        tb = term[: x.size]
+        with np.errstate(over="ignore"):
+            for r, w in nodes:
+                if df == 2:
+                    # -w * expm1(-x*r) = w * (1 - exp(-x*r)): exactly +0 at
+                    # x = 0, and w where x*r overflows to inf
+                    np.multiply(x, -r, out=tb)
+                    np.expm1(tb, out=tb)
+                    tb *= -w
+                else:
+                    np.multiply(x, r, out=tb)
+                    special.gammainc(df / 2.0, tb, out=tb)
+                    tb *= w
+                acc += tb
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+# Below this weight ratio the mix2 rule would need more than 8e4 nodes, and
 # the smaller component moves the CDF by at most (2/pi)*sqrt(ratio) <= 6.4e-9.
 _MIX2_RATIO_MIN = 1e-16
 
@@ -271,9 +329,8 @@ def _mix2_rule(w1: float, w2: float):
     whose integrand is periodic and analytic in a strip of half-width about
     rho^(1/4), rho = w2/w1.  The midpoint rule in phi then converges
     geometrically; N = max(16, ceil(8 * rho^(-1/4))) nodes keep the error
-    below 1e-12.  The weights w_j are the normalised Jacobian, rounded to
-    multiples of 2^-53 that sum to exactly 1, so any partial sum of them is
-    exact; the rates are r_j = r(phi_j).
+    below 1e-12.  The weights w_j are the normalised Jacobian and the rates
+    are r_j = r(phi_j), for the df = 2 kernel of :func:`_angle_cdf`.
     """
     a, b = np.sqrt(w1), np.sqrt(w2)
     n = max(16, math.ceil(8.0 * (w2 / w1) ** -0.25))
@@ -281,39 +338,7 @@ def _mix2_rule(w1: float, w2: float):
     cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
     den = b * cos2 + a * sin2
     rate = den / (2.0 * a * b * (a * cos2 + b * sin2))
-    units = np.rint(2.0**53 / (den * np.sum(1.0 / den))).astype(np.int64)
-    units[np.argmax(units)] += 2**53 - units.sum()
-    return tuple(zip(rate.tolist(), (units / 2.0**53).tolist()))
-
-
-def _mix2_cdf(t: np.ndarray, w1: float, w2: float) -> np.ndarray:
-    """CDF of w1*Z1^2 + w2*Z2^2 (w1 >= w2 > 0) by the angle rule of
-    :func:`_mix2_rule`: F(t) = sum_j w_j * (1 - exp(-t * r_j)).
-
-    Each point's terms are added one node at a time, in the same order for
-    every point.  With positive weights that sum to exactly 1 this gives
-    F(0) = 0, 0 <= F <= 1 and F nondecreasing in floating point, without
-    clipping.  Points t <= 0 (and NaN) map to 0.
-    """
-    nodes = _mix2_rule(w1, w2)
-    flat = t.reshape(-1)
-    out = np.empty_like(flat)
-    term = np.empty(min(flat.size, _MIX2_BLOCK))
-    for i in range(0, flat.size, _MIX2_BLOCK):
-        x = flat[i : i + _MIX2_BLOCK]
-        x = np.where(x > 0, x, 0.0)
-        acc = out[i : i + x.size]
-        acc[:] = 0.0
-        tb = term[: x.size]
-        # -w * expm1(-x*r) = w * (1 - exp(-x*r)): exactly +0 at x = 0, and
-        # w where x*r overflows to inf
-        with np.errstate(over="ignore"):
-            for r, w in nodes:
-                np.multiply(x, -r, out=tb)
-                np.expm1(tb, out=tb)
-                tb *= -w
-                acc += tb
-    return out.reshape(t.shape)
+    return _node_rule(rate, 1.0 / (den * np.sum(1.0 / den)))
 
 
 @dataclass(frozen=True)
@@ -328,14 +353,10 @@ class TwoChiSquareMix(LimitLaw):
             raise ValueError("w2 must be nonnegative")
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
         if lo < _MIX2_RATIO_MIN * hi:
-            out = chi2_cdf(np.atleast_1d(t) / hi, 1)
-        else:
-            out = _mix2_cdf(np.atleast_1d(t), hi, lo)
-        return float(out[0]) if scalar else out
+            return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
+        return _angle_cdf(t, _mix2_rule(hi, lo), 2)
 
     def _draw(self, rng, n):
         z = rng.standard_normal((n, 2))
@@ -351,7 +372,7 @@ class TwoChiSquareMix(LimitLaw):
         return f"mix2:{self.w1:.12g}:{self.w2:.12g}"
 
 
-# Dyadic panels accumulating toward the point where the folded-Beta factor
+# Dyadic panels accumulating toward the angle where the folded-Beta factor
 # vanishes; 10 Gauss-Legendre nodes per panel.
 _FB_PANELS = 26
 _FB_NODES = 10
@@ -359,59 +380,27 @@ _FB_NODES = 10
 
 @functools.lru_cache(maxsize=None)
 def _fb_rule(k1: int, k2: int):
-    """Quadrature nodes for E_B[ F_{k1+k2}(4t / (2B-1)^2) ].
+    """Nodes (r_j, w_j) of F(t) = E_B[P((k1+k2)/2, 2t / (2B-1)^2)] for the
+    kernel :func:`_angle_cdf` with df = k1 + k2.
 
-    Parameterize b = sin^2(theta); the Beta density becomes a smooth power
-    of sines and cosines and (2b - 1)^2 = cos^2(2 theta).  Dyadic panels
-    refine toward theta = pi/4 where the chi-square argument blows up; the
-    innermost sliver is added separately from the exact Beta measure.
+    With b = sin^2(theta), B ~ Beta(k1/2, k2/2) has an angle density
+    proportional to sin^(k1-1)(theta) * cos^(k2-1)(theta), smooth on
+    [0, pi/2], and (2b - 1)^2 = sin^2(2s) at theta = pi/4 -+ s.  The two
+    angles pi/4 -+ s share the rate 2 / sin^2(2s), so each node carries the
+    density of both.  The rate blows up at s = 0, so dyadic panels in s
+    refine toward it, down to a sliver |s| < e = (pi/4) * 2^-26.  The sliver
+    is one more midpoint node: its mass is 2*e times the density at pi/4,
+    and its rate is taken at its edge s = e.  Normalising the masses by
+    their sum stands in for the Beta function.
     """
-    from scipy import special  # here, not at import: start-up skips it
-
-    nodes, weights = _leggauss(_FB_NODES)
-    bn = special.beta(k1 / 2.0, k2 / 2.0)
-    thetas, wdens = [], []
+    x, w = _leggauss(_FB_NODES)
     edges = (np.pi / 4.0) * 0.5 ** np.arange(_FB_PANELS + 1)
-    for sign in (-1.0, +1.0):
-        for j in range(_FB_PANELS):
-            lo, hi = edges[j + 1], edges[j]
-            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            s = mid + half * nodes
-            theta = np.pi / 4.0 + sign * s
-            dens = (
-                2.0
-                * np.sin(theta) ** (k1 - 1)
-                * np.cos(theta) ** (k2 - 1)
-                / bn
-            )
-            thetas.append(theta)
-            wdens.append(half * weights * dens)
-    theta = np.concatenate(thetas)
-    wdens = np.concatenate(wdens)
-    u2 = np.cos(2.0 * theta) ** 2
-    # Exact Beta mass of the skipped sliver around b = 1/2.
-    u_edge = np.sin(2.0 * edges[-1])
-    sliver = float(
-        special.betainc(k1 / 2.0, k2 / 2.0, (1.0 + u_edge) / 2.0)
-        - special.betainc(k1 / 2.0, k2 / 2.0, (1.0 - u_edge) / 2.0)
-    )
-    return u2, wdens, sliver, u_edge**2
-
-
-def _fb_cdf(t: np.ndarray, k1: int, k2: int) -> np.ndarray:
-    from scipy import special  # here, not at import: start-up skips it
-
-    u2, wdens, sliver, u2_edge = _fb_rule(k1, k2)
-    k = k1 + k2
-    out = np.zeros_like(t)
-    pos = t > 0
-    if not np.any(pos):
-        return out
-    tp = t[pos]
-    vals = special.gammainc(k / 2.0, 2.0 * tp[:, None] / u2[None, :]) @ wdens
-    vals += sliver * special.gammainc(k / 2.0, 2.0 * tp / u2_edge)
-    out[pos] = np.clip(vals, 0.0, 1.0)
-    return out
+    half = (edges[:-1] - edges[1:]) / 2.0
+    s = np.append((edges[1:] + half)[:, None] + half[:, None] * x, edges[-1])
+    ds = np.append(half[:, None] * w, edges[-1])
+    dens = lambda theta: np.sin(theta) ** (k1 - 1) * np.cos(theta) ** (k2 - 1)
+    mass = ds * (dens(np.pi / 4.0 - s) + dens(np.pi / 4.0 + s))
+    return _node_rule(2.0 / np.sin(2.0 * s) ** 2, mass / mass.sum())
 
 
 @dataclass(frozen=True)
@@ -424,10 +413,7 @@ class FoldedBetaProduct(LimitLaw):
             raise ValueError("k1 and k2 must be positive integers")
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        out = _fb_cdf(np.atleast_1d(t), self.k1, self.k2)
-        return float(out[0]) if scalar else out
+        return _angle_cdf(t, _fb_rule(self.k1, self.k2), self.k1 + self.k2)
 
     def _draw(self, rng, n):
         r2 = rng.chisquare(self.k1 + self.k2, n)
@@ -454,9 +440,6 @@ class TetradSingular(LimitLaw):
 
     def _draw(self, rng, n):
         return 0.25 * rng.chisquare(4, n) * rng.random(n) ** 2
-
-    def _bracket_hint(self):
-        return 50.0
 
     def mean(self) -> float:
         return 1.0 / 3.0

@@ -100,6 +100,21 @@ class TestCdf:
         assert run(["cdf", "gauss:1", "--grid", "0:1:1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0:inf:1", "grid stop must be finite"),
+        ("0:nan:1", "grid stop must be finite"),
+        ("nan:1:1", "grid start must be finite"),
+        ("0:1:inf", "grid step must be finite"),
+        ("0:1e308:1e-300", "bad grid"),
+    ])
+    def test_non_finite_grid_rejected(self, grid, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["cdf", "tetrad", "--grid", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "cdf.tsv"
         assert run(["cdf", "tetrad", "--grid", "0:1:0.5", "--out", str(target)]) == 0
@@ -115,6 +130,16 @@ class TestQuantile:
 
     def test_needs_probs_or_grid(self, capsys):
         assert run(["quantile", "tetrad"]) == 2
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["--probs", "0.5,1.5,0.9"], "1.5"),
+        (["--grid", "0:1:0.25"], "0"),
+    ])
+    def test_bad_probability_writes_nothing(self, argv, bad, capsys):
+        assert run(["quantile", "tetrad", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {bad}\n" in captured.err
 
 
 class TestClassify:
@@ -281,3 +306,10 @@ def test_startup_skips_scipy_optimize_and_integrate(tetrad_files, tmp_path):
     assert "scipy.special" in loaded
     assert "scipy.integrate" not in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_mix2_cdf_loads_no_scipy(tmp_path):
+    # the angle-rule kernel evaluates df 2 with expm1 alone
+    run_cli = "import sys; from singwald.cli import run; assert run(sys.argv[1:]) == 0"
+    argv = ("cdf", "mix2:0.25:0.2", "--grid", "0:5:0.5", "--out", str(tmp_path / "F.tsv"))
+    assert _scipy_modules_after(run_cli, *argv) == []

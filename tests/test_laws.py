@@ -353,6 +353,32 @@ class TestFoldedBetaProduct:
         with pytest.raises(ValueError):
             FoldedBetaProduct(0, 2)
 
+    def test_memory_is_blocked(self):
+        law = FoldedBetaProduct(3, 1)
+        t = np.linspace(0.0, 10.0, 10**5)
+        law.cdf(t[:10])
+        tracemalloc.start()
+        try:
+            law.cdf(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 0.8 MB output plus two 128 KB block buffers, not a
+        # points-by-nodes matrix
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("k1", range(1, 7))
+    @pytest.mark.parametrize("k2", range(1, 7))
+    def test_starts_at_zero_and_never_decreases(self, k1, k2):
+        # no clipping: exact weights and one fixed summation order keep F
+        # in [0, 1] and monotone, from the sliver's scale up to the tail
+        t = np.unique(np.concatenate([[0.0], np.geomspace(1e-10, 40.0, 1500),
+                                      np.linspace(0.0, 40.0, 1001)]))
+        f = FoldedBetaProduct(k1, k2).cdf(t)
+        assert f[0] == 0.0
+        assert 0.0 <= f.min() and f.max() <= 1.0
+        assert np.all(np.diff(f) >= 0.0)
+
 
 class TestTetradSingularLaw:
     def test_sample_mean_is_one_third(self):
