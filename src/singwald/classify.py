@@ -37,6 +37,7 @@ from .laws import (
     TwoChiSquareMix,
 )
 from .poly import QuadraticForm
+from .special import _gamma_inv, _upper_gamma
 
 __all__ = [
     "QuadraticClassification",
@@ -187,16 +188,14 @@ def k_alpha(alpha: float, strict: bool = False) -> int:
 
     Computed by exact CDF evaluation and an integer search.
     """
-    from scipy import special  # here, not at import: start-up skips it
-
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     cap = alpha if strict else max(alpha, 0.05)
     # c_alpha: (1 - alpha) quantile of chi-square-1, via the inverse
-    # regularized gamma.
-    c_alpha = 2.0 * special.gammaincinv(0.5, 1.0 - alpha)
+    # regularized gamma on the upper tail.
+    c_alpha = 2.0 * _gamma_inv(1, alpha, upper=True)
     k = 0
-    while special.gammaincc((k + 1) / 2.0, 2.0 * c_alpha) <= cap:
+    while _upper_gamma(k + 1, 2.0 * c_alpha) <= cap:
         k += 1
         if k > 10_000:
             raise RuntimeError("k_alpha search failed to terminate")

@@ -60,6 +60,22 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--grid START:STOP:STEP`` as ``--grid=START:STOP:STEP``.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    number (``-1:1:0.5``, ``-inf:0:1``) as an option and stops with
+    "expected one argument"; the joined form is never ambiguous.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--grid" and tok.startswith("-") and ":" in tok:
+            out[-1] = f"--grid={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _thread_count(text: str) -> int:
     try:
         value = int(text)
@@ -164,7 +180,7 @@ def _open_out(path: str):
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     seed = args.seed if args.seed is not None else _default_seed()
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     print(f"# wald {__version__} command={args.command} seed={seed} threads={threads}",

@@ -40,12 +40,17 @@ angle integral for weight ratios down to 1e-8.  Below a ratio of 1e-16 the
 smaller component is dropped, within (2/pi)*sqrt(ratio).  The folded-Beta
 rule (``_fb_rule``, k = k1 + k2) takes Gauss-Legendre panels in the Beta
 angle, graded toward the angle where the rate diverges; agreement with
-adaptive quadrature is pinned below 1e-9.
+adaptive quadrature is pinned below 1e-9.  For k other than 2 each term is
+w_j times one minus exp(-x) times a closed-form sum, one exponential per
+node and point.
 
-Scaled chi-square quantiles are closed form (the inverse regularized
-incomplete gamma function, on the upper tail for p > 1/2); the other laws
-invert their CDFs by bracketed root finding.  ``scipy.special`` is imported
-inside the functions that call it, so importing this module loads no scipy.
+The special functions (erf, erfc, erfcx and the incomplete gamma
+functions at integer and half-integer shapes) are the numpy kernels of
+``singwald.special``.  Scaled chi-square quantiles are closed form (the
+inverse regularized incomplete gamma function, on the upper tail for
+p > 1/2); the tetrad quantile roots the survival function above the median;
+the other laws invert their CDFs by bracketed root finding, the one place
+that imports scipy (``scipy.optimize``, on first use).
 """
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ import numpy as np
 
 from .gaussian import make_generator
 from .poly import MonomialForm
+from .special import (
+    _erf,
+    _erfc,
+    _erfcx,
+    _gamma_inv,
+    _lower_gamma,
+    _upper_gamma,
+    _lower_gamma_block,
+)
 
 __all__ = [
     "EmpiricalDistribution",
@@ -79,42 +93,33 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Scalar kernels.  The chi-square CDF is the regularized lower incomplete
-# gamma function (relative error well under 1e-12 in this range); normal
-# tail probabilities go through erfc for accuracy.
+# gamma function; normal tail probabilities go through erfc for accuracy.
 # ---------------------------------------------------------------------------
 
-def chi2_cdf(x, df: float):
-    from scipy import special  # here, not at import: start-up skips it
-
+def chi2_cdf(x, df: int):
     x = np.asarray(x, dtype=float)
-    safe = np.maximum(x, 0.0)
+    half = np.where(x > 0, x, 0.0) / 2.0
     if df == 1:
-        out = special.erf(np.sqrt(safe / 2.0))
+        out = _erf(np.sqrt(half), half)
     elif df == 2:
-        out = -np.expm1(-safe / 2.0)
+        out = -np.expm1(-half)
     else:
-        out = special.gammainc(df / 2.0, safe / 2.0)
-    out = np.where(x > 0, out, 0.0)
+        out = _lower_gamma(df, half)
     return float(out) if out.ndim == 0 else out
 
 
-def chi2_sf(x, df: float):
-    from scipy import special  # here, not at import: start-up skips it
-
+def chi2_sf(x, df: int):
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, special.gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0), 1.0)
+    out = _upper_gamma(df, np.where(x > 0, x, 0.0) / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
 def tetrad_singular_cdf(t):
     """Distribution function of ``R^2*U^2/4`` in closed form."""
-    from scipy import special  # here, not at import: start-up skips it
-
     t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
-    upper_tail = 0.5 * special.erfc(np.sqrt(2.0 * tp))  # 1 - Phi(2 sqrt t)
-    val = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
-    out = np.where(t > 0, val, 0.0)
+    tp = np.where(t > 0, t, 0.0)
+    upper_tail = 0.5 * _erfc(np.sqrt(2.0 * tp), 2.0 * tp)  # 1 - Phi(2 sqrt t)
+    out = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
     return float(out) if out.ndim == 0 else out
 
 
@@ -122,13 +127,10 @@ def tetrad_singular_sf(t):
     """Survival function ``1 - F(t)`` of ``R^2*U^2/4``, written as
     ``exp(-2t) * (1 - sqrt(2*pi*t)/2 * erfcx(sqrt(2t)))`` so that it keeps
     full relative accuracy in the tail, where ``1 - F`` cancels."""
-    from scipy import special  # here, not at import: start-up skips it
-
     t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
+    tp = np.where(t > 0, t, 0.0)
     root = np.sqrt(2.0 * tp)
-    val = np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * special.erfcx(root))
-    out = np.where(t > 0, val, 1.0)
+    out = np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * _erfcx(root))
     return float(out) if out.ndim == 0 else out
 
 
@@ -198,21 +200,25 @@ class LimitLaw:
 
     def _invert(self, p: float) -> float:
         """Bracketed root finding on ``cdf(t) - p``; |cdf(q) - p| <= 1e-8."""
-        hi = self._bracket_hint()
-        while float(self.cdf(hi)) < p:
-            hi *= 2.0
-            if hi > 1e300:
-                raise RuntimeError("quantile bracket failed to close")
-        from scipy import optimize  # here, not at import: start-up skips it
-
-        q = optimize.brentq(
-            lambda t: float(self.cdf(t)) - p, 0.0, hi, xtol=1e-13, rtol=8.9e-16,
-            maxiter=200,
-        )
-        return float(q)
+        return _bracketed_root(self.cdf, p, self._bracket_hint())
 
     def spec_string(self) -> str:
         raise NotImplementedError
+
+
+def _bracketed_root(fn, target: float, hi: float) -> float:
+    """The root in [0, hi] of ``fn(t) - target`` for an increasing ``fn``
+    with fn(0) <= target, doubling hi until fn(hi) >= target."""
+    while float(fn(hi)) < target:
+        hi *= 2.0
+        if hi > 1e300:
+            raise RuntimeError("quantile bracket failed to close")
+    from scipy import optimize  # here, not at import: start-up skips it
+
+    q = optimize.brentq(
+        lambda t: float(fn(t)) - target, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200,
+    )
+    return float(q)
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ class ScaledChiSquare(LimitLaw):
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.df < 1:
+        if self.df < 1 or self.df != int(self.df):
             raise ValueError("df must be a positive integer")
 
     def cdf(self, t):
@@ -233,15 +239,14 @@ class ScaledChiSquare(LimitLaw):
         return self.scale * rng.chisquare(self.df, n)
 
     def _invert(self, p):
-        # closed form; the upper tail inverts the survival function, so
-        # p near 1 keeps full relative accuracy (1 - p is exact for p > 1/2)
-        from scipy import special  # here, not at import: start-up skips it
-
+        # the inverse incomplete gamma function; the upper tail inverts the
+        # survival function, so p near 1 keeps full relative accuracy
+        # (1 - p is exact for p > 1/2)
         if p > 0.5:
-            half = special.gammainccinv(self.df / 2.0, 1.0 - p)
+            half = _gamma_inv(self.df, 1.0 - p, upper=True)
         else:
-            half = special.gammaincinv(self.df / 2.0, p)
-        return float(2.0 * self.scale * half)
+            half = _gamma_inv(self.df, p)
+        return 2.0 * self.scale * half
 
     def mean(self) -> float:
         return self.scale * self.df
@@ -257,7 +262,7 @@ def _leggauss(n: int):
     return nodes, weights
 
 
-# Points per block of the angle-rule kernel, which holds two block-sized buffers.
+# Elements per tile of the angle-rule kernel, which holds seven tile-sized buffers.
 _BLOCK = 2**14
 
 
@@ -280,33 +285,40 @@ def _angle_cdf(t, nodes, df: int):
     weights that sum to exactly 1 this gives F(0) = 0, F <= 1 and, wherever
     P is nondecreasing in floating point, F nondecreasing, without clipping.
     Points t <= 0 (and NaN) map to 0.  df = 2 needs one ``expm1`` per node
-    and point and no scipy.
+    and point; other df take one ``exp`` per node and point times a
+    closed-form sum (and an erfcx for odd df), see
+    :func:`singwald.special._lower_gamma_block`.
     """
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     out = np.empty_like(flat)
-    term = np.empty(min(flat.size, _BLOCK))
-    if df != 2:
-        from scipy import special  # here, not at import: start-up skips it
+    rates, weights = np.array(nodes).T[:, :, None]  # one row per node
+    buffers = np.empty((7, _BLOCK))  # tb, tt and the P kernel's scratch
     for i in range(0, flat.size, _BLOCK):
         x = flat[i : i + _BLOCK]
-        x = np.where(x > 0, x, 0.0)
+        x = np.where(x > 0, x, 0.0)[None, :]
         acc = out[i : i + x.size]
         acc[:] = 0.0
-        tb = term[: x.size]
+        # nodes go in groups of rows that fill a block, so that a call on a
+        # few points (a scalar CDF inside a root finder) makes few array
+        # calls; every element sees the same arithmetic whatever the grouping
+        group = max(1, _BLOCK // x.size)
+        tiles = buffers[:, : group * x.size].reshape(7, group, x.size)
         with np.errstate(over="ignore"):
-            for r, w in nodes:
+            for j in range(0, len(rates), group):
+                r, w = rates[j : j + group], weights[j : j + group]
+                tb, tt, *scratch = tiles if len(r) == group else tiles[:, : len(r)]
                 if df == 2:
-                    # -w * expm1(-x*r) = w * (1 - exp(-x*r)): exactly +0 at
+                    # w * (1 - exp(-x*r)) = -w * expm1(-x*r): exactly +0 at
                     # x = 0, and w where x*r overflows to inf
                     np.multiply(x, -r, out=tb)
                     np.expm1(tb, out=tb)
-                    tb *= -w
+                    np.multiply(tb, -w, out=tt)
                 else:
                     np.multiply(x, r, out=tb)
-                    special.gammainc(df / 2.0, tb, out=tb)
-                    tb *= w
-                acc += tb
+                    _lower_gamma_block(df, tb, tt, scratch, w)
+                for row in tt:
+                    acc += row
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -438,6 +450,13 @@ class TetradSingular(LimitLaw):
     def cdf(self, t):
         return tetrad_singular_cdf(t)
 
+    def _invert(self, p):
+        # above the median, root the survival function: 1 - p is exact
+        # there, and sf keeps full relative accuracy where 1 - cdf cancels
+        if p > 0.5:
+            return _bracketed_root(lambda t: -tetrad_singular_sf(t), p - 1.0, self._bracket_hint())
+        return super()._invert(p)
+
     def _draw(self, rng, n):
         return 0.25 * rng.chisquare(4, n) * rng.random(n) ** 2
 
@@ -460,12 +479,10 @@ def monomial_law(m: MonomialForm) -> ScaledChiSquare:
 
 def stable_cdf(alpha: float, x):
     """First-passage form: P(alpha^2/Z^2 <= x) = 2*(1 - Phi(alpha/sqrt(x)))."""
-    from scipy import special  # here, not at import: start-up skips it
-
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, special.erfc(alpha / np.sqrt(2.0 * np.maximum(x, 1e-300))), 0.0)
+    out = np.where(x > 0, _erfc(alpha / np.sqrt(2.0 * np.maximum(x, 1e-300))), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

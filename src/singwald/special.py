@@ -1,0 +1,420 @@
+"""Special functions of the chi-square family, in numpy alone.
+
+Every law in this package is a chi-square law, a mixture over an angle of
+chi-square laws with integer degrees of freedom, or a normal tail.  So the
+special functions it needs are erfc and the regularized incomplete gamma
+functions P(a, x) and Q(a, x) = 1 - P(a, x) at a = df/2 for integer df,
+and each has a closed form in exp and erfc:
+
+    Q(m, x)       = exp(-x) * sum_{k<m} x^k / k!,
+    Q(m + 1/2, x) = erfc(sqrt(x)) + exp(-x) * sum_{k<m} x^(k+1/2) / Gamma(k + 3/2).
+
+erfcx
+    erfcx(z) = exp(z^2) * erfc(z) for z >= 0 is t * exp(C(u)) with
+    t = 2/(2 + z) and u = 2t - 1, where C(u) = sum_k c_k T_k(u) is a
+    Chebyshev series on [-1, 1].  Its coefficients interpolate
+    g(u) = log(erfcx(z)/t) at the N = ``_ERFCX_NODES`` Chebyshev points of
+    the first kind u_j = cos(pi*(j + 1/2)/N), with g evaluated to
+    ``_ERFCX_DPS`` significant digits:
+
+        c_k = (2 - [k = 0]) / N * sum_j g(u_j) * cos(pi*k*(j + 1/2)/N).
+
+    The table keeps the first 28 of them, rounded to double; the first one
+    dropped is 2.3e-18.  ``tests/test_special.py`` refits the table from
+    mpmath.  The kernel sums the same polynomial in the power basis of u by
+    Horner's rule, in blocks.
+erfc, erf
+    erfc(z) = erfcx(z) * exp(-z^2).  A caller that holds z^2 exactly (the
+    chi-square-1 tail has z^2 = x/2) passes it; otherwise z is split so
+    that z^2 is exact.  erf(z) = 1 - erfc(z) for z >= 1/2 and its Taylor
+    series below, which keeps full relative accuracy at small z.
+P and Q
+    On the side where the value is small, each is a sum of positive terms:
+    Q for x >= a by the closed form above, summed from its largest term;
+    P for x < a by the series x^a e^-x / Gamma(a + 1) * sum_n x^n /
+    ((a + 1) ... (a + n)).  The prefactor of Q, and that of P beyond
+    a = 100, are taken in logs (with the rounding of the exponent
+    compensated), so large df and large x neither underflow nor overflow
+    early.  The other side is one minus that.
+Angle rules
+    :func:`_lower_gamma_block` is the per-node kernel of the mixture CDFs:
+    one minus exp(-x) times the closed-form sum, one exponential per node
+    and point, accurate to a few ulp in absolute terms, and the positive
+    series where P < 1e-6.
+Inverse
+    :func:`_gamma_inv` is a scalar Newton iteration on the logarithm of the
+    side it is given, kept inside a bisection bracket.
+
+All names are private: the laws in ``singwald.laws`` and the classifier
+call them.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+_ERFCX_NODES = 80
+_ERFCX_DPS = 40
+_ERFCX_COEF = (
+    -0.6513268598908547,
+    0.6419697923564902,
+    0.019476473204185836,
+    -0.009561514786808632,
+    -0.0009465953444820369,
+    0.00036683949785276145,
+    4.252332480690777e-05,
+    -2.0278578112534242e-05,
+    -1.6242900046470256e-06,
+    1.3036558355805232e-06,
+    1.5626441722066142e-08,
+    -8.523809591492654e-08,
+    6.5290544390988515e-09,
+    5.059343495551469e-09,
+    -9.91364156493033e-10,
+    -2.273651222931836e-10,
+    9.646791102015527e-11,
+    2.3940380830391146e-12,
+    -6.886027526497553e-12,
+    8.944879273090725e-13,
+    3.130921399342958e-13,
+    -1.1270822361367252e-13,
+    3.810905255189232e-16,
+    7.106097613609237e-15,
+    -1.5230282014571043e-15,
+    -9.457494571291233e-17,
+    1.210237189224279e-16,
+    -2.816663087747177e-17,
+)
+
+
+def _power_basis(cheb) -> list[float]:
+    """a_j with sum_k c_k T_k(u) = sum_j a_j u^j.  The T_k have integer
+    coefficients (T_{k+1} = 2u T_k - T_{k-1}), so each a_j is one exactly
+    rounded sum of the products c_k * T_k[j]."""
+    t = [[1], [0, 1]]
+    while len(t) < len(cheb):
+        nxt = [0] + [2 * v for v in t[-1]]
+        for j, v in enumerate(t[-2]):
+            nxt[j] -= v
+        t.append(nxt)
+    return [
+        math.fsum(c * tk[j] for c, tk in zip(cheb, t) if j < len(tk))
+        for j in range(len(cheb))
+    ]
+
+
+# The same polynomial in the power basis, C(u) = sum_k a_k u^k: Horner's
+# rule costs two array operations per term where Clenshaw's recurrence
+# costs three.  The |a_k| sum to 1.46, so the change of basis costs no
+# accuracy.
+_ERFCX_POWER = _power_basis(_ERFCX_COEF)
+
+
+def _erfcx_anchor() -> float:
+    """The constant term that makes C vanish exactly at u = 1 (z = 0), so
+    that erfcx(0) = 1 exactly: the other terms summed at u = 1 in the order
+    the kernel sums them, negated.  It is within an ulp or two of a_0."""
+    a = _ERFCX_POWER
+    h = a[-1]
+    for ak in a[-2:0:-1]:
+        h = h * 1.0 + ak
+    return -(h * 1.0)
+
+
+_ERFCX_A0 = _erfcx_anchor()
+
+# Points per block: the kernels' temporaries then stay in cache.
+_BLOCK = 2**14
+
+# Taylor coefficients of erf(z)/z in z^2, (2/sqrt(pi)) (-1)^n / (n! (2n + 1));
+# below z = 1/2 the 13 terms reach 5e-18 relative.
+_ERF_TAYLOR = tuple(
+    2.0 / math.sqrt(math.pi) * (-1) ** n / (math.factorial(n) * (2 * n + 1))
+    for n in range(13)
+)
+_ERF_TAYLOR_MAX = 0.5
+
+# Up to this a, the lower series takes its prefactor x^a e^-x / Gamma(a + 1)
+# directly (x < a keeps x^a below 1e200); beyond it, in logs.
+_DIRECT_POWER_MAX = 100.0
+
+# The angle-rule kernel clamps x here.  exp(-x) and its products with the
+# weights (multiples of 2^-53) then stay normal numbers: numpy's exp takes
+# a path 20 to 150 times slower where it underflows past x = 708, and
+# arithmetic on subnormals is slow too.  Up to _CLOSED_FORM_DF_MAX,
+# Q(df/2, 600) < 1e-80, far below any ulp of the CDF.
+_X_CLAMP = 600.0
+_CLOSED_FORM_DF_MAX = 400
+
+
+def _erfcx_block(z, out, u, h):
+    """erfcx(z) into ``out`` for one block of z >= 0; ``u`` and ``h`` are
+    scratch of the same size, and ``out`` may be ``z``."""
+    a = _ERFCX_POWER
+    np.add(z, 2.0, out=out)
+    np.divide(2.0, out, out=out)  # t
+    np.multiply(out, 2.0, out=u)
+    u -= 1.0
+    np.multiply(u, a[-1], out=h)
+    h += a[-2]
+    for ak in a[-3:0:-1]:
+        h *= u
+        h += ak
+    h *= u
+    h += _ERFCX_A0
+    np.exp(h, out=h)
+    out *= h
+
+
+def _blockwise(kernel, x, z2=None):
+    """``kernel(x_block, z2_block)`` over ``_BLOCK``-point blocks of x (and
+    of z2 when given), so that the kernels' temporaries stay in cache."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    sq = None if z2 is None else np.asarray(z2, dtype=float).reshape(-1)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        part = slice(i, i + _BLOCK)
+        out[part] = kernel(flat[part], None if sq is None else sq[part])
+    return out.reshape(x.shape)
+
+
+def _erfcx_kernel(z, _=None):
+    out = np.empty_like(z)
+    _erfcx_block(z, out, *np.empty((2, z.size)))
+    return out
+
+
+def _erfc_kernel(z, z2):
+    out = _erfcx_kernel(z)
+    if z2 is None:
+        # z = hi + lo with hi of 26 bits: hi^2 is exact and z^2 - hi^2 =
+        # lo * (z + hi); exp(-28^2) is already 0
+        z = np.minimum(z, 28.0)
+        c = z * 134217729.0  # 2^27 + 1
+        hi = c - (c - z)
+        out *= np.exp(-hi * hi)
+        out *= np.exp(-(z - hi) * (z + hi))
+    else:
+        out *= np.exp(-z2)
+    return out
+
+
+def _erf_kernel(z, z2):
+    out = np.empty_like(z)
+    small = z < _ERF_TAYLOR_MAX
+    big = np.flatnonzero(~small)  # NaN goes here and stays NaN
+    if big.size:
+        out[big] = 1.0 - _erfc_kernel(z[big], None if z2 is None else z2[big])
+    small = np.flatnonzero(small)
+    if small.size:
+        zs = z[small]
+        s2 = zs * zs if z2 is None else z2[small]
+        acc = np.full_like(zs, _ERF_TAYLOR[-1])
+        for c in _ERF_TAYLOR[-2::-1]:
+            acc *= s2
+            acc += c
+        out[small] = zs * acc
+    return out
+
+
+def _erfcx(z):
+    """exp(z^2) * erfc(z) for z >= 0."""
+    return _blockwise(_erfcx_kernel, z)
+
+
+def _erfc(z, z2=None):
+    """erfc(z) for z >= 0; ``z2`` is z^2 where the caller has it exactly,
+    otherwise z is split so that z^2 is exact."""
+    return _blockwise(_erfc_kernel, z, z2)
+
+
+def _erf(z, z2=None):
+    """erf(z) for z >= 0; ``z2`` is z^2 where the caller has it exactly."""
+    return _blockwise(_erf_kernel, z, z2)
+
+
+def _lower_gamma_block(df: int, x, out, scratch, w):
+    """w * P(df/2, x) into ``out`` for one block of x >= 0 (inf allowed),
+    the per-node kernel of the angle-rule CDFs; w is a scalar or broadcasts
+    against x (one weight per row of nodes).
+
+    Where P >= 1e-6 it is w - w * Q, with Q = exp(-x) times the closed-form
+    sum (capped at 1), accurate to a few ulp of w; x is clamped at
+    ``_X_CLAMP``, where Q is below any ulp.  Below, the rounding of that
+    difference would be noise far above P itself, so the positive series
+    for P takes over and keeps P's relative accuracy and monotonicity.
+    ``scratch`` holds 5 arrays of x's shape, and ``out`` must be contiguous
+    and must not be ``x``.  Above ``_CLOSED_FORM_DF_MAX`` the clamp would
+    cut off mass, and :func:`_lower_gamma` takes over.
+    """
+    if df > _CLOSED_FORM_DF_MAX:
+        np.multiply(_lower_gamma(df, x), w, out=out)
+        return
+    n, odd = divmod(df, 2)
+    xc, z = scratch[0], scratch[1]
+    h = scratch[2] if odd else out
+    np.minimum(x, _X_CLAMP, out=xc)
+    # w * sum_{k<n} x^(k+a0) / Gamma(k + a0 + 1), a0 = odd/2, nested as
+    # w * x^a0 / Gamma(a0 + 1) * (1 + x/(a0 + 1) * (1 + x/(a0 + 2) * ...))
+    lead = w * (2.0 / math.sqrt(math.pi) if odd else 1.0)
+    if n == 1:
+        h[...] = lead
+    elif n:
+        np.multiply(xc, lead / (0.5 * odd + n - 1), out=h)
+        h += lead
+        for k in range(n - 2, 0, -1):
+            h *= xc
+            h *= 1.0 / (0.5 * odd + k)
+            h += lead
+    if odd:
+        np.sqrt(xc, out=z)
+        _erfcx_block(z, out, *scratch[3:5])
+        out *= w
+        if n:
+            h *= z
+            out += h
+    np.negative(xc, out=xc)
+    np.exp(xc, out=xc)
+    out *= xc
+    # near x = 0 the rounding can put w * Q an ulp or three above w
+    np.minimum(out, w, out=out)
+    np.subtract(w, out, out=out)
+    a = df / 2.0
+    edge = math.exp((math.log(1e-6) + math.lgamma(a + 1.0)) / a)  # P(a, edge) ~ 1e-6
+    x, flat = x.reshape(-1), out.reshape(-1)
+    small = np.flatnonzero(x < edge)
+    small = small[x[small] > 0.0]  # x = 0 already gives exactly 0
+    if small.size:
+        w = np.broadcast_to(w, out.shape).reshape(-1)
+        flat[small] = w[small] * _lower_series(a, x[small])
+
+
+def _check_df(df) -> int:
+    if df != int(df) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    return int(df)
+
+
+def _exp_diff(c, x):
+    """exp(c - x), with the rounding error of c - x (TwoSum) compensated."""
+    s = c - x
+    bb = s - c
+    err = (c - (s - bb)) + (-x - bb)
+    return np.exp(s) * (1.0 + err)
+
+
+def _upper_sum(a: float, x):
+    """Q(a, x) for x >= a, x > 0: a sum of positive terms."""
+    n = int(a)  # terms of the finite sum
+    q = _erfc_kernel(np.sqrt(x), x) if a != n else np.zeros_like(x)
+    if n:
+        xs = np.minimum(x, 1e300)  # Q is 0 there; keeps log finite
+        top = _exp_diff((a - 1.0) * np.log(xs) - math.lgamma(a), xs)
+        # Horner from the largest term x^(a-1) / Gamma(a) downwards: the
+        # ratio of each term to the one above it is (a - j) / x
+        inv = 1.0 / xs
+        s = np.ones_like(xs)
+        for j in range(n - 1, 0, -1):
+            s *= inv
+            s *= a - j
+            s += 1.0
+        q += top * s
+    return q
+
+
+def _lower_series(a: float, x):
+    """P(a, x) for 0 < x < a: a series of positive terms."""
+    if a <= _DIRECT_POWER_MAX:
+        lead = x**a * np.exp(-x) / math.gamma(a + 1.0)
+    else:
+        lead = _exp_diff(a * np.log(x) - math.lgamma(a + 1.0), x)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = 1
+    while True:
+        term *= x
+        term /= a + k
+        total += term
+        # each element stops on its own, so its value does not depend on
+        # the others in the call
+        term[term <= 2.0**-54 * total] = 0.0
+        if not term.any():
+            return lead * total
+        k += 1
+
+
+def _gamma_kernel(df: int, upper: bool, x, _=None):
+    a = df / 2.0
+    # x <= 0 and NaN give P = 0, Q = 1
+    out = np.full(x.shape, 1.0 if upper else 0.0)
+    low = np.flatnonzero((x > 0) & (x < a))
+    if low.size:
+        p = _lower_series(a, x[low])
+        out[low] = 1.0 - p if upper else p
+    high = np.flatnonzero(x >= a)
+    if high.size:
+        q = _upper_sum(a, x[high])
+        out[high] = q if upper else 1.0 - q
+    return out
+
+
+def _lower_gamma(df, x):
+    """Regularized lower incomplete gamma function P(df/2, x)."""
+    return _blockwise(functools.partial(_gamma_kernel, _check_df(df), False), x)
+
+
+def _upper_gamma(df, x):
+    """Regularized upper incomplete gamma function Q(df/2, x)."""
+    return _blockwise(functools.partial(_gamma_kernel, _check_df(df), True), x)
+
+
+def _gamma_inv(df, target: float, upper: bool = False) -> float:
+    """The x with Q(df/2, x) = target (``upper``) or P(df/2, x) = target.
+
+    Newton's method on log(side(x) / target), whose step is
+    log(side/target) * side / density; a step that leaves the bracket of
+    the root known so far bisects it instead.  Pass the side whose value
+    is small, so that target carries full relative accuracy.
+    """
+    df = _check_df(df)
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0, 1), got {target!r}")
+    a = df / 2.0
+    side = _upper_gamma if upper else _lower_gamma
+    lgam = math.lgamma(a)
+    lo, hi = 0.0, math.inf
+    if upper:
+        x = a
+    else:
+        # P(a, x) <= x^a / Gamma(a + 1), so this start is below the root,
+        # and the root is within a factor 1 + O(x) of it when x is small
+        x = math.exp((math.log(target) + math.lgamma(a + 1.0)) / a)
+        if x == 0.0:
+            return 0.0  # the root underflows
+    for _ in range(200):
+        f = float(side(df, x))
+        if f == target:
+            return x
+        if (f < target) == upper:
+            hi = x
+        else:
+            lo = x
+        if f > 0.0:
+            log_density = (a - 1.0) * math.log(x) - x - lgam
+            step = math.log(f / target) * math.exp(math.log(f) - log_density)
+            new = x + step if upper else x - step
+            if abs(step) <= 2.0**-50 * x:
+                # within a few ulp: the rounding of side(x) decides the rest
+                return new
+        else:
+            new = math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+            if new in (lo, hi):
+                return x  # no float left inside the bracket
+        x = new
+    raise RuntimeError(f"gamma inverse did not converge for df={df}, target={target!r}")

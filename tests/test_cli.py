@@ -115,6 +115,22 @@ class TestCdf:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("grid, code", [("-1:1:0.5", 0), ("-inf:0:1", 2)])
+    def test_negative_grid_start_parses_like_joined_form(self, grid, code, capsys):
+        # argparse would take a separate "-1:1:0.5" for an option
+        results = []
+        for argv in (["--grid", grid], [f"--grid={grid}"]):
+            try:
+                status = run(["cdf", "tetrad", *argv])
+            except SystemExit as exc:
+                status = exc.code
+            results.append((status, *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+        if code == 0:
+            rows = results[0][1].strip().split("\n")[1:]
+            assert [r.split("\t")[0] for r in rows] == ["-1", "-0.5", "0", "0.5", "1"]
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "cdf.tsv"
         assert run(["cdf", "tetrad", "--grid", "0:1:0.5", "--out", str(target)]) == 0
@@ -140,6 +156,14 @@ class TestQuantile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"got {bad}\n" in captured.err
+
+    def test_negative_grid_start_parses_like_joined_form(self, capsys):
+        results = []
+        for argv in (["--grid", "-0.25:0.5:0.25"], ["--grid=-0.25:0.5:0.25"]):
+            results.append((run(["quantile", "tetrad", *argv]), *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 2 and results[0][1] == ""
+        assert "got -0.25\n" in results[0][2]
 
 
 class TestClassify:
@@ -291,8 +315,9 @@ def _scipy_modules_after(code: str, *argv: str) -> list[str]:
 
 
 def test_startup_skips_scipy_optimize_and_integrate(tetrad_files, tmp_path):
-    # scipy.special loads in the functions that call it, scipy.optimize in
-    # the bracketed quantile, and nothing in the package needs scipy.integrate
+    # scipy.optimize loads only in the bracketed quantile of the laws
+    # without a closed-form inverse; the special functions are numpy code,
+    # and nothing in the package needs scipy.integrate
     assert _scipy_modules_after("import singwald.cli") == []
     poly, mat = tetrad_files
     sample = ("import sys; from singwald.cli import run; "
@@ -303,13 +328,33 @@ def test_startup_skips_scipy_optimize_and_integrate(tetrad_files, tmp_path):
     loaded = _scipy_modules_after(
         "from singwald.verify import run_suite; run_suite('all', n=2000, seed=3)"
     )
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
+    assert loaded == []
+
+
+_RUN_CLI = "import sys; from singwald.cli import run; assert run(sys.argv[1:]) == 0"
 
 
 def test_mix2_cdf_loads_no_scipy(tmp_path):
     # the angle-rule kernel evaluates df 2 with expm1 alone
-    run_cli = "import sys; from singwald.cli import run; assert run(sys.argv[1:]) == 0"
     argv = ("cdf", "mix2:0.25:0.2", "--grid", "0:5:0.5", "--out", str(tmp_path / "F.tsv"))
-    assert _scipy_modules_after(run_cli, *argv) == []
+    assert _scipy_modules_after(_RUN_CLI, *argv) == []
+
+
+@pytest.mark.parametrize("law", ["beta-fold:3:1", "beta-fold:2:1", "scaled-chisq:0.25:3"])
+def test_law_cdf_loads_no_scipy(law, tmp_path):
+    argv = ("cdf", law, "--grid", "0:5:0.5", "--out", str(tmp_path / "F.tsv"))
+    assert _scipy_modules_after(_RUN_CLI, *argv) == []
+
+
+def test_tetrad_scan_and_classify_load_no_scipy(tmp_path):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "d.csv"
+    np.savetxt(data, rng.standard_normal((50, 5)), delimiter=",")
+    argv = ("tetrad-test", "--data", str(data), "--all", "--out", str(tmp_path / "t.tsv"))
+    assert _scipy_modules_after(_RUN_CLI, *argv) == []
+    quad, sigma = tmp_path / "q.poly", tmp_path / "s.mat"
+    quad.write_text("1 2 0\n0.5 0 2\n", encoding="utf-8")
+    sigma.write_text("2\n1 0.3\n0.3 1\n", encoding="utf-8")
+    argv = ("classify", "--quad", str(quad), "--sigma", str(sigma),
+            "--out", str(tmp_path / "c.txt"))
+    assert _scipy_modules_after(_RUN_CLI, *argv) == []

@@ -106,7 +106,7 @@ class TestScaledChiSquare:
         assert ScaledChiSquare(1.0, 1).quantile(0.95) == pytest.approx(want, abs=1e-9)
         assert want == pytest.approx(3.8415, abs=1e-4)
 
-    @pytest.mark.parametrize("df", range(1, 7))
+    @pytest.mark.parametrize("df", [*range(1, 7), 7, 12, 25, 60])
     def test_quantile_against_mpmath(self, df):
         # the tails invert the regularized gamma functions on their own side,
         # so p = 1 - 1e-12 keeps full relative accuracy.  Reference: one
@@ -378,6 +378,10 @@ class TestFoldedBetaProduct:
         assert f[0] == 0.0
         assert 0.0 <= f.min() and f.max() <= 1.0
         assert np.all(np.diff(f) >= 0.0)
+        # far below the sliver's scale, where F is under an ulp of 1
+        tiny = FoldedBetaProduct(k1, k2).cdf(np.geomspace(1e-300, 1e-10, 2000))
+        assert 0.0 <= tiny.min() and tiny.max() <= 1e-4
+        assert np.all(np.diff(tiny) >= 0.0)
 
 
 class TestTetradSingularLaw:
@@ -391,12 +395,36 @@ class TestTetradSingularLaw:
         emp = law.sample(10**6, 10)
         assert q == pytest.approx(emp.quantile(0.95), abs=0.01)
 
+    def test_quantile_against_mpmath(self):
+        # above the median the quantile roots the survival function, so it
+        # keeps full relative accuracy up to p = 1 - 1e-12.  Reference: a
+        # 40-digit root of 1 - F(t) = 1 - p on the exact binary p.
+        def sf(t):
+            return mpmath.exp(-2 * t) - mpmath.sqrt(2 * mpmath.pi * t) * mpmath.erfc(mpmath.sqrt(2 * t)) / 2
+
+        with mpmath.workdps(40):
+            for p in (0.5, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
+                got = TetradSingular().quantile(p)
+                tail = 1 - mpmath.mpf(p)
+                want = mpmath.findroot(lambda t: sf(t) - tail, mpmath.mpf(got))
+                assert float(abs(got / want - 1)) <= 1e-12, (p, got)
+
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
 def test_cdf_quantile_round_trip(law):
     for p in np.arange(0.01, 1.0, 0.07):
         q = law.quantile(float(p))
         assert float(law.cdf(q)) == pytest.approx(p, abs=1e-8)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
+def test_cdf_of_a_point_does_not_depend_on_the_others(law):
+    # the kernels group points and nodes by call size; each value must be
+    # bitwise the same alone, in a short call and in a block-filling one
+    t = np.concatenate([np.geomspace(1e-12, 1.0, 30), np.linspace(0.0, 30.0, 30)])
+    alone = np.array([law.cdf(v) for v in t])
+    np.testing.assert_array_equal(law.cdf(t), alone)
+    np.testing.assert_array_equal(law.cdf(np.tile(t, 700))[: t.size], alone)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
