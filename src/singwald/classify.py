@@ -37,7 +37,6 @@ from .laws import (
     TwoChiSquareMix,
 )
 from .poly import QuadraticForm
-from .special import _gamma_inv, _upper_gamma
 
 __all__ = [
     "QuadraticClassification",
@@ -191,11 +190,10 @@ def k_alpha(alpha: float, strict: bool = False) -> int:
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     cap = alpha if strict else max(alpha, 0.05)
-    # c_alpha: (1 - alpha) quantile of chi-square-1, via the inverse
-    # regularized gamma on the upper tail.
-    c_alpha = 2.0 * _gamma_inv(1, alpha, upper=True)
+    # c_alpha: (1 - alpha) quantile of chi-square-1
+    c_alpha = ScaledChiSquare(1.0, 1).quantile(1.0 - alpha)
     k = 0
-    while _upper_gamma(k + 1, 2.0 * c_alpha) <= cap:
+    while ScaledChiSquare(0.25, k + 1).sf(c_alpha) <= cap:
         k += 1
         if k > 10_000:
             raise RuntimeError("k_alpha search failed to terminate")

@@ -60,10 +60,6 @@ class CovarianceMatrix:
     def k(self) -> int:
         return self.sigma.shape[0]
 
-    @property
-    def is_full_rank(self) -> bool:
-        return self.rank == self.k
-
 
 def validate_covariance(m) -> CovarianceMatrix:
     """Check symmetry, positive semidefiniteness, and the diagonal sign.

@@ -45,12 +45,13 @@ w_j times one minus exp(-x) times a closed-form sum, one exponential per
 node and point.
 
 The special functions (erf, erfc, erfcx and the incomplete gamma
-functions at integer and half-integer shapes) are the numpy kernels of
-``singwald.special``.  Scaled chi-square quantiles are closed form (the
-inverse regularized incomplete gamma function, on the upper tail for
-p > 1/2); the tetrad quantile roots the survival function above the median;
-the other laws invert their CDFs by bracketed root finding, the one place
-that imports scipy (``scipy.optimize``, on first use).
+functions at integer and half-integer shapes) and the root finder are the
+numpy kernels of ``singwald.special``.  Every law has a survival function
+``sf``: ``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
+``tetrad_singular_sf`` for the scaled chi-square and tetrad laws.
+:meth:`LimitLaw.quantile` roots ``sf`` above the median and ``cdf`` below,
+starting from the law's mean, with Newton steps for the scaled chi-square
+law (whose log-density is closed form) and secant steps for the others.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ from .special import (
     _erf,
     _erfc,
     _erfcx,
-    _gamma_inv,
     _lower_gamma,
-    _upper_gamma,
     _lower_gamma_block,
+    _root,
+    _upper_gamma,
 )
 
 __all__ = [
@@ -189,36 +190,34 @@ class LimitLaw:
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _bracket_hint(self) -> float:
-        return 50.0
+    def sf(self, t):
+        """Survival function 1 - F(t); laws with a tail-accurate form
+        override it."""
+        return 1.0 - self.cdf(t)
+
+    def mean(self) -> float:
+        raise NotImplementedError
+
+    # log F'(t) for a Newton step in the quantile root finder; None makes
+    # it take secant steps
+    _log_pdf = None
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF at p in (0, 1), by the law's :meth:`_invert`."""
+        """Inverse CDF at p in (0, 1), by :meth:`_invert`."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p:.12g}")
         return self._invert(p)
 
     def _invert(self, p: float) -> float:
-        """Bracketed root finding on ``cdf(t) - p``; |cdf(q) - p| <= 1e-8."""
-        return _bracketed_root(self.cdf, p, self._bracket_hint())
+        """Roots sf(t) = 1 - p above the median, where 1 - p is exact and
+        sf keeps its relative accuracy in the tail, and cdf(t) = p below,
+        from the law's mean."""
+        if p > 0.5:
+            return _root(self.sf, 1.0 - p, self.mean(), True, self._log_pdf)
+        return _root(self.cdf, p, self.mean(), False, self._log_pdf)
 
     def spec_string(self) -> str:
         raise NotImplementedError
-
-
-def _bracketed_root(fn, target: float, hi: float) -> float:
-    """The root in [0, hi] of ``fn(t) - target`` for an increasing ``fn``
-    with fn(0) <= target, doubling hi until fn(hi) >= target."""
-    while float(fn(hi)) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RuntimeError("quantile bracket failed to close")
-    from scipy import optimize  # here, not at import: start-up skips it
-
-    q = optimize.brentq(
-        lambda t: float(fn(t)) - target, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200,
-    )
-    return float(q)
 
 
 @dataclass(frozen=True)
@@ -238,15 +237,12 @@ class ScaledChiSquare(LimitLaw):
     def _draw(self, rng, n):
         return self.scale * rng.chisquare(self.df, n)
 
-    def _invert(self, p):
-        # the inverse incomplete gamma function; the upper tail inverts the
-        # survival function, so p near 1 keeps full relative accuracy
-        # (1 - p is exact for p > 1/2)
-        if p > 0.5:
-            half = _gamma_inv(self.df, 1.0 - p, upper=True)
-        else:
-            half = _gamma_inv(self.df, p)
-        return 2.0 * self.scale * half
+    def sf(self, t):
+        return chi2_sf(np.asarray(t, dtype=float) / self.scale, self.df)
+
+    def _log_pdf(self, t):
+        a, x = self.df / 2.0, t / (2.0 * self.scale)
+        return (a - 1.0) * math.log(x) - x - math.lgamma(a) - math.log(2.0 * self.scale)
 
     def mean(self) -> float:
         return self.scale * self.df
@@ -374,9 +370,6 @@ class TwoChiSquareMix(LimitLaw):
         z = rng.standard_normal((n, 2))
         return self.w1 * z[:, 0] ** 2 + self.w2 * z[:, 1] ** 2
 
-    def _bracket_hint(self):
-        return 100.0 * (self.w1 + self.w2)
-
     def mean(self) -> float:
         return self.w1 + self.w2
 
@@ -432,9 +425,6 @@ class FoldedBetaProduct(LimitLaw):
         b = rng.beta(self.k1 / 2.0, self.k2 / 2.0, n)
         return 0.25 * r2 * (2.0 * b - 1.0) ** 2
 
-    def _bracket_hint(self):
-        return 12.5 * (self.k1 + self.k2)
-
     def mean(self) -> float:
         a, b = self.k1 / 2.0, self.k2 / 2.0
         mu = a / (a + b)
@@ -450,12 +440,8 @@ class TetradSingular(LimitLaw):
     def cdf(self, t):
         return tetrad_singular_cdf(t)
 
-    def _invert(self, p):
-        # above the median, root the survival function: 1 - p is exact
-        # there, and sf keeps full relative accuracy where 1 - cdf cancels
-        if p > 0.5:
-            return _bracketed_root(lambda t: -tetrad_singular_sf(t), p - 1.0, self._bracket_hint())
-        return super()._invert(p)
+    def sf(self, t):
+        return tetrad_singular_sf(t)
 
     def _draw(self, rng, n):
         return 0.25 * rng.chisquare(4, n) * rng.random(n) ** 2

@@ -27,7 +27,6 @@ __all__ = [
     "QuadraticForm",
     "load_polynomial",
     "parse_polynomial",
-    "format_polynomial",
 ]
 
 # Relative determinant floor below which a change of variables is rejected
@@ -421,11 +420,3 @@ def parse_polynomial(text: str, path: str = "<input>") -> HomogeneousPolynomial:
 def load_polynomial(path) -> HomogeneousPolynomial:
     with open(path, encoding="utf-8") as fh:
         return parse_polynomial(fh.read(), path=str(path))
-
-
-def format_polynomial(f: HomogeneousPolynomial) -> str:
-    """Serialize to the text format accepted by :func:`parse_polynomial`."""
-    lines = [f"# {f}"]
-    for coeff, exps in f.terms:
-        lines.append(format(coeff, ".17g") + " " + " ".join(str(e) for e in exps))
-    return "\n".join(lines) + "\n"

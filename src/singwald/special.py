@@ -41,12 +41,13 @@ Angle rules
     one minus exp(-x) times the closed-form sum, one exponential per node
     and point, accurate to a few ulp in absolute terms, and the positive
     series where P < 1e-6.
-Inverse
-    :func:`_gamma_inv` is a scalar Newton iteration on the logarithm of the
-    side it is given, kept inside a bisection bracket.
+Roots
+    :func:`_root` inverts a CDF or a survival function: Newton steps on
+    log(side/target) where a log-density is given, secant steps otherwise,
+    kept inside a bracket that doubles and then bisects geometrically.
+    Every quantile in the package goes through it.
 
-All names are private: the laws in ``singwald.laws`` and the classifier
-call them.
+All names are private: the laws in ``singwald.laws`` call them.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ _DIRECT_POWER_MAX = 100.0
 # Q(df/2, 600) < 1e-80, far below any ulp of the CDF.
 _X_CLAMP = 600.0
 _CLOSED_FORM_DF_MAX = 400
+
+# The smallest subnormal: the root finder's last candidate before 0.
+_TINY = 5e-324
 
 
 def _erfcx_block(z, out, u, h):
@@ -372,49 +376,63 @@ def _upper_gamma(df, x):
     return _blockwise(functools.partial(_gamma_kernel, _check_df(df), True), x)
 
 
-def _gamma_inv(df, target: float, upper: bool = False) -> float:
-    """The x with Q(df/2, x) = target (``upper``) or P(df/2, x) = target.
+def _root(side, target: float, x: float, upper: bool = False, log_density=None) -> float:
+    """The x >= 0 with side(x) = target, starting from x > 0: side is a CDF
+    (increasing from 0 at x = 0) or, with ``upper``, a survival function
+    (decreasing from 1).  Pass the side whose value is small, so that
+    target carries full relative accuracy.
 
-    Newton's method on log(side(x) / target), whose step is
-    log(side/target) * side / density; a step that leaves the bracket of
-    the root known so far bisects it instead.  Pass the side whose value
-    is small, so that target carries full relative accuracy.
+    Each step solves log(side/target) = 0, against log x on the lower side,
+    where these laws behave like powers of x, and against x on the upper
+    side, where they decay like exponentials: a Newton step when
+    ``log_density`` gives log side'(x), otherwise a secant step through the
+    last two iterates.  A step that leaves the bracket of the root known so
+    far doubles x (halves it toward 0) while the bracket is open, and
+    bisects it geometrically once closed.  It stops when a step moves x by
+    at most 2^-50 of itself, or when no float is left inside the bracket,
+    where the end whose side is closer to target wins (0 for a root that
+    underflows).
     """
-    df = _check_df(df)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
-    a = df / 2.0
-    side = _upper_gamma if upper else _lower_gamma
-    lgam = math.lgamma(a)
-    lo, hi = 0.0, math.inf
-    if upper:
-        x = a
-    else:
-        # P(a, x) <= x^a / Gamma(a + 1), so this start is below the root,
-        # and the root is within a factor 1 + O(x) of it when x is small
-        x = math.exp((math.log(target) + math.lgamma(a + 1.0)) / a)
-        if x == 0.0:
-            return 0.0  # the root underflows
+    lo, hi = 0.0, math.inf  # x below and above the root
+    f_lo, f_hi = (1.0, 0.0) if upper else (0.0, 1.0)
+    last = None  # (u, log(side/target)) at the last iterate with side > 0
     for _ in range(200):
-        f = float(side(df, x))
+        f = float(side(x))
         if f == target:
             return x
-        if (f < target) == upper:
-            hi = x
+        if (f > target) == upper:
+            lo, f_lo = x, f
         else:
-            lo = x
+            hi, f_hi = x, f
+        new = math.nan
         if f > 0.0:
-            log_density = (a - 1.0) * math.log(x) - x - lgam
-            step = math.log(f / target) * math.exp(math.log(f) - log_density)
-            new = x + step if upper else x - step
-            if abs(step) <= 2.0**-50 * x:
-                # within a few ulp: the rounding of side(x) decides the rest
-                return new
-        else:
-            new = math.nan
+            u, g = (x if upper else math.log(x)), math.log(f / target)
+            if log_density is not None:
+                # d log(side)/du: -side'/side on the upper side, x*side'/side below
+                w = log_density(x) - math.log(f)
+                slope = -math.exp(w) if upper else math.exp(w + u)
+            elif last is not None and u != last[0]:
+                slope = (g - last[1]) / (u - last[0])
+            else:
+                slope = 0.0
+            last = (u, g)
+            if slope != 0.0:
+                u -= g / slope
+                new = u if upper else math.exp(min(u, 709.0))  # exp overflows past 709.78
+                if new == 0.0 and hi > _TINY:
+                    new = _TINY  # the root may underflow: try the smallest float
+        if abs(new - x) <= 2.0**-50 * x:
+            return new
         if not lo < new < hi:
-            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-            if new in (lo, hi):
-                return x  # no float left inside the bracket
+            if hi == math.inf:
+                new = 2.0 * lo
+            elif lo == 0.0:
+                new = 0.5 * hi
+            else:
+                new = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < new < hi:
+                return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
         x = new
-    raise RuntimeError(f"gamma inverse did not converge for df={df}, target={target!r}")
+    raise RuntimeError(f"root finder did not converge for target={target!r}")

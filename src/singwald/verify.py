@@ -376,15 +376,14 @@ def _moment_invariance_results(n: int, seed: int) -> list[VerificationResult]:
 def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
     """For c >= 0 the weighted angular product matches cos^2 of a uniform
     angle in distribution; for c < 0 it must not."""
-    rng = make_generator(seed, 0)
-    psi = rng.uniform(0.0, 2.0 * np.pi, n)
-    ref_angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    psi = make_generator(seed, 0).uniform(0.0, 2.0 * np.pi, n)
     s = (1.0 + c) ** 2 * np.cos(psi) ** 2 * np.sin(psi) ** 2 / (
         np.cos(psi) ** 2 + c * c * np.sin(psi) ** 2
     )
-    gap = two_sample_ks(
+    # cos^2 of a uniform angle has the arcsine law (2/pi) * arcsin(sqrt(s))
+    gap = ks_distance(
         EmpiricalDistribution.from_samples(s),
-        EmpiricalDistribution.from_samples(np.cos(ref_angle) ** 2),
+        SimpleNamespace(cdf=lambda t: 2.0 / np.pi * np.arcsin(np.sqrt(np.clip(t, 0.0, 1.0)))),
     )
     if c >= 0:
         return _ks_result(f"trig-equidistribution-c{c:g}", "theorem", gap, n, seed)

@@ -16,7 +16,7 @@ from singwald.poly import QuadraticForm
 class TestValidateCovariance:
     def test_identity(self):
         cov = validate_covariance(np.eye(4))
-        assert cov.rank == 4 and cov.is_full_rank
+        assert cov.rank == cov.k == 4
 
     def test_singular_but_valid(self):
         cov = validate_covariance([[1.0, 1.0], [1.0, 1.0]])

@@ -418,6 +418,16 @@ def test_cdf_quantile_round_trip(law):
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
+def test_small_p_quantile_keeps_relative_accuracy(law):
+    # the lower tail roots cdf(t) = p with a relative stopping rule, so a
+    # root far below 1 is found to the accuracy of the CDF itself
+    for p in (1e-12, 1e-9, 1e-6, 1e-3):
+        q = law.quantile(p)
+        assert q > 0.0, p
+        assert abs(float(law.cdf(q)) / p - 1.0) <= 1e-9, (p, q)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
 def test_cdf_of_a_point_does_not_depend_on_the_others(law):
     # the kernels group points and nodes by call size; each value must be
     # bitwise the same alone, in a short call and in a block-filling one

@@ -10,9 +10,16 @@ from singwald.poly import (
     HomogeneousPolynomial,
     MonomialForm,
     QuadraticForm,
-    format_polynomial,
     parse_polynomial,
 )
+
+
+def format_polynomial(f: HomogeneousPolynomial) -> str:
+    """Serialize to the text format that :func:`parse_polynomial` reads."""
+    lines = [f"# {f}"]
+    for coeff, exps in f.terms:
+        lines.append(format(coeff, ".17g") + " " + " ".join(str(e) for e in exps))
+    return "\n".join(lines) + "\n"
 
 
 def tetrad_poly():

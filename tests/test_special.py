@@ -162,12 +162,22 @@ def test_erfcx_table_is_reproducible():
 
 @pytest.mark.parametrize("df", [1, 2, 3, 6, 25])
 def test_inverse_round_trip(df):
-    # the lower-side root of 1e-300 underflows for df = 1 (x ~ 8e-601)
-    for target, upper in ((1e-150, False), (1e-300, True)):
-        for t in (target, 1e-12, 0.3, 0.5):
-            x = special._gamma_inv(df, t, upper=upper)
+    # the root finder inverts the incomplete gamma functions with Newton
+    # steps (given the log-density) and with secant steps (without it),
+    # from the mean a; the lower-side root of 1e-300 underflows for df = 1
+    # (x ~ 8e-601)
+    def log_density(a):
+        return lambda x: (a - 1.0) * math.log(x) - x - math.lgamma(a)
+
+    a = df / 2.0
+    for newton in (log_density(a), None):
+        for target, upper in ((1e-150, False), (1e-300, True)):
             side = special._upper_gamma if upper else special._lower_gamma
-            assert float(side(df, x)) == pytest.approx(t, rel=1e-12, abs=0.0)
-    assert special._gamma_inv(1, 1e-300) == 0.0
+            for t in (target, 1e-12, 0.3, 0.5):
+                x = special._root(lambda v: side(df, v), t, a, upper, newton)
+                assert float(side(df, x)) == pytest.approx(t, rel=1e-12, abs=0.0)
+    for newton in (log_density(0.5), None):
+        root = special._root(lambda v: special._lower_gamma(1, v), 1e-300, 0.5, False, newton)
+        assert root == 0.0
     with pytest.raises(ValueError):
-        special._gamma_inv(3, 0.0)
+        special._root(lambda v: special._lower_gamma(3, v), 0.0, a)
