@@ -186,8 +186,9 @@ def run(argv=None) -> int:
     print(f"# wald {__version__} command={args.command} seed={seed} threads={threads}",
           file=sys.stderr)
 
-    out, close = _open_out(args.out)
+    out, close = sys.stdout, False
     try:
+        out, close = _open_out(args.out)
         return _dispatch(args, seed, threads, out)
     except (WaldError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,12 +161,6 @@ class EmpiricalDistribution:
         out = np.searchsorted(self.values, t, side="right") / self.n
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must be in (0, 1)")
-        idx = int(np.ceil(p * self.n)) - 1
-        return float(self.values[max(idx, 0)])
-
     def mean(self) -> float:
         return float(self.values.mean())
 
@@ -181,10 +175,10 @@ class LimitLaw:
     def cdf(self, t):
         raise NotImplementedError
 
-    def sample(self, n: int, seed: int, stream: int = 0) -> EmpiricalDistribution:
+    def sample(self, n: int, seed: int) -> EmpiricalDistribution:
         if n < 2:
             raise ValueError("n must be at least 2")
-        rng = make_generator(seed, stream)
+        rng = make_generator(seed)
         return EmpiricalDistribution.from_samples(self._draw(rng, n))
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -203,15 +197,11 @@ class LimitLaw:
     _log_pdf = None
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF at p in (0, 1), by :meth:`_invert`."""
+        """Inverse CDF at p in (0, 1): roots sf(t) = 1 - p above the median,
+        where 1 - p is exact and sf keeps its relative accuracy in the tail,
+        and cdf(t) = p below, from the law's mean."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p:.12g}")
-        return self._invert(p)
-
-    def _invert(self, p: float) -> float:
-        """Roots sf(t) = 1 - p above the median, where 1 - p is exact and
-        sf keeps its relative accuracy in the tail, and cdf(t) = p below,
-        from the law's mean."""
         if p > 0.5:
             return _root(self.sf, 1.0 - p, self.mean(), True, self._log_pdf)
         return _root(self.cdf, p, self.mean(), False, self._log_pdf)
@@ -472,10 +462,10 @@ def stable_cdf(alpha: float, x):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_stable(alpha: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
+def sample_stable(alpha: float, n: int, seed: int) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    z = make_generator(seed, stream).standard_normal(n)
+    z = make_generator(seed).standard_normal(n)
     return alpha**2 / z**2
 
 

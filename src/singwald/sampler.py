@@ -29,24 +29,22 @@ __all__ = [
     "ks_distance",
     "two_sample_ks",
     "dominance_check",
-    "DominanceReport",
 ]
+
+# Underflow guard only: the denominator vanishes on a null set for any
+# nonzero f and positive-diagonal Sigma, so any positive guard is
+# statistically invisible.  Draws that hit it are redrawn from the same
+# stream.
+_DENOMINATOR_GUARD = 1e-300
 
 
 @dataclass(frozen=True)
 class WaldSampleConfig:
-    """Sampling run parameters.
-
-    denominator_guard is an underflow guard only: the denominator vanishes
-    on a null set for any nonzero f and positive-diagonal Sigma, so any
-    positive guard is statistically invisible.  Draws that hit it are
-    redrawn from the same stream.
-    """
+    """Sampling run parameters."""
 
     n: int
     seed: int
     batch_size: int = 1 << 18
-    denominator_guard: float = 1e-300
     threads: int = 1
 
     def __post_init__(self):
@@ -54,32 +52,19 @@ class WaldSampleConfig:
             raise ValueError("n must be at least 100")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.denominator_guard <= 0:
-            raise ValueError("denominator_guard must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
 
-def _wald_values_poly(
-    f: HomogeneousPolynomial, sigma: np.ndarray, x: np.ndarray, guard: float
-):
-    vals = f.evaluate(x)
+def _wald_terms(f: HomogeneousPolynomial | MonomialForm, sigma: np.ndarray, x: np.ndarray):
+    """Numerator and denominator of W at the rows of ``x``: f^2 and
+    grad^T Sigma grad for a polynomial, 1 and the reciprocal form
+    (a/x)^T Sigma (a/x) for a power product."""
+    if isinstance(f, MonomialForm):
+        return 1.0, f.reciprocal_wald(x, sigma)
+    num = np.square(f.evaluate(x))
     grads = f.gradient(x)
-    den = np.einsum("ij,jk,ik->i", grads, sigma, grads)
-    good = np.isfinite(den) & (den >= guard)
-    w = np.empty(x.shape[0])
-    w[good] = vals[good] ** 2 / den[good]
-    return w, good
-
-
-def _wald_values_monomial(
-    m: MonomialForm, sigma: np.ndarray, x: np.ndarray, guard: float
-):
-    inv = m.reciprocal_wald(x, sigma)
-    good = np.isfinite(inv) & (inv >= guard)
-    w = np.empty(x.shape[0])
-    w[good] = 1.0 / inv[good]
-    return w, good
+    return num, np.einsum("ij,jk,ik->i", grads, sigma, grads)
 
 
 def sample_wald(
@@ -101,10 +86,6 @@ def sample_wald(
     if sampler is None:
         sampler = factor(sigma)
     smat = sigma.sigma
-    if isinstance(f, MonomialForm):
-        values_of = lambda x: _wald_values_monomial(f, smat, x, cfg.denominator_guard)
-    else:
-        values_of = lambda x: _wald_values_poly(f, smat, x, cfg.denominator_guard)
 
     n_batches = (cfg.n + cfg.batch_size - 1) // cfg.batch_size
     sizes = [
@@ -128,11 +109,12 @@ def sample_wald(
             need = want - filled
             z = rng.standard_normal((need, sampler.m))
             x = z @ sampler.factor_b.T
-            w, good = values_of(x)
+            num, den = _wald_terms(f, smat, x)
+            good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
+            den = den[good]
+            np.divide(num[good] if np.ndim(num) else num, den, out=out[filled : filled + den.size])
             proposed += need
-            kept = w[good]
-            out[filled : filled + kept.size] = kept
-            filled += kept.size
+            filled += den.size
         return out, proposed, proposed - want
 
     if cfg.threads > 1 and n_batches > 1:
@@ -179,41 +161,18 @@ def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     return float(np.abs(fa - fb).max())
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Outcome of a stochastic-dominance grid check.
+def dominance_check(lower, upper, grid) -> float:
+    """Worst gap max over the grid of F_upper - F_lower.
 
-    ``lower <=_st upper`` means F_lower(t) >= F_upper(t) everywhere, so the
-    recorded violation is max over the grid of F_upper - F_lower, and the
-    check passes when it stays within the slack.
-    """
-
-    passed: bool
-    worst_violation: float
-    worst_t: float
-    slack: float
-    n_grid: int
-
-
-def dominance_check(lower, upper, grid, slack: float = 0.0) -> DominanceReport:
-    """Verify F_lower(t) >= F_upper(t) - slack on every grid point.
-
-    Both sides may be laws or empirical distributions; anything with a
-    vectorized ``cdf`` works.
+    ``lower <=_st upper`` means F_lower(t) >= F_upper(t) everywhere, so a
+    gap at or below zero confirms the ordering on the grid.  Both sides may
+    be laws or empirical distributions; anything with a vectorized ``cdf``
+    works.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
     gap = np.asarray(upper.cdf(grid), dtype=float) - np.asarray(
         lower.cdf(grid), dtype=float
     )
-    worst = int(np.argmax(gap))
-    return DominanceReport(
-        passed=bool(gap[worst] <= slack),
-        worst_violation=float(gap[worst]),
-        worst_t=float(grid[worst]),
-        slack=slack,
-        n_grid=grid.size,
-    )
+    return float(gap.max())

@@ -28,7 +28,6 @@ empirical covariance once) and the calibration simulation in
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -287,37 +286,29 @@ def _looks_like_header(row: list[str]) -> bool:
 
 def load_data_csv(path) -> DataMatrix:
     """Read a CSV data matrix; a non-numeric first row is taken as a header."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _parse_data_csv(fh, path=str(path))
-
-
-def parse_data_csv(text: str, path: str = "<input>") -> DataMatrix:
-    return _parse_data_csv(io.StringIO(text), path=path)
-
-
-def _parse_data_csv(fh, path: str) -> DataMatrix:
-    reader = csv.reader(fh)
+    path = str(path)
     rows: list[list[float]] = []
     columns: tuple[str, ...] | None = None
     width = None
-    for lineno, row in enumerate(reader, start=1):
-        if not row or all(not tok.strip() for tok in row):
-            continue
-        row = [tok.strip() for tok in row]
-        if width is None and _looks_like_header(row):
-            columns = tuple(row)
-            width = len(row)
-            continue
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise ParseError(
-                f"row has {len(row)} fields, expected {width}", path, lineno
-            )
-        try:
-            rows.append([float(tok) for tok in row])
-        except ValueError as exc:
-            raise ParseError(f"bad numeric field: {exc}", path, lineno) from None
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not tok.strip() for tok in row):
+                continue
+            row = [tok.strip() for tok in row]
+            if width is None and _looks_like_header(row):
+                columns = tuple(row)
+                width = len(row)
+                continue
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                raise ParseError(
+                    f"row has {len(row)} fields, expected {width}", path, lineno
+                )
+            try:
+                rows.append([float(tok) for tok in row])
+            except ValueError as exc:
+                raise ParseError(f"bad numeric field: {exc}", path, lineno) from None
     if not rows:
         raise ParseError("no data rows found", path)
     try:

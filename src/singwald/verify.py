@@ -149,14 +149,13 @@ def verify_monomial_theorem(
     return _monomial_result(m, sigma, n, seed, name, "theorem", f"exponents={m.exponents}")
 
 
-def verify_conjecture_monomial(
-    m: MonomialForm, sigma, n: int, seed: int, name: str = "monomial-law-evidence"
-) -> VerificationResult:
+def verify_conjecture_monomial(m: MonomialForm, sigma, n: int, seed: int) -> VerificationResult:
     """Same law in dimension >= 3: open conjecture, evidence only."""
     if m.k < 3:
         raise ValueError("conjecture regime starts at three variables")
     return _monomial_result(
-        m, sigma, n, seed, name, "conjecture", f"k={m.k} evidence, not a theorem"
+        m, sigma, n, seed, "monomial-law-evidence", "conjecture",
+        f"k={m.k} evidence, not a theorem",
     )
 
 
@@ -165,9 +164,7 @@ def _monomial_result(m, sigma, n, seed, name, tier, detail) -> VerificationResul
     return _ks_result(name, tier, ks_distance(emp, monomial_law(m)), n, seed, detail)
 
 
-def verify_cauchy(
-    p, sigma, n: int, seed: int, name: str | None = None
-) -> VerificationResult:
+def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
     """Convex combination sum p_i * Y_i / X_i is standard Cauchy."""
     p = _weights(p)
     k = p.size
@@ -183,21 +180,17 @@ def verify_cauchy(
         SimpleNamespace(cdf=lambda t: 0.5 + np.arctan(t) / np.pi),
     )
     return _ks_result(
-        name or ("weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence"),
+        "weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence",
         "theorem" if k <= 2 else "conjecture",
         stat, n, seed, f"k={k} weights={tuple(p)}",
     )
 
 
-def verify_reciprocal(
-    p, sigma, n: int, seed: int, name: str | None = None
-) -> VerificationResult:
+def verify_reciprocal(p, sigma, n: int, seed: int) -> VerificationResult:
     """Quadratic form in reciprocal coordinates matches 1/chi-square-1."""
     p = _weights(p)
     sigma = np.asarray(sigma, dtype=float)
-    x = _mvn_draws(sigma, n, seed)
-    v = p[None, :] / x
-    q = np.einsum("ij,jk,ik->i", v, sigma, v)
+    q = MonomialForm(p).reciprocal_wald(_mvn_draws(sigma, n, seed), sigma)
     stat = ks_distance(
         EmpiricalDistribution.from_samples(q[np.isfinite(q) & (q > 0)]),
         SimpleNamespace(cdf=lambda t: stable_cdf(1.0, t)),
@@ -205,7 +198,7 @@ def verify_reciprocal(
     diagonal = np.abs(sigma - np.diag(np.diag(sigma))).max() == 0.0
     tier = "theorem" if (p.size <= 2 or diagonal) else "conjecture"
     return _ks_result(
-        name or ("reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence"),
+        "reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence",
         tier, stat, n, seed, f"k={p.size}",
     )
 
@@ -220,7 +213,7 @@ def counterexample_negative_weights(
         raise ValueError("rho must be in (-1, 1)")
     sigma = np.array([[1.0, rho], [rho, 1.0]])
     x = _mvn_draws(sigma, n, seed)
-    q = 4.0 / (1.0 / x[:, 0] ** 2 - 2.0 * rho / (x[:, 0] * x[:, 1]) + 1.0 / x[:, 1] ** 2)
+    q = 4.0 / MonomialForm((1, 1)).reciprocal_wald(x * [1, -1], sigma)
     q = q[np.isfinite(q)]
     expected = (1.0 + 2.0 * rho**2) / (1.0 - rho**2)
     rel_dev = abs(float(q.mean()) / expected - 1.0)
@@ -272,7 +265,7 @@ def _moment_integrand(psi, phi: float, sigma: float):
     return num / den
 
 
-def _angle_moment(sigma: float, phi: float, m: int, tol: float = 1e-10) -> float:
+def _angle_moment(sigma: float, phi: float, m: int) -> float:
     """E of the m-th power of the angular ratio, by fixed Gauss-Legendre panels.
 
     As phi approaches pi/2 the ratio changes over a width of about
@@ -281,7 +274,7 @@ def _angle_moment(sigma: float, phi: float, m: int, tol: float = 1e-10) -> float
     offsets 0.3, 0.1, 0.03, 0.01, 0.003, ... on either side, down past that
     width.  Each panel takes a 32- and a 64-node rule; the sum of their
     per-panel differences is the error estimate, and the 64-node value is
-    returned.  A non-finite estimate, or one above ``100 * tol``, raises.
+    returned.  A non-finite estimate, or one above 1e-8, raises.
     """
     psi_star, amp, floor = _moment_geometry(phi, sigma)
     offsets = [0.3, 0.1, 0.03, 0.01]
@@ -300,7 +293,7 @@ def _angle_moment(sigma: float, phi: float, m: int, tol: float = 1e-10) -> float
         for x, w in (_leggauss(32), _leggauss(64))
     )
     err = float(np.abs(fine - coarse).sum())
-    if not err <= 100 * tol:
+    if not err <= 1e-8:
         raise RuntimeError(
             f"moment quadrature failed to converge (err={err:g}) at "
             f"sigma={sigma}, phi={phi}, m={m}"
@@ -308,9 +301,7 @@ def _angle_moment(sigma: float, phi: float, m: int, tol: float = 1e-10) -> float
     return float(fine.sum()) / (2.0 * np.pi)
 
 
-def moment_invariance_check(
-    sigma_param: float, phis, ms, tol: float = 1e-10
-) -> np.ndarray:
+def moment_invariance_check(sigma_param: float, phis, ms) -> np.ndarray:
     """Table of angular moments E[T^m], one row per m and column per phi.
 
     The distribution of the angular ratio should not depend on phi, so each
@@ -327,7 +318,7 @@ def moment_invariance_check(
     table = np.empty((len(ms), len(phis)))
     for r, m in enumerate(ms):
         for c, phi in enumerate(phis):
-            table[r, c] = _angle_moment(sigma_param, phi, m, tol)
+            table[r, c] = _angle_moment(sigma_param, phi, m)
     return table
 
 
@@ -398,7 +389,7 @@ def verify_beta_representation(
 ) -> VerificationResult:
     """Canonical signed-unit spectrum draws match the folded-Beta product."""
     lams = np.concatenate([np.ones(k1), -np.ones(k2)])
-    canonical = sample_canonical(lams, n, derive_seed(seed, 11), stream=0)
+    canonical = sample_canonical(lams, n, derive_seed(seed, 11))
     law_sample = FoldedBetaProduct(k1=k1, k2=k2).sample(n, derive_seed(seed, 12))
     stat = two_sample_ks(canonical, law_sample)
     return _ks_result(f"folded-beta-representation-{k1}-{k2}", "theorem", stat, n, seed)
@@ -464,7 +455,7 @@ def _random_pd_2x2(rng: np.random.Generator) -> np.ndarray:
     return np.array([[v1, c], [c, v2]])
 
 
-def verify_tetrad_kronecker(n: int, seed: int, n_pairs: int = 20) -> list[VerificationResult]:
+def verify_tetrad_kronecker(n: int, seed: int) -> list[VerificationResult]:
     """Kronecker-structured covariances put the tetrad form on the
     equal-magnitude split spectrum, so the limit is the tetrad singular law
     for every block pair."""
@@ -473,6 +464,7 @@ def verify_tetrad_kronecker(n: int, seed: int, n_pairs: int = 20) -> list[Verifi
     )
     a = f.to_quadratic_form()
     rng = make_generator(derive_seed(seed, 17), 0)
+    n_pairs = 20
     mismatches = 0
     for _ in range(n_pairs):
         s1 = _random_pd_2x2(rng)
@@ -504,7 +496,7 @@ def verify_tetrad_kronecker(n: int, seed: int, n_pairs: int = 20) -> list[Verifi
     return results
 
 
-def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[VerificationResult]:
+def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
     """Stochastic envelope checks for the canonical quadratic family.
 
     Empirical dominance grids use slack 0.005 at the default sample size;
@@ -523,15 +515,13 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
         grid = np.linspace(0.0, 12.0, 400)
         return max(
             dominance_check(
-                quarter_chi1,
-                sample_canonical(lams, m_emp, derive_seed(seed, base + i)),
-                grid,
-                slack=slack,
-            ).worst_violation
+                quarter_chi1, sample_canonical(lams, m_emp, derive_seed(seed, base + i)), grid
+            )
             for i, lams in enumerate(spectra)
         )
 
     worst_upper = -np.inf
+    n_spectra = 20
     for i in range(n_spectra):
         k = int(rng.integers(1, 7))
         lams = rng.uniform(-1.0, 1.0, k)
@@ -540,8 +530,7 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
         emp = sample_canonical(lams, m_emp, derive_seed(seed, 100 + i))
         upper = ScaledChiSquare(scale=0.25, df=k)
         grid = np.linspace(0.0, upper.quantile(0.9995), 400)
-        rep = dominance_check(emp, upper, grid, slack=slack)
-        worst_upper = max(worst_upper, rep.worst_violation)
+        worst_upper = max(worst_upper, dominance_check(emp, upper, grid))
     results = [
         envelope(
             "upper-envelope-quarter-chisq", worst_upper, f"{n_spectra} random spectra, k <= 6"
@@ -570,14 +559,11 @@ def verify_bounds_suite(n: int, seed: int, n_spectra: int = 20) -> list[Verifica
     ))
 
     grid = np.linspace(0.0, 50.0, 2001)
-    rep = dominance_check(
-        TetradSingular(), ScaledChiSquare(scale=1.0, df=1), grid, slack=1e-9
-    )
     results.append(
         VerificationResult(
             name="tetrad-cdf-dominance",
             tier="theorem",
-            statistic=rep.worst_violation,
+            statistic=dominance_check(TetradSingular(), ScaledChiSquare(scale=1.0, df=1), grid),
             threshold=1e-9,
             n_used=grid.size,
             seed=seed,
@@ -699,8 +685,9 @@ def _random_quadratic(rng: np.random.Generator, want_split: bool) -> np.ndarray:
             return np.array([[a, b], [b, c]])
 
 
-def _bivariate_quadratic_results(n: int, seed: int, pairs: int = 3) -> list[VerificationResult]:
+def _bivariate_quadratic_results(n: int, seed: int) -> list[VerificationResult]:
     rng = make_generator(derive_seed(seed, 29), 0)
+    pairs = 3
     worst_split = 0.0
     worst_mix = 0.0
     for i in range(pairs):

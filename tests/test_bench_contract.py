@@ -21,7 +21,7 @@ def test_tracer_install_resolves_every_patched_name():
 def test_every_law_keeps_the_traced_quantile():
     # the tracer times LimitLaw.quantile; a law that overrode it would take
     # its quantiles out of laws.quantile_s and laws.quantile_calls, so laws
-    # specialise the _invert hook instead
+    # specialise sf, mean and _log_pdf instead
     from singwald import laws
 
     concrete = [

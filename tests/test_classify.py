@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from singwald.classify import classify, k_alpha, sample_canonical
-from singwald.gaussian import validate_covariance
+from singwald.gaussian import make_generator, validate_covariance
 from singwald.laws import (
     FoldedBetaProduct,
     ScaledChiSquare,
@@ -150,7 +150,7 @@ class TestClassifyHigherDimension:
         cls = classify(
             QuadraticForm(np.diag([1.0, 0.5, -0.3])), validate_covariance(np.eye(3))
         )
-        assert cls.monte_carlo_only
+        assert cls.law is None
         assert cls.lower_bound is None
         assert cls.upper_bound == ScaledChiSquare(0.25, 3)
         assert "law=monte-carlo" in cls.machine_line()
@@ -160,7 +160,7 @@ class TestClassifyHigherDimension:
         cls = classify(
             QuadraticForm(np.diag([1.0, 0.5, 0.1])), validate_covariance(np.eye(3))
         )
-        assert cls.monte_carlo_only
+        assert cls.law is None
         assert cls.lower_bound == ScaledChiSquare(0.25, 1)
 
     def test_negative_spectrum_same_as_positive(self):
@@ -266,8 +266,14 @@ class TestSampleCanonical:
         np.testing.assert_allclose(base.values, moved.values, rtol=1e-12)
 
     def test_envelope_checked_in_sampler(self):
-        # the debug flag verifies every draw against its Cauchy-Schwarz cap
-        sample_canonical([1.0, -0.4, 0.2], 10**5, 27, check_bound=True)
+        # every draw stays below its Cauchy-Schwarz cap sum(Z^2)/4, and the
+        # sampler returns exactly these draws, sorted
+        lams = np.array([1.0, -0.4, 0.2])
+        z2 = make_generator(27, 0).standard_normal((10**5, 3)) ** 2
+        w = (z2 @ lams) ** 2 / (4.0 * (z2 @ lams**2))
+        envelope = 0.25 * z2.sum(axis=1)
+        assert np.all(w - envelope <= 1e-12 * np.maximum(1.0, envelope))
+        assert np.sort(w).tobytes() == sample_canonical(lams, 10**5, 27).values.tobytes()
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

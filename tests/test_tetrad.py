@@ -22,7 +22,7 @@ from singwald.tetrad import (
     all_tetrads,
     asymptotic_v_normal,
     empirical_covariance,
-    parse_data_csv,
+    load_data_csv,
     tetrad_index_array,
     tetrad_wald,
     wald_tetrad_test,
@@ -526,33 +526,39 @@ class TestDataMatrix:
 
 
 class TestCsvLoading:
-    def test_header_detected(self):
+    @staticmethod
+    def load(tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_data_csv(path)
+
+    def test_header_detected(self, tmp_path):
         text = "a,b,c,d\n" + "\n".join(
             ",".join(str(float(i + j)) for j in range(4)) for i in range(6)
         )
-        data = parse_data_csv(text)
+        data = self.load(tmp_path, text)
         assert data.columns == ("a", "b", "c", "d")
         assert data.n == 6
 
-    def test_no_header(self):
+    def test_no_header(self, tmp_path):
         text = "\n".join("1,2,3,4" for _ in range(6))
-        data = parse_data_csv(text + "\n")
+        data = self.load(tmp_path, text + "\n")
         assert data.columns is None
 
-    def test_ragged_row_line_number(self):
+    def test_ragged_row_line_number(self, tmp_path):
         text = "1,2,3,4\n1,2,3\n"
-        with pytest.raises(ParseError, match=r"<input>:2"):
-            parse_data_csv(text)
+        with pytest.raises(ParseError, match=r"data\.csv:2"):
+            self.load(tmp_path, text)
 
-    def test_bad_cell(self):
+    def test_bad_cell(self, tmp_path):
         rows = ["1,2,3,4"] * 6
         rows[3] = "1,2,x,4"
-        with pytest.raises(ParseError, match=r"<input>:4"):
-            parse_data_csv("\n".join(rows))
+        with pytest.raises(ParseError, match=r"data\.csv:4"):
+            self.load(tmp_path, "\n".join(rows))
 
-    def test_empty(self):
+    def test_empty(self, tmp_path):
         with pytest.raises(ParseError, match="no data"):
-            parse_data_csv("")
+            self.load(tmp_path, "")
 
 
 def test_all_tetrads_enumeration():

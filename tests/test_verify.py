@@ -29,7 +29,7 @@ from singwald.verify import (
 )
 
 N = 30_000  # unit-test sample size; the acceptance suite runs the full sizes
-GOLDEN = Path(__file__).parent / "data" / "verify_theorems_seed7_n20000.tsv"
+DATA = Path(__file__).parent / "data"
 
 
 class TestResultType:
@@ -229,7 +229,7 @@ class TestPathwise:
 
 class TestTetradChecks:
     def test_kronecker_classification_and_law(self):
-        results = verify_tetrad_kronecker(N, 68, n_pairs=10)
+        results = verify_tetrad_kronecker(N, 68)
         assert all(r.passed for r in results)
 
     def test_convergence_small(self):
@@ -298,19 +298,26 @@ class TestSuiteRunner:
         assert all(len(line.split("\t")) == 7 for line in lines[1:])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_report_matches_golden(tmp_path, threads):
+# the theorem runs keep their original ids, 1 and 2
+@pytest.mark.parametrize("suite, threads", [
+    pytest.param("theorems", 1, id="1"),
+    pytest.param("theorems", 2, id="2"),
+    pytest.param("conjectures", 1, id="conjectures-1"),
+    pytest.param("conjectures", 2, id="conjectures-2"),
+])
+def test_report_matches_golden(tmp_path, suite, threads):
     """``wald verify`` with the arguments of acceptance criterion 10
-    reproduces the committed report byte for byte, at one and two threads.
+    reproduces the committed report of each suite byte for byte, at one and
+    two threads.
 
-    Any change that moves a statistic fails here.  Regenerating the file is
-    a declared behaviour change: write it with ``wald --seed 7 --threads 1
-    verify --suite theorems --n 20000 --out
-    tests/data/verify_theorems_seed7_n20000.tsv`` and name the rows that
-    moved in CHANGES.md.
+    Any change that moves a statistic fails here.  Regenerating a file is a
+    declared behaviour change: write it with ``wald --seed 7 --threads 1
+    verify --suite SUITE --n 20000 --out
+    tests/data/verify_SUITE_seed7_n20000.tsv`` and name the rows that moved
+    in CHANGES.md.
     """
     out = tmp_path / "report.tsv"
-    argv = ["--seed", "7", "--threads", str(threads), "verify", "--suite", "theorems",
+    argv = ["--seed", "7", "--threads", str(threads), "verify", "--suite", suite,
             "--n", "20000", "--out", str(out)]
     assert run(argv) == 0
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    assert out.read_bytes() == (DATA / f"verify_{suite}_seed7_n20000.tsv").read_bytes()
