@@ -12,7 +12,6 @@ from .classify import QuadraticClassification, classify, k_alpha, sample_canonic
 from .errors import DegenerateSamplingError, ParseError, WaldError
 from .gaussian import (
     CovarianceMatrix,
-    MvnSampler,
     eigenvalues_of_product,
     factor,
     make_generator,
@@ -69,7 +68,6 @@ __all__ = [
     "HomogeneousPolynomial",
     "LimitLaw",
     "MonomialForm",
-    "MvnSampler",
     "ParseError",
     "QuadraticClassification",
     "QuadraticForm",

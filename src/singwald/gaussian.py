@@ -1,4 +1,4 @@
-"""Validated covariance matrices and reproducible multivariate normal draws.
+"""Validated covariance matrices, their square roots, and seeded generators.
 
 Randomness contract
 -------------------
@@ -22,7 +22,6 @@ from .poly import QuadraticForm
 
 __all__ = [
     "CovarianceMatrix",
-    "MvnSampler",
     "make_generator",
     "validate_covariance",
     "factor",
@@ -47,26 +46,37 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric positive-semidefinite matrix with positive diagonal.
+    """Symmetric positive-semidefinite matrix with positive diagonal, and
+    its square root.
 
     Construct through :func:`validate_covariance`, which symmetrizes the
-    input exactly and detects the rank from the eigenvalue spectrum.
+    input exactly and keeps the factor B, BB^T = Sigma, of its one
+    eigendecomposition.  B has one column per retained eigenvalue, so the
+    rank is its column count and rank-deficient covariances sample on their
+    support without any degenerate noise.
     """
 
     sigma: np.ndarray = field(repr=False)
-    rank: int
+    factor_b: np.ndarray = field(repr=False)
 
     @property
     def k(self) -> int:
         return self.sigma.shape[0]
 
+    @property
+    def rank(self) -> int:
+        return self.factor_b.shape[1]
+
 
 def validate_covariance(m) -> CovarianceMatrix:
-    """Check symmetry, positive semidefiniteness, and the diagonal sign.
+    """Check symmetry, positive semidefiniteness, and the diagonal sign,
+    and factor the matrix.
 
     The input is symmetrized as ``(m + m^T)/2`` once its asymmetry is within
     the absolute tolerance 1e-10; eigenvalues more negative than
-    ``-1e-8 * max_eigenvalue`` are rejected.
+    ``-1e-8 * max_eigenvalue`` are rejected.  Eigenvalues below the rank
+    threshold are dropped from the factor, which must reproduce Sigma to
+    ``1e-8 * max |Sigma|``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -80,7 +90,7 @@ def validate_covariance(m) -> CovarianceMatrix:
     diag = np.diag(sym)
     if np.any(diag <= 0):
         raise ValueError(f"diagonal entries must be strictly positive, got {diag}")
-    eigvals = np.linalg.eigvalsh(sym)
+    eigvals, vecs = np.linalg.eigh(sym)
     top = eigvals[-1]
     if top <= 0:
         raise ValueError("matrix has no positive eigenvalue")
@@ -88,60 +98,19 @@ def validate_covariance(m) -> CovarianceMatrix:
         raise ValueError(
             f"matrix is not positive semidefinite: eigenvalue {eigvals[0]:g}"
         )
-    rank = int(np.sum(eigvals > RANK_RTOL * top))
-    sym.flags.writeable = False
-    return CovarianceMatrix(sigma=sym, rank=rank)
-
-
-@dataclass(frozen=True)
-class MvnSampler:
-    """Zero-mean normal sampler backed by a square-root factor B, BB^T = Sigma.
-
-    The factor has one column per retained eigenvalue, so rank-deficient
-    covariances sample on their support without any degenerate noise.
-    """
-
-    factor_b: np.ndarray = field(repr=False)
-
-    @property
-    def k(self) -> int:
-        return self.factor_b.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.factor_b.shape[1]
-
-    @classmethod
-    def from_factor(cls, b) -> "MvnSampler":
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("factor must be a 2-d array")
-        b = b.copy()
-        b.flags.writeable = False
-        return cls(factor_b=b)
-
-    def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """n i.i.d. rows from N(0, BB^T); deterministic in (seed, stream, n)."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        return make_generator(seed, stream).standard_normal((n, self.m)) @ self.factor_b.T
-
-
-def factor(sigma: CovarianceMatrix) -> MvnSampler:
-    """Square-root factorization via the symmetric eigendecomposition.
-
-    Columns corresponding to eigenvalues below the rank threshold are
-    dropped, so the factor is k x rank(Sigma).
-    """
-    eigvals, vecs = np.linalg.eigh(sigma.sigma)
-    top = eigvals[-1]
     keep = eigvals > RANK_RTOL * top
-    b = vecs[:, keep] * np.sqrt(np.maximum(eigvals[keep], 0.0))
-    recon = np.abs(b @ b.T - sigma.sigma).max()
-    cap = 1e-8 * np.abs(sigma.sigma).max()
-    if recon > cap:
+    b = vecs[:, keep] * np.sqrt(eigvals[keep])
+    recon = np.abs(b @ b.T - sym).max()
+    if recon > 1e-8 * np.abs(sym).max():
         raise ValueError(f"factorization failed: reconstruction error {recon:g}")
-    return MvnSampler.from_factor(b)
+    sym.flags.writeable = False
+    b.flags.writeable = False
+    return CovarianceMatrix(sigma=sym, factor_b=b)
+
+
+def factor(sigma: CovarianceMatrix) -> np.ndarray:
+    """The read-only square root B of Sigma, k x rank(Sigma), BB^T = Sigma."""
+    return sigma.factor_b
 
 
 def eigenvalues_of_product(a: QuadraticForm, sigma: CovarianceMatrix) -> np.ndarray:
@@ -156,7 +125,7 @@ def eigenvalues_of_product(a: QuadraticForm, sigma: CovarianceMatrix) -> np.ndar
         raise ValueError(
             f"dimension mismatch: form is {a.k}x{a.k}, covariance {sigma.k}x{sigma.k}"
         )
-    b = factor(sigma).factor_b
+    b = factor(sigma)
     lams = np.linalg.eigvalsh(b.T @ a.a @ b)
     return np.sort(lams)[::-1]
 

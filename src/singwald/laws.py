@@ -216,8 +216,8 @@ class ScaledChiSquare(LimitLaw):
     df: int
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.df < 1 or self.df != int(self.df):
             raise ValueError("df must be a positive integer")
 
@@ -345,10 +345,10 @@ class TwoChiSquareMix(LimitLaw):
     w2: float
 
     def __post_init__(self):
-        if self.w1 <= 0:
-            raise ValueError("w1 must be positive")
-        if self.w2 < 0:
-            raise ValueError("w2 must be nonnegative")
+        if not 0 < self.w1 < math.inf:
+            raise ValueError(f"w1 must be positive and finite, got {self.w1}")
+        if not 0 <= self.w2 < math.inf:
+            raise ValueError(f"w2 must be nonnegative and finite, got {self.w2}")
 
     def cdf(self, t):
         hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
@@ -458,7 +458,8 @@ def stable_cdf(alpha: float, x):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, _erfc(alpha / np.sqrt(2.0 * np.maximum(x, 1e-300))), 0.0)
+    two_x = 2.0 * np.maximum(x, 1e-300)
+    out = np.where(x > 0, _erfc(alpha / np.sqrt(two_x), alpha**2 / two_x), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

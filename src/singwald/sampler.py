@@ -5,10 +5,11 @@ The target random variable is
     W = f(X)^2 / (grad f(X)^T Sigma grad f(X)),    X ~ N(0, Sigma),
 
 for a homogeneous polynomial f, or the equivalent reciprocal quadratic form
-when f is a power product with real exponents.  Work is split into batches
-with independently keyed Philox streams, so output is deterministic in
-``(seed, n, batch_size)`` no matter how many threads run the batches, and
-merging batches in any order yields the same sorted sample.
+when f is a power product with real exponents, with X = BZ for the
+covariance's own square root B.  Work is split into batches of ``_BATCH``
+draws, each with its own Philox stream and its own slice of one result
+buffer, so output is deterministic in ``(seed, n)`` no matter how many
+threads run the batches.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSamplingError
-from .gaussian import CovarianceMatrix, MvnSampler, factor, make_generator
+from .gaussian import CovarianceMatrix, factor, make_generator
 from .laws import EmpiricalDistribution
 from .poly import HomogeneousPolynomial, MonomialForm
 
@@ -36,6 +37,8 @@ __all__ = [
 # statistically invisible.  Draws that hit it are redrawn from the same
 # stream.
 _DENOMINATOR_GUARD = 1e-300
+# Draws per batch; batch i draws from the Philox stream (seed, i).
+_BATCH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,11 @@ class WaldSampleConfig:
 
     n: int
     seed: int
-    batch_size: int = 1 << 18
     threads: int = 1
 
     def __post_init__(self):
         if self.n < 100:
             raise ValueError("n must be at least 100")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -71,61 +71,55 @@ def sample_wald(
     f: HomogeneousPolynomial | MonomialForm,
     sigma: CovarianceMatrix,
     cfg: WaldSampleConfig,
-    sampler: MvnSampler | None = None,
+    sampler: np.ndarray | None = None,
     stats_out: dict | None = None,
 ) -> EmpiricalDistribution:
     """Draw ``cfg.n`` values of the Wald ratio under N(0, Sigma).
 
-    ``sampler`` overrides the square-root factor used to generate the
-    normal draws; passing a coupled factor reproduces the pathwise
-    change-of-variables identities exactly.  ``stats_out``, if given, is
-    filled with the proposal and rejection counts.
+    ``sampler`` overrides the square-root factor, a (k, m) matrix, used to
+    generate the normal draws; passing a coupled factor reproduces the
+    pathwise change-of-variables identities exactly.  ``stats_out``, if
+    given, is filled with the proposal and rejection counts.
     """
     if f.k != sigma.k:
         raise ValueError(f"dimension mismatch: f has k={f.k}, Sigma is {sigma.k}x{sigma.k}")
-    if sampler is None:
-        sampler = factor(sigma)
+    root = factor(sigma) if sampler is None else np.asarray(sampler, dtype=float)
+    if root.ndim != 2 or root.shape[0] != sigma.k:
+        raise ValueError(f"factor must have shape ({sigma.k}, m), got {root.shape}")
     smat = sigma.sigma
+    out = np.empty(cfg.n)
 
-    n_batches = (cfg.n + cfg.batch_size - 1) // cfg.batch_size
-    sizes = [
-        min(cfg.batch_size, cfg.n - b * cfg.batch_size) for b in range(n_batches)
-    ]
-
-    def run_batch(b: int) -> tuple[np.ndarray, int, int]:
-        rng = make_generator(cfg.seed, b)
-        want = sizes[b]
-        out = np.empty(want)
-        filled = 0
-        proposed = 0
-        rounds = 0
-        while filled < want:
+    def run_batch(i: int) -> int:
+        """Fill batch i's slice of ``out``; returns its proposal count."""
+        rng = make_generator(cfg.seed, i)
+        part = out[i * _BATCH : (i + 1) * _BATCH]
+        filled = proposed = rounds = 0
+        while filled < part.size:
             rounds += 1
             if rounds > 100:
                 raise DegenerateSamplingError(
                     "denominator guard rejected draws for 100 consecutive rounds; "
                     "the polynomial is degenerate on the support of Sigma"
                 )
-            need = want - filled
-            z = rng.standard_normal((need, sampler.m))
-            x = z @ sampler.factor_b.T
+            need = part.size - filled
+            x = rng.standard_normal((need, root.shape[1])) @ root.T
             num, den = _wald_terms(f, smat, x)
             good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
             den = den[good]
-            np.divide(num[good] if np.ndim(num) else num, den, out=out[filled : filled + den.size])
+            np.divide(num[good] if np.ndim(num) else num, den, out=part[filled : filled + den.size])
             proposed += need
             filled += den.size
-        return out, proposed, proposed - want
+        return proposed
 
+    n_batches = -(-cfg.n // _BATCH)
+    # One batch or one thread stays on the calling thread: a pool thread
+    # takes its own malloc arena, which costs peak memory for no speedup.
     if cfg.threads > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_batch, range(n_batches)))
+            proposed = sum(pool.map(run_batch, range(n_batches)))
     else:
-        results = [run_batch(b) for b in range(n_batches)]
-
-    parts = [r[0] for r in results]
-    proposed = sum(r[1] for r in results)
-    rejected = sum(r[2] for r in results)
+        proposed = sum(map(run_batch, range(n_batches)))
+    rejected = proposed - cfg.n
     if stats_out is not None:
         stats_out.update({"proposed": proposed, "rejected": rejected})
     if rejected > 0.01 * proposed:
@@ -133,7 +127,7 @@ def sample_wald(
             f"rejection rate {rejected / proposed:.2%} exceeds 1%; "
             "f and Sigma form a degenerate pairing"
         )
-    return EmpiricalDistribution.from_samples(np.concatenate(parts))
+    return EmpiricalDistribution.from_samples(out)
 
 
 def ks_distance(emp: EmpiricalDistribution, law) -> float:

@@ -194,16 +194,7 @@ def _erfcx_kernel(z, _=None):
 
 def _erfc_kernel(z, z2):
     out = _erfcx_kernel(z)
-    if z2 is None:
-        # z = hi + lo with hi of 26 bits: hi^2 is exact and z^2 - hi^2 =
-        # lo * (z + hi); exp(-28^2) is already 0
-        z = np.minimum(z, 28.0)
-        c = z * 134217729.0  # 2^27 + 1
-        hi = c - (c - z)
-        out *= np.exp(-hi * hi)
-        out *= np.exp(-(z - hi) * (z + hi))
-    else:
-        out *= np.exp(-z2)
+    out *= np.exp(-z2)
     return out
 
 
@@ -212,11 +203,10 @@ def _erf_kernel(z, z2):
     small = z < _ERF_TAYLOR_MAX
     big = np.flatnonzero(~small)  # NaN goes here and stays NaN
     if big.size:
-        out[big] = 1.0 - _erfc_kernel(z[big], None if z2 is None else z2[big])
+        out[big] = 1.0 - _erfc_kernel(z[big], z2[big])
     small = np.flatnonzero(small)
     if small.size:
-        zs = z[small]
-        s2 = zs * zs if z2 is None else z2[small]
+        zs, s2 = z[small], z2[small]
         acc = np.full_like(zs, _ERF_TAYLOR[-1])
         for c in _ERF_TAYLOR[-2::-1]:
             acc *= s2
@@ -230,14 +220,14 @@ def _erfcx(z):
     return _blockwise(_erfcx_kernel, z)
 
 
-def _erfc(z, z2=None):
-    """erfc(z) for z >= 0; ``z2`` is z^2 where the caller has it exactly,
-    otherwise z is split so that z^2 is exact."""
+def _erfc(z, z2):
+    """erfc(z) for z >= 0 from z and its square ``z2``, which the caller
+    holds more exactly than the square of a rounded z."""
     return _blockwise(_erfc_kernel, z, z2)
 
 
-def _erf(z, z2=None):
-    """erf(z) for z >= 0; ``z2`` is z^2 where the caller has it exactly."""
+def _erf(z, z2):
+    """erf(z) for z >= 0 from z and its square ``z2``."""
     return _blockwise(_erf_kernel, z, z2)
 
 

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .classify import classify, sample_canonical
-from .gaussian import MvnSampler, factor, make_generator, validate_covariance
+from .gaussian import factor, make_generator, validate_covariance
 from .laws import (
     EmpiricalDistribution,
     FoldedBetaProduct,
@@ -125,8 +125,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _mvn_draws(sigma: np.ndarray, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    cov = validate_covariance(sigma)
-    return factor(cov).sample(n, seed, stream)
+    b = factor(validate_covariance(sigma))
+    return make_generator(seed, stream).standard_normal((n, b.shape[1])) @ b.T
 
 
 def _weights(p) -> np.ndarray:
@@ -429,8 +429,7 @@ def verify_pathwise_invariance(n: int, seed: int) -> list[VerificationResult]:
     rng = make_generator(derive_seed(seed, 13), 0)
     b = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     b_inv = np.linalg.inv(b)
-    base_factor = factor(sigma).factor_b
-    coupled = MvnSampler.from_factor(b_inv @ base_factor)
+    coupled = b_inv @ factor(sigma)
     sigma_t = validate_covariance(b_inv @ sigma.sigma @ b_inv.T)
     transformed = sample_wald(f.compose_linear(b), sigma_t, cfg, sampler=coupled)
     rel = np.abs(transformed.values - base.values) / np.maximum(base.values, 1e-30)
@@ -609,33 +608,24 @@ def _simulate_tetrad_stats(
 
 
 def verify_tetrad_convergence(
-    theta_true,
-    n_data: int,
-    replicates: int,
-    seed: int,
-    singular: bool = True,
-    name: str = "tetrad-statistic-convergence",
+    theta_true, n_data: int, replicates: int, seed: int
 ) -> VerificationResult:
     """Finite-sample tetrad Wald statistics against their claimed limit.
 
-    At a block-diagonal truth the limit is the tetrad singular law; at a
-    regular null point it is chi-square-1.  Both are compared by a one-sample
-    KS distance to the closed-form CDF.  The threshold is loose (0.03)
-    because the limit is asymptotic and n_data leaves O(n^-1/2) law error.
+    At a block-diagonal truth (theta[:2, 2:] = 0) the limit is the tetrad
+    singular law; at any other null point it is chi-square-1.  Both are
+    compared by a one-sample KS distance to the closed-form CDF.  The
+    threshold is loose (0.03) because the limit is asymptotic and n_data
+    leaves O(n^-1/2) law error.
     """
     theta_true = np.asarray(theta_true, dtype=float)
-    if singular:
-        off = np.abs(theta_true[:2, 2:]).max()
-        if off != 0.0:
-            raise ValueError("singular case requires a block-diagonal truth")
     t_stats = _simulate_tetrad_stats(theta_true, n_data, replicates, derive_seed(seed, 23))
     emp = EmpiricalDistribution.from_samples(t_stats)
-    if singular:
-        law = TetradSingular()
-        detail = f"block-diagonal truth, n_data={n_data}, replicates={replicates}"
+    if np.any(theta_true[:2, 2:]):
+        name, truth, law = "tetrad-regular-convergence", "regular", ScaledChiSquare(1.0, 1)
     else:
-        law = ScaledChiSquare(scale=1.0, df=1)
-        detail = f"regular truth, n_data={n_data}, replicates={replicates}"
+        name, truth, law = "tetrad-statistic-convergence", "block-diagonal", TetradSingular()
+    detail = f"{truth} truth, n_data={n_data}, replicates={replicates}"
     # 0.03 is calibrated for 5000 replicates of the exact Wishart draw, where
     # the one-sample KS reads about 0.01-0.02; widen with the noise floor below.
     threshold = 0.03 * max(1.0, np.sqrt(5000.0 / replicates))
@@ -840,17 +830,8 @@ def _check_tetrad_convergence(n, seed):
     regular = np.eye(4)
     regular[0, 2] = regular[2, 0] = 0.5
     return [
-        verify_tetrad_convergence(
-            theta, 5000, replicates, derive_seed(seed, 41), singular=True
-        ),
-        verify_tetrad_convergence(
-            regular,
-            5000,
-            replicates,
-            derive_seed(seed, 42),
-            singular=False,
-            name="tetrad-regular-convergence",
-        ),
+        verify_tetrad_convergence(theta, 5000, replicates, derive_seed(seed, 41)),
+        verify_tetrad_convergence(regular, 5000, replicates, derive_seed(seed, 42)),
     ]
 
 

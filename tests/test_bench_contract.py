@@ -1,21 +1,45 @@
 """The benchmark tracer wraps package functions by name; every name it
 patches must keep resolving, or ``bench/run.py --trace 1`` breaks."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
 
 
 def test_tracer_install_resolves_every_patched_name():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import tracer; tracer.install(tracer.Recorder())"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_probe_library_calls_run(tmp_path):
+    # bench/probe.py times setup_s and the thread speedup through
+    # sampler.factor, WaldSampleConfig(n, seed, threads) and sample_wald
+    poly = tmp_path / "xy.poly"
+    poly.write_text("1 1 1\n")
+    sigma = tmp_path / "s.mat"
+    sigma.write_text("2\n1 0.5\n0.5 1\n")
+    csv = tmp_path / "d.csv"
+    csv.write_text("a,b,c,d\n" + "".join(f"{i},{i * i % 7},{i % 3},{i % 5}\n" for i in range(20)))
+    probe = str(ROOT / "bench" / "probe.py")
+    runs = [
+        [probe, "setup", f"poly={poly}", f"sigma={sigma}", f"csv={csv}"],
+        [probe, "speedup", str(poly), str(sigma), "2000", "2", "1"],
+    ]
+    outs = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, *argv], env=ENV, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert set(json.loads(outs[1])) == {"t1", "tn"}
 
 
 def test_every_law_keeps_the_traced_quantile():

@@ -100,6 +100,20 @@ class TestCdf:
         assert run(["cdf", "gauss:1", "--grid", "0:1:1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field", [
+        ("mix2:0.25:nan", "w2"),
+        ("mix2:inf:0.2", "w1"),
+        ("mix2:nan:0.2", "w1"),
+        ("scaled-chisq:nan:1", "scale"),
+        ("scaled-chisq:inf:1", "scale"),
+    ])
+    def test_non_finite_law_parameter_rejected(self, spec, field, capsys):
+        assert run(["cdf", spec, "--grid", "0:1:0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad law spec" in captured.err
+        assert field in captured.err
+
     @pytest.mark.parametrize("grid, message", [
         ("0:inf:1", "grid stop must be finite"),
         ("0:nan:1", "grid stop must be finite"),

@@ -3,7 +3,6 @@ import pytest
 
 from singwald.errors import ParseError
 from singwald.gaussian import (
-    MvnSampler,
     eigenvalues_of_product,
     factor,
     make_generator,
@@ -11,6 +10,7 @@ from singwald.gaussian import (
     validate_covariance,
 )
 from singwald.poly import QuadraticForm
+from singwald.verify import _mvn_draws
 
 
 class TestValidateCovariance:
@@ -43,67 +43,68 @@ class TestValidateCovariance:
         with pytest.raises(ValueError, match="square"):
             validate_covariance(np.ones((2, 3)))
 
+    def test_rank_is_the_factor_column_count(self):
+        # a fourth eigenvalue at the rank threshold: one eigendecomposition
+        # decides both the rank and the factor's columns
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            tiny = 1e-10 * (1.0 + rng.uniform(-1e-6, 1e-6))
+            cov = validate_covariance(q @ np.diag([1.0, 0.5, 0.3, tiny]) @ q.T)
+            assert cov.rank == factor(cov).shape[1]
+            assert factor(cov) is factor(cov)
+
 
 class TestFactor:
     def test_diagonal(self):
-        s = factor(validate_covariance(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(s.factor_b @ s.factor_b.T, np.diag([4.0, 9.0]))
+        b = factor(validate_covariance(np.diag([4.0, 9.0])))
+        np.testing.assert_allclose(b @ b.T, np.diag([4.0, 9.0]))
 
     def test_correlated_reconstruction(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        s = factor(validate_covariance(sigma))
-        assert np.abs(s.factor_b @ s.factor_b.T - sigma).max() < 1e-12
+        b = factor(validate_covariance(sigma))
+        assert np.abs(b @ b.T - sigma).max() < 1e-12
 
     def test_rank_one_gives_single_column(self):
-        s = factor(validate_covariance([[1.0, 1.0], [1.0, 1.0]]))
-        assert s.factor_b.shape == (2, 1)
-        np.testing.assert_allclose(np.abs(s.factor_b[:, 0]), [1.0, 1.0])
+        b = factor(validate_covariance([[1.0, 1.0], [1.0, 1.0]]))
+        assert b.shape == (2, 1)
+        assert not b.flags.writeable
+        np.testing.assert_allclose(np.abs(b[:, 0]), [1.0, 1.0])
 
 
 class TestSampling:
     def test_moments_identity(self):
-        s = factor(validate_covariance(np.eye(2)))
-        x = s.sample(10**6, 7)
+        x = _mvn_draws(np.eye(2), 10**6, 7)
         assert np.abs(x.mean(axis=0)).max() < 0.005
         assert np.abs(x.var(axis=0) - 1.0).max() < 0.01
 
     def test_correlation(self):
-        sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
-        s = factor(validate_covariance(sigma))
-        x = s.sample(10**6, 8)
+        x = _mvn_draws(np.array([[1.0, 0.9], [0.9, 1.0]]), 10**6, 8)
         assert abs(np.corrcoef(x.T)[0, 1] - 0.9) < 0.005
 
     def test_bitwise_determinism(self):
-        s = factor(validate_covariance(np.eye(3)))
-        a = s.sample(5000, 123)
-        b = s.sample(5000, 123)
+        a = _mvn_draws(np.eye(3), 5000, 123)
+        b = _mvn_draws(np.eye(3), 5000, 123)
         assert a.tobytes() == b.tobytes()
 
     def test_disjoint_seeds_uncorrelated(self):
-        s = factor(validate_covariance(np.eye(1)))
         n = 200_000
-        a = s.sample(n, 1)[:, 0]
-        b = s.sample(n, 2)[:, 0]
+        a = _mvn_draws(np.eye(1), n, 1)[:, 0]
+        b = _mvn_draws(np.eye(1), n, 2)[:, 0]
         assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
 
     def test_stream_index_changes_draws(self):
-        s = factor(validate_covariance(np.eye(1)))
-        assert not np.array_equal(s.sample(100, 5, stream=0), s.sample(100, 5, stream=1))
+        a = _mvn_draws(np.eye(1), 100, 5, stream=0)
+        assert not np.array_equal(a, _mvn_draws(np.eye(1), 100, 5, stream=1))
 
     def test_rank_deficient_stays_on_support(self):
-        s = factor(validate_covariance([[1.0, 1.0], [1.0, 1.0]]))
-        x = s.sample(1000, 3)
+        x = _mvn_draws(np.array([[1.0, 1.0], [1.0, 1.0]]), 1000, 3)
         np.testing.assert_allclose(x[:, 0], x[:, 1], rtol=1e-12)
 
     def test_make_generator_matches_philox_key(self):
         g = make_generator(42, 0)
         ref = np.random.Generator(np.random.Philox(key=[42, 0]))
         assert np.array_equal(g.standard_normal(16), ref.standard_normal(16))
-
-    def test_n_must_be_positive(self):
-        s = factor(validate_covariance(np.eye(1)))
-        with pytest.raises(ValueError):
-            s.sample(0, 1)
 
 
 class TestEigenvaluesOfProduct:
@@ -200,7 +201,7 @@ def test_sampler_from_factor_couples_pathwise():
     sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
     base = factor(validate_covariance(sigma))
     m = np.array([[1.0, 1.0], [0.0, 2.0]])
-    coupled = MvnSampler.from_factor(m @ base.factor_b)
-    x = base.sample(500, 11)
-    y = coupled.sample(500, 11)
+    coupled = m @ base
+    x = make_generator(11).standard_normal((500, 2)) @ base.T
+    y = make_generator(11).standard_normal((500, 2)) @ coupled.T
     np.testing.assert_allclose(y, x @ m.T, rtol=1e-12, atol=1e-14)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from singwald.errors import DegenerateSamplingError
-from singwald.gaussian import MvnSampler, factor, validate_covariance
+from singwald import sampler
+from singwald.gaussian import factor, validate_covariance
 from singwald.laws import (
     EmpiricalDistribution,
     ScaledChiSquare,
@@ -60,7 +61,7 @@ class TestSampleWald:
         b = sample_wald(MonomialForm((1.0, 1.0)), cov2(0.5), cfg)
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_threads_do_not_change_output(self, quartic):
+    def test_threads_do_not_change_output(self, quartic, monkeypatch):
         sigma4 = validate_covariance(np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4)))
         cases = (
             (MonomialForm((1.0, 1.0)), cov2(0.2), 40_000, 4096),
@@ -69,17 +70,19 @@ class TestSampleWald:
             (quartic, sigma4, 100_000, 40_000),
         )
         for f, sigma, n, batch in cases:
-            a = sample_wald(f, sigma, WaldSampleConfig(n=n, seed=8, batch_size=batch))
+            monkeypatch.setattr(sampler, "_BATCH", batch)
+            a = sample_wald(f, sigma, WaldSampleConfig(n=n, seed=8))
             for threads in (2, 4):
-                cfg = WaldSampleConfig(n=n, seed=8, batch_size=batch, threads=threads)
-                b = sample_wald(f, sigma, cfg)
+                b = sample_wald(f, sigma, WaldSampleConfig(n=n, seed=8, threads=threads))
                 assert a.values.tobytes() == b.values.tobytes(), (f, threads)
 
-    def test_batch_size_partitions_streams(self):
+    def test_batch_size_partitions_streams(self, monkeypatch):
         # one batch vs many batches differ in draws but not in law
         f = MonomialForm((1.0, 1.0))
-        a = sample_wald(f, cov2(0.0), WaldSampleConfig(n=2 * 10**5, seed=9, batch_size=2 * 10**5))
-        b = sample_wald(f, cov2(0.0), WaldSampleConfig(n=2 * 10**5, seed=9, batch_size=10**4))
+        cfg = WaldSampleConfig(n=2 * 10**5, seed=9)
+        a = sample_wald(f, cov2(0.0), cfg)
+        monkeypatch.setattr(sampler, "_BATCH", 10**4)
+        b = sample_wald(f, cov2(0.0), cfg)
         assert not np.array_equal(a.values, b.values)
         assert two_sample_ks(a, b) < 3.0 / np.sqrt(10**5)
 
@@ -88,6 +91,12 @@ class TestSampleWald:
             sample_wald(
                 MonomialForm((1.0, 1.0, 1.0)), cov2(0.1), WaldSampleConfig(n=100, seed=1)
             )
+
+    def test_factor_shape_checked(self):
+        f = MonomialForm((1.0, 1.0))
+        for bad in (np.ones(2), np.ones((3, 2))):
+            with pytest.raises(ValueError, match="factor must have shape"):
+                sample_wald(f, cov2(0.1), WaldSampleConfig(n=100, seed=1), sampler=bad)
 
     def test_rejection_stats_exposed(self):
         stats_out = {}
@@ -156,7 +165,7 @@ class TestPathwiseInvariance:
         b_inv = np.linalg.inv(b)
         cfg = WaldSampleConfig(n=3000, seed=16)
         base = sample_wald(f, sigma, cfg)
-        coupled = MvnSampler.from_factor(b_inv @ factor(sigma).factor_b)
+        coupled = b_inv @ factor(sigma)
         sigma_t = validate_covariance(b_inv @ sigma.sigma @ b_inv.T)
         moved = sample_wald(f.compose_linear(b), sigma_t, cfg, sampler=coupled)
         np.testing.assert_allclose(moved.values, base.values, rtol=1e-8)

@@ -239,24 +239,20 @@ class TestTetradChecks:
                 [np.zeros((2, 2)), np.eye(2)],
             ]
         )
-        r = verify_tetrad_convergence(theta, 2000, 1000, 69, singular=True)
+        r = verify_tetrad_convergence(theta, 2000, 1000, 69)
+        assert r.name == "tetrad-statistic-convergence"
         assert r.passed, (r.statistic, r.threshold)
 
     def test_convergence_identity_truth(self):
         # the limit does not depend on the block-diagonal truth at all
-        r = verify_tetrad_convergence(np.eye(4), 2000, 1000, 70, singular=True)
+        r = verify_tetrad_convergence(np.eye(4), 2000, 1000, 70)
         assert r.passed, (r.statistic, r.threshold)
-
-    def test_singular_requires_block_diagonal(self):
-        theta = np.eye(4)
-        theta[0, 2] = theta[2, 0] = 0.5
-        with pytest.raises(ValueError):
-            verify_tetrad_convergence(theta, 1000, 100, 1, singular=True)
 
     def test_regular_truth_matches_chi2(self):
         theta = np.eye(4)
         theta[0, 2] = theta[2, 0] = 0.5
-        r = verify_tetrad_convergence(theta, 2000, 1000, 70, singular=False)
+        r = verify_tetrad_convergence(theta, 2000, 1000, 70)
+        assert r.name == "tetrad-regular-convergence"
         assert r.passed, (r.statistic, r.threshold)
 
 
