@@ -158,21 +158,19 @@ def sample_canonical(lams, n: int, seed: int) -> EmpiricalDistribution:
     return EmpiricalDistribution.from_samples(num / den)
 
 
-def k_alpha(alpha: float, strict: bool = False) -> int:
+def k_alpha(alpha: float) -> int:
     """Largest degrees of freedom k whose quarter chi-square stays below the
     level-alpha chi-square-1 critical value with small exceedance.
 
     The exceedance cap is ``max(alpha, 0.05)``, which reproduces the
     conventional conservativeness table (7, 11, 16, 20, 29) at
-    alpha = (0.05, 0.025, 0.01, 0.005, 0.001).  With ``strict=True`` the cap
-    is alpha itself, guaranteeing P(chi2_k/4 > c_alpha) <= alpha; that rule
-    yields the smaller values (7, 9, 12, 14, 18) on the same grid.
+    alpha = (0.05, 0.025, 0.01, 0.005, 0.001).
 
     Computed by exact CDF evaluation and an integer search.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
-    cap = alpha if strict else max(alpha, 0.05)
+    cap = max(alpha, 0.05)
     # c_alpha: (1 - alpha) quantile of chi-square-1
     c_alpha = ScaledChiSquare(1.0, 1).quantile(1.0 - alpha)
     k = 0

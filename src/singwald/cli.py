@@ -4,7 +4,8 @@ Subcommands: sample, cdf, quantile, classify, tetrad-test, verify, moments.
 All output is plain TSV/CSV text so results feed scripts and plotting tools
 directly; the seed and version are logged to stderr so the data channel
 stays byte-stable.  Exit codes: 0 success, 1 failed theorem-tier
-verification, 2 usage or input error.
+verification, 2 usage or input error, or a request that cannot be
+allocated or does not converge.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .classify import classify
-from .errors import WaldError
 from .gaussian import load_matrix, validate_covariance
 from .laws import parse_law
 from .poly import load_polynomial
@@ -29,7 +29,7 @@ from .tetrad import (
     wald_tetrad_test,
     zero_variance_columns,
 )
-from .verify import format_report, run_suite
+from .verify import format_report, moment_invariance_check, run_suite
 
 
 def _default_seed() -> int:
@@ -190,7 +190,7 @@ def run(argv=None) -> int:
     try:
         out, close = _open_out(args.out)
         return _dispatch(args, seed, threads, out)
-    except (WaldError, ValueError, OSError) as exc:
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -292,8 +292,6 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         return 1 if failed else 0
 
     if args.command == "moments":
-        from .verify import moment_invariance_check
-
         phis = [float(tok) for tok in args.phi.split(",")]
         ms = [int(tok) for tok in args.m.split(",")]
         table = moment_invariance_check(args.sigma, phis, ms)

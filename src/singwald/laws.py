@@ -144,7 +144,6 @@ class EmpiricalDistribution:
     """Sorted Monte Carlo sample with step-CDF utilities."""
 
     values: np.ndarray = field(repr=False)
-    n: int
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalDistribution":
@@ -154,7 +153,11 @@ class EmpiricalDistribution:
         if not np.all(np.isfinite(values)):
             raise ValueError("samples contain non-finite values")
         values.flags.writeable = False
-        return cls(values=values, n=values.size)
+        return cls(values=values)
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)

@@ -24,9 +24,10 @@ erfcx
     mpmath.  The kernel sums the same polynomial in the power basis of u by
     Horner's rule, in blocks.
 erfc, erf
-    erfc(z) = erfcx(z) * exp(-z^2).  A caller that holds z^2 exactly (the
-    chi-square-1 tail has z^2 = x/2) passes it; otherwise z is split so
-    that z^2 is exact.  erf(z) = 1 - erfc(z) for z >= 1/2 and its Taylor
+    erfc(z) = erfcx(z) * exp(-z^2).  Every caller passes z^2 beside z,
+    formed from the quantity it holds rather than by squaring a rounded z:
+    the chi-square-1 tail passes x/2, and ``stable_cdf`` passes
+    alpha^2/(2x).  erf(z) = 1 - erfc(z) for z >= 1/2 and its Taylor
     series below, which keeps full relative accuracy at small z.
 P and Q
     On the side where the value is small, each is a sum of positive terms:

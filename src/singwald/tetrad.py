@@ -60,7 +60,6 @@ class DataMatrix:
     """n observations of p >= 4 jointly measured variables."""
 
     values: np.ndarray
-    columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -73,8 +72,6 @@ class DataMatrix:
             raise ValueError(f"need at least p + 1 = {p + 1} rows, got {n}")
         if not np.all(np.isfinite(values)):
             raise ValueError("data contains non-finite entries")
-        if self.columns is not None and len(self.columns) != p:
-            raise ValueError("column name count does not match data width")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -232,8 +229,6 @@ def wald_tetrad_test(data: DataMatrix, idx: TetradIndex) -> WaldReport:
         raise ValueError(
             f"tetrad indices {idx} out of range for p={data.p} columns"
         )
-    if data.n <= 4:
-        raise ValueError("need more than 4 observations")
     res = tetrad_wald(
         empirical_covariance(data), data.n, [(idx.i, idx.j, idx.k, idx.l)]
     )
@@ -288,19 +283,16 @@ def load_data_csv(path) -> DataMatrix:
     """Read a CSV data matrix; a non-numeric first row is taken as a header."""
     path = str(path)
     rows: list[list[float]] = []
-    columns: tuple[str, ...] | None = None
     width = None
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not tok.strip() for tok in row):
                 continue
             row = [tok.strip() for tok in row]
-            if width is None and _looks_like_header(row):
-                columns = tuple(row)
-                width = len(row)
-                continue
             if width is None:
                 width = len(row)
+                if _looks_like_header(row):
+                    continue
             if len(row) != width:
                 raise ParseError(
                     f"row has {len(row)} fields, expected {width}", path, lineno
@@ -312,6 +304,6 @@ def load_data_csv(path) -> DataMatrix:
     if not rows:
         raise ParseError("no data rows found", path)
     try:
-        return DataMatrix(values=np.array(rows), columns=columns)
+        return DataMatrix(values=np.array(rows))
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc

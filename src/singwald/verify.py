@@ -75,7 +75,6 @@ class VerificationResult:
     threshold: float
     n_used: int
     seed: int
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -100,19 +99,17 @@ def _evidence_threshold(n: int) -> float:
     return 5.0 / np.sqrt(n)
 
 
-def _ks_result(
-    name: str, tier: str, stat: float, n: int, seed: int, detail: str = ""
-) -> VerificationResult:
+def _ks_result(name: str, tier: str, stat: float, n: int, seed: int) -> VerificationResult:
     """A KS row: theorem rows gate at ks_threshold, evidence rows at
     _evidence_threshold."""
     thresh = ks_threshold(n) if tier == "theorem" else _evidence_threshold(n)
-    return VerificationResult(name, tier, stat, thresh, n, seed, detail)
+    return VerificationResult(name, tier, stat, thresh, n, seed)
 
 
-def _gap_result(name: str, gap: float, n: int, seed: int, detail: str) -> VerificationResult:
+def _gap_result(name: str, gap: float, n: int, seed: int) -> VerificationResult:
     """A row that passes when a KS distance exceeds 0.01; the statistic and
     threshold are negated so that passing stays statistic <= threshold."""
-    return VerificationResult(name, "theorem", -gap, -0.01, n, seed, detail)
+    return VerificationResult(name, "theorem", -gap, -0.01, n, seed)
 
 
 _MASK = (1 << 64) - 1
@@ -146,22 +143,19 @@ def verify_monomial_theorem(
     """Bivariate power product: Wald ratio is chi-square-1 over degree^2."""
     if m.k != 2:
         raise ValueError("theorem check requires exactly two variables")
-    return _monomial_result(m, sigma, n, seed, name, "theorem", f"exponents={m.exponents}")
+    return _monomial_result(m, sigma, n, seed, name, "theorem")
 
 
 def verify_conjecture_monomial(m: MonomialForm, sigma, n: int, seed: int) -> VerificationResult:
     """Same law in dimension >= 3: open conjecture, evidence only."""
     if m.k < 3:
         raise ValueError("conjecture regime starts at three variables")
-    return _monomial_result(
-        m, sigma, n, seed, "monomial-law-evidence", "conjecture",
-        f"k={m.k} evidence, not a theorem",
-    )
+    return _monomial_result(m, sigma, n, seed, "monomial-law-evidence", "conjecture")
 
 
-def _monomial_result(m, sigma, n, seed, name, tier, detail) -> VerificationResult:
+def _monomial_result(m, sigma, n, seed, name, tier) -> VerificationResult:
     emp = sample_wald(m, validate_covariance(sigma), WaldSampleConfig(n=n, seed=seed))
-    return _ks_result(name, tier, ks_distance(emp, monomial_law(m)), n, seed, detail)
+    return _ks_result(name, tier, ks_distance(emp, monomial_law(m)), n, seed)
 
 
 def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
@@ -182,7 +176,7 @@ def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
     return _ks_result(
         "weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence",
         "theorem" if k <= 2 else "conjecture",
-        stat, n, seed, f"k={k} weights={tuple(p)}",
+        stat, n, seed,
     )
 
 
@@ -199,7 +193,7 @@ def verify_reciprocal(p, sigma, n: int, seed: int) -> VerificationResult:
     tier = "theorem" if (p.size <= 2 or diagonal) else "conjecture"
     return _ks_result(
         "reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence",
-        tier, stat, n, seed, f"k={p.size}",
+        tier, stat, n, seed,
     )
 
 
@@ -225,16 +219,13 @@ def counterexample_negative_weights(
             threshold=0.02,
             n_used=n,
             seed=seed,
-            detail=f"target mean {expected:.6g}",
         )
     ]
     if rho == 0.8:
+        # the gap row passes when the distance exceeds 0.01: its statistic is negated
         emp = EmpiricalDistribution.from_samples(q)
         gap = ks_distance(emp, ScaledChiSquare(scale=1.0, df=1))
-        results.append(_gap_result(
-            "negative-weight-law-gap", gap, n, seed,
-            "distance to chi-square-1 must exceed 0.01; statistic is its negation",
-        ))
+        results.append(_gap_result("negative-weight-law-gap", gap, n, seed))
     return results
 
 
@@ -338,7 +329,6 @@ def _moment_invariance_results(n: int, seed: int) -> list[VerificationResult]:
             threshold=1e-8,
             n_used=len(phis) * len(ms) * 3,
             seed=seed,
-            detail="max moment spread across phi",
         )
     ]
     # Cross-check the quadrature against the sampler through the doubled
@@ -358,7 +348,6 @@ def _moment_invariance_results(n: int, seed: int) -> list[VerificationResult]:
             threshold=max(0.01, 8.0 / np.sqrt(n)),
             n_used=n,
             seed=seed,
-            detail=f"sampler mean vs quadrature mean {mean_quad:.8g}",
         )
     )
     return results
@@ -378,10 +367,8 @@ def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
     )
     if c >= 0:
         return _ks_result(f"trig-equidistribution-c{c:g}", "theorem", gap, n, seed)
-    return _gap_result(
-        "trig-negative-weight-gap", gap, n, seed,
-        f"c={c}: distance must exceed 0.01; statistic is its negation",
-    )
+    # the gap row passes when the distance exceeds 0.01: its statistic is negated
+    return _gap_result("trig-negative-weight-gap", gap, n, seed)
 
 
 def verify_beta_representation(
@@ -414,6 +401,7 @@ def verify_pathwise_invariance(n: int, seed: int) -> list[VerificationResult]:
     cfg = WaldSampleConfig(n=max(n // 10, 100), seed=seed)
     base = sample_wald(f, sigma, cfg)
     scaled = sample_wald(f.scale(2.0), sigma, cfg)
+    # a power-of-two scaling leaves every draw bitwise identical: threshold 0
     stat_scale = float(np.abs(base.values - scaled.values).max())
     results = [
         VerificationResult(
@@ -423,7 +411,6 @@ def verify_pathwise_invariance(n: int, seed: int) -> list[VerificationResult]:
             threshold=0.0,
             n_used=cfg.n,
             seed=seed,
-            detail="power-of-two coefficient scaling, bitwise identical draws",
         )
     ]
     rng = make_generator(derive_seed(seed, 13), 0)
@@ -441,7 +428,6 @@ def verify_pathwise_invariance(n: int, seed: int) -> list[VerificationResult]:
             threshold=1e-8,
             n_used=cfg.n,
             seed=seed,
-            detail="factor-coupled change of variables",
         )
     )
     return results
@@ -483,7 +469,6 @@ def verify_tetrad_kronecker(n: int, seed: int) -> list[VerificationResult]:
             threshold=0.0,
             n_used=n_pairs,
             seed=seed,
-            detail=f"{n_pairs} random positive definite block pairs",
         )
     ]
     s1 = _random_pd_2x2(rng)
@@ -507,8 +492,8 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
     m_emp = max(n // 4, 10_000)
     slack = max(0.005, 3.0 / np.sqrt(m_emp))
 
-    def envelope(name: str, worst: float, detail: str) -> VerificationResult:
-        return VerificationResult(name, "theorem", float(worst), slack, m_emp, seed, detail)
+    def envelope(name: str, worst: float) -> VerificationResult:
+        return VerificationResult(name, "theorem", float(worst), slack, m_emp, seed)
 
     def worst_below_quarter_chi1(spectra, base: int) -> float:
         grid = np.linspace(0.0, 12.0, 400)
@@ -530,23 +515,18 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
         upper = ScaledChiSquare(scale=0.25, df=k)
         grid = np.linspace(0.0, upper.quantile(0.9995), 400)
         worst_upper = max(worst_upper, dominance_check(emp, upper, grid))
-    results = [
-        envelope(
-            "upper-envelope-quarter-chisq", worst_upper, f"{n_spectra} random spectra, k <= 6"
-        )
-    ]
+    results = [envelope("upper-envelope-quarter-chisq", worst_upper)]
 
+    # A constant spectrum attains the quarter chi-square envelope.
     emp = sample_canonical(np.ones(3), n, derive_seed(seed, 20))
     results.append(_ks_result(
         "upper-envelope-equality-case", "theorem",
         ks_distance(emp, ScaledChiSquare(scale=0.25, df=3)), n, seed,
-        "constant spectrum attains the quarter chi-square envelope",
     ))
 
     one_signed = [np.array([1.0, 0.5, 0.1]), np.array([1.0, 1.0, 0.25, 0.02])]
     results.append(envelope(
         "lower-envelope-one-signed", worst_below_quarter_chi1(one_signed, 200),
-        "nonnegative spectra dominate quarter chi-square-1",
     ))
     balanced = [
         np.concatenate([np.ones(k1), -np.ones(k2)])
@@ -554,7 +534,6 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
     ]
     results.append(envelope(
         "lower-envelope-balanced", worst_below_quarter_chi1(balanced, 300),
-        "signed unit spectra dominate quarter chi-square-1",
     ))
 
     grid = np.linspace(0.0, 50.0, 2001)
@@ -566,7 +545,6 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
             threshold=1e-9,
             n_used=grid.size,
             seed=seed,
-            detail="closed-form CDF comparison on [0, 50]",
         )
     )
     return results
@@ -622,10 +600,9 @@ def verify_tetrad_convergence(
     t_stats = _simulate_tetrad_stats(theta_true, n_data, replicates, derive_seed(seed, 23))
     emp = EmpiricalDistribution.from_samples(t_stats)
     if np.any(theta_true[:2, 2:]):
-        name, truth, law = "tetrad-regular-convergence", "regular", ScaledChiSquare(1.0, 1)
+        name, law = "tetrad-regular-convergence", ScaledChiSquare(1.0, 1)
     else:
-        name, truth, law = "tetrad-statistic-convergence", "block-diagonal", TetradSingular()
-    detail = f"{truth} truth, n_data={n_data}, replicates={replicates}"
+        name, law = "tetrad-statistic-convergence", TetradSingular()
     # 0.03 is calibrated for 5000 replicates of the exact Wishart draw, where
     # the one-sample KS reads about 0.01-0.02; widen with the noise floor below.
     threshold = 0.03 * max(1.0, np.sqrt(5000.0 / replicates))
@@ -636,7 +613,6 @@ def verify_tetrad_convergence(
         threshold=threshold,
         n_used=replicates,
         seed=seed,
-        detail=detail,
     )
 
 
@@ -656,10 +632,8 @@ def _stable_results(n: int, seed: int) -> list[VerificationResult]:
     )
     return [
         _ks_result("stable-first-passage-law", "theorem", stat_law, n, seed),
-        _ks_result(
-            "stable-convolution", "theorem", _stable_ks(total, a + b), n, seed,
-            "index-half parameters add under convolution",
-        ),
+        # Index-half parameters add under convolution.
+        _ks_result("stable-convolution", "theorem", _stable_ks(total, a + b), n, seed),
     ]
 
 
@@ -696,15 +670,11 @@ def _bivariate_quadratic_results(n: int, seed: int) -> list[VerificationResult]:
             a_def.to_polynomial(), sigma, WaldSampleConfig(n=n, seed=derive_seed(seed, 500 + i))
         )
         worst_mix = max(worst_mix, ks_distance(emp, cls.law))
+    # Factorable forms emit quarter chi-square-1, definite forms the
+    # two-component mixture.
     return [
-        _ks_result(
-            "bivariate-quadratic-split", "theorem", worst_split, n, seed,
-            f"{pairs} random factorable forms emit quarter chi-square-1",
-        ),
-        _ks_result(
-            "bivariate-quadratic-mixture", "theorem", worst_mix, n, seed,
-            f"{pairs} random definite forms emit the two-component mixture",
-        ),
+        _ks_result("bivariate-quadratic-split", "theorem", worst_split, n, seed),
+        _ks_result("bivariate-quadratic-mixture", "theorem", worst_mix, n, seed),
     ]
 
 

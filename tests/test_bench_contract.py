@@ -19,6 +19,29 @@ def test_tracer_install_resolves_every_patched_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_traced_verify_reaches_every_patched_check(tmp_path):
+    # a check the suite stops calling would read 0 in verify.check_s.<name>
+    from singwald import verify
+
+    checks = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, tracer; print(json.dumps(tracer.VERIFY_CHECKS))"],
+        env=ENV, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout)
+    assert len(checks) == 12
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans), "--seed", "7",
+         "--threads", "2", "verify", "--suite", "all", "--n", "20000"],
+        env=ENV, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    # each span is [sid, parent, name, tid, t0, t1, count, key]
+    names = [span[2] for span in json.loads(spans.read_text())]
+    for check in checks:
+        assert f"verify.check.{check}" in names, check
+    assert names.count("verify.entry") == len(verify._REGISTRY) == 16
+
+
 def test_probe_library_calls_run(tmp_path):
     # bench/probe.py times setup_s and the thread speedup through
     # sampler.factor, WaldSampleConfig(n, seed, threads) and sample_wald

@@ -285,16 +285,6 @@ class TestKAlpha:
         got = [k_alpha(a) for a in (0.05, 0.025, 0.01, 0.005, 0.001)]
         assert got == [7, 11, 16, 20, 29]
 
-    def test_strict_rule(self):
-        # with the exceedance capped at alpha itself the guarantee
-        # P(chi2_k/4 > c_alpha) <= alpha holds, at the cost of smaller k
-        got = [k_alpha(a, strict=True) for a in (0.05, 0.025, 0.01, 0.005, 0.001)]
-        assert got == [7, 9, 12, 14, 18]
-        for a, k in zip((0.05, 0.025, 0.01, 0.005, 0.001), got):
-            c = stats.chi2.ppf(1 - a, 1)
-            assert stats.chi2.sf(4 * c, k) <= a
-            assert stats.chi2.sf(4 * c, k + 1) > a
-
     def test_published_table_exceedance_is_capped_at_five_percent(self):
         # oracle view of what the published values satisfy
         for a, k in zip((0.025, 0.01, 0.005, 0.001), (11, 16, 20, 29)):

@@ -328,6 +328,24 @@ class TestVerify:
         assert float(first[2]) == pytest.approx(0.5, abs=1e-8)
 
 
+# Each request is exabytes in size or cannot converge, so it fails at once
+# without allocating; exit 1 is kept for a failed theorem-tier check.
+@pytest.mark.parametrize("argv", [
+    ("cdf", "tetrad", "--grid", "0:1e9:1e-9"),
+    ("quantile", "tetrad", "--grid", "0.1:0.9:1e-18"),
+    ("sample", "--poly", "{poly}", "--sigma", "{mat}", "--n", "1000000000000000000"),
+    ("moments", "--sigma", "1e-300"),
+    ("moments", "--sigma", "0.7", "--m", "400"),
+])
+def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys):
+    poly, mat = tetrad_files
+    assert run([tok.format(poly=poly, mat=mat) for tok in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

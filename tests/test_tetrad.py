@@ -537,13 +537,14 @@ class TestCsvLoading:
             ",".join(str(float(i + j)) for j in range(4)) for i in range(6)
         )
         data = self.load(tmp_path, text)
-        assert data.columns == ("a", "b", "c", "d")
         assert data.n == 6
+        assert data.values[0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_no_header(self, tmp_path):
         text = "\n".join("1,2,3,4" for _ in range(6))
         data = self.load(tmp_path, text + "\n")
-        assert data.columns is None
+        assert data.n == 6
+        assert data.values[0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_ragged_row_line_number(self, tmp_path):
         text = "1,2,3,4\n1,2,3\n"
