@@ -47,11 +47,9 @@ from .tetrad import (
     DataMatrix,
     TetradIndex,
     TetradWald,
-    WaldReport,
     asymptotic_v_normal,
     empirical_covariance,
     tetrad_wald,
-    wald_tetrad_scan,
     wald_tetrad_test,
 )
 from .verify import VerificationResult, coverage_manifest, run_suite
@@ -78,7 +76,6 @@ __all__ = [
     "TwoChiSquareMix",
     "VerificationResult",
     "WaldError",
-    "WaldReport",
     "WaldSampleConfig",
     "asymptotic_v_normal",
     "classify",
@@ -102,6 +99,5 @@ __all__ = [
     "tetrad_wald",
     "two_sample_ks",
     "validate_covariance",
-    "wald_tetrad_scan",
     "wald_tetrad_test",
 ]

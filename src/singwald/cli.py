@@ -5,7 +5,9 @@ All output is plain TSV/CSV text so results feed scripts and plotting tools
 directly; the seed and version are logged to stderr so the data channel
 stays byte-stable.  Exit codes: 0 success, 1 failed theorem-tier
 verification, 2 usage or input error, or a request that cannot be
-allocated or does not converge.
+allocated or does not converge.  argparse reports its own usage errors;
+every later error reaches :func:`run` as an exception and is printed there
+as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .sampler import WaldSampleConfig, sample_wald
 from .tetrad import (
     TetradIndex,
     load_data_csv,
-    wald_tetrad_scan,
+    tetrad_index_array,
     wald_tetrad_test,
     zero_variance_columns,
 )
@@ -34,28 +36,24 @@ from .verify import format_report, moment_invariance_check, run_suite
 
 def _default_seed() -> int:
     env = os.environ.get("WALD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"error: WALD_SEED must be an integer, got {env!r}", file=sys.stderr)
-            raise SystemExit(2) from None
-    return 42
+    if env is None:
+        return 42
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"WALD_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
-        print(f"error: grid must be start:stop:step, got {spec!r}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise ValueError(f"grid must be start:stop:step, got {spec!r}") from None
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not np.isfinite(value):
-            print(f"error: grid {name} must be finite, got {spec!r}", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError(f"grid {name} must be finite, got {spec!r}")
     if step <= 0 or stop < start or not np.isfinite((stop - start) / step):
-        print(f"error: bad grid {spec!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad grid {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
@@ -181,13 +179,12 @@ def _open_out(path: str):
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
-    seed = args.seed if args.seed is not None else _default_seed()
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    print(f"# wald {__version__} command={args.command} seed={seed} threads={threads}",
-          file=sys.stderr)
-
     out, close = sys.stdout, False
     try:
+        seed = args.seed if args.seed is not None else _default_seed()
+        threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+        print(f"# wald {__version__} command={args.command} seed={seed} threads={threads}",
+              file=sys.stderr)
         out, close = _open_out(args.out)
         return _dispatch(args, seed, threads, out)
     except (ValueError, RuntimeError, MemoryError, OSError) as exc:
@@ -227,8 +224,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         elif args.grid:
             probs = list(_parse_grid(args.grid))
         else:
-            print("error: provide --probs or --grid", file=sys.stderr)
-            return 2
+            raise ValueError("provide --probs or --grid")
         # every quantile before the first write: a bad p leaves no half table
         rows = [f"{p:.12g}\t{law.quantile(p):.12g}\n" for p in probs]
         out.write("p\tQ\n" + "".join(rows))
@@ -246,38 +242,35 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
     if args.command == "tetrad-test":
         data = load_data_csv(args.data)
         if args.all:
-            idx = None
+            idx = tetrad_index_array(data.p)
         elif args.indices:
             try:
                 i, j, k, l = (int(tok) for tok in args.indices.split(","))
             except ValueError:
-                print("error: --indices must be i,j,k,l", file=sys.stderr)
-                return 2
-            idx = TetradIndex(i, j, k, l)
+                raise ValueError("--indices must be i,j,k,l") from None
+            idx = [TetradIndex(i, j, k, l)]
         else:
-            print("error: provide --indices or --all", file=sys.stderr)
-            return 2
-        out.write(_TETRAD_HEADER)
-        if idx is not None:
-            rep = wald_tetrad_test(data, idx)
-            out.write(_tetrad_row((idx.i, idx.j, idx.k, idx.l), rep.gamma_hat,
-                                  rep.t_stat, rep.p_regular, rep.p_singular,
-                                  rep.regime_hint))
-            return 0
-        scan = wald_tetrad_scan(data)
-        # A degenerate tetrad keeps its gamma; its statistic and p-values
-        # are undefined and print as nan.
-        bad = scan.degenerate
+            raise ValueError("provide --indices or --all")
+        res = wald_tetrad_test(data, idx)
+        bad = res.degenerate
+        constant = zero_variance_columns(data) if bad.any() else []
+        if bad.any() and not args.all:
+            touched = [c for c in constant if c in idx[0]]
+            raise ValueError("estimated asymptotic variance is not positive; " + (
+                f"the tetrad touches zero-variance columns: {', '.join(map(str, touched))}"
+                if touched else "the empirical covariance is degenerate, collect more data"
+            ))
+        # A degenerate tetrad of a scan keeps its gamma; its statistic and
+        # p-values are undefined and print as nan.
         undefined = lambda a: np.where(bad, np.nan, a).tolist()
-        out.write("".join(
+        out.write(_TETRAD_HEADER + "".join(
             _tetrad_row(*row) for row in zip(
-                scan.idx.tolist(), scan.gamma_hat.tolist(), undefined(scan.t_stat),
-                undefined(scan.p_regular), undefined(scan.p_singular),
-                np.where(bad, "degenerate", scan.regime_hint).tolist(),
+                res.idx.tolist(), res.gamma_hat.tolist(), undefined(res.t_stat),
+                undefined(res.p_regular), undefined(res.p_singular),
+                np.where(bad, "degenerate", res.regime_hint).tolist(),
             )
         ))
         if bad.any():
-            constant = zero_variance_columns(data)
             print(f"# {int(bad.sum())} of {bad.size} tetrads are degenerate "
                   "(estimated variance not positive); zero-variance columns: "
                   f"{', '.join(map(str, constant)) or 'none'}", file=sys.stderr)

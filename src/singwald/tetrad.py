@@ -20,14 +20,16 @@ p-values.
 
 One batched kernel, :func:`tetrad_wald`, computes the statistic for m
 tetrads of one covariance or of a stack of covariances, with no Python loop
-over tetrads.  The single test, the scan of every tetrad (which computes the
-empirical covariance once) and the calibration simulation in
-``singwald.verify`` all go through it.
+over tetrads.  :func:`wald_tetrad_test` applies it to data: one empirical
+covariance serves one tetrad or every tetrad of a scan, and degenerate
+tetrads are flagged, not raised.  The calibration simulation in
+``singwald.verify`` calls the kernel on a stack of covariances.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -41,13 +43,11 @@ from .laws import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
 __all__ = [
     "DataMatrix",
     "TetradIndex",
-    "WaldReport",
     "empirical_covariance",
     "asymptotic_v_normal",
     "TetradWald",
     "tetrad_wald",
     "wald_tetrad_test",
-    "wald_tetrad_scan",
     "zero_variance_columns",
     "tetrad_index_array",
     "all_tetrads",
@@ -85,21 +85,18 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class TetradIndex:
+class TetradIndex(namedtuple("TetradIndex", "i j k l")):
     """Four distinct zero-based column indices (i, j, k, l)."""
 
-    i: int
-    j: int
-    k: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        idx = (self.i, self.j, self.k, self.l)
-        if len(set(idx)) != 4:
-            raise ValueError(f"tetrad indices must be distinct, got {idx}")
-        if min(idx) < 0:
-            raise ValueError(f"tetrad indices must be nonnegative, got {idx}")
+    def __new__(cls, i, j, k, l):
+        self = super().__new__(cls, i, j, k, l)
+        if len(set(self)) != 4:
+            raise ValueError(f"tetrad indices must be distinct, got {tuple(self)}")
+        if min(self) < 0:
+            raise ValueError(f"tetrad indices must be nonnegative, got {tuple(self)}")
+        return self
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -112,25 +109,10 @@ class TetradIndex:
         )
 
 
-@dataclass(frozen=True)
-class WaldReport:
-    gamma_hat: float
-    t_stat: float
-    p_regular: float
-    p_singular: float
-    gradient_norm: float
-    regime_hint: str  # "regular" or "near_singular"
-
-
-def empirical_covariance(data: DataMatrix | np.ndarray) -> np.ndarray:
+def empirical_covariance(data: DataMatrix) -> np.ndarray:
     """Mean-centered second moment with divisor n (not n - 1)."""
-    values = data.values if isinstance(data, DataMatrix) else np.asarray(data, float)
-    if values.ndim != 2 or values.shape[0] < 2:
-        raise ValueError("need a 2-d array with at least two rows")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("data contains non-finite entries")
-    centered = values - values.mean(axis=0)
-    return centered.T @ centered / values.shape[0]
+    centered = data.values - data.values.mean(axis=0)
+    return centered.T @ centered / data.n
 
 
 def zero_variance_columns(data: DataMatrix) -> list[int]:
@@ -166,15 +148,10 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
 # Positions in (i, j, k, l) of the pairs C = (ik, il, jk, jl).
 _PAIR_POSITIONS = [[0, 2], [0, 3], [1, 2], [1, 3]]
 
-DEGENERATE_MESSAGE = (
-    "estimated asymptotic variance is not positive; the empirical "
-    "covariance is degenerate, collect more data"
-)
-
 
 @dataclass(frozen=True)
 class TetradWald:
-    """Tetrad Wald results as arrays of shape (theta stack..., m).
+    """Tetrad Wald results as arrays of shape (theta stack..., idx stack...).
 
     ``degenerate`` marks tetrads whose estimated variance ``grad^T V grad``
     is not positive and finite; their other entries are meaningless.
@@ -191,17 +168,17 @@ class TetradWald:
 
 
 def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
-    """Wald statistics of the tetrads ``idx`` (shape (m, 4), rows i, j, k, l)
+    """Wald statistics of the tetrads ``idx`` (shape (..., 4), rows i, j, k, l)
     of a covariance ``theta`` of shape (p, p), or of a stack (..., p, p),
     each estimated from n observations."""
     theta = np.asarray(theta, dtype=float)
     idx = np.asarray(idx, dtype=np.intp)
-    i, j, k, l = idx.T
+    i, j, k, l = np.moveaxis(idx, -1, 0)
     t_ik, t_il = theta[..., i, k], theta[..., i, l]
     t_jk, t_jl = theta[..., j, k], theta[..., j, l]
     gamma = t_ik * t_jl - t_il * t_jk
     grad = np.stack([t_jl, -t_jk, -t_il, t_ik], axis=-1)
-    vmat = asymptotic_v_normal(theta, idx[:, _PAIR_POSITIONS])
+    vmat = asymptotic_v_normal(theta, idx[..., _PAIR_POSITIONS])
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = np.einsum("...i,...ij,...j->...", grad, vmat, grad)
         t_stat = n * gamma**2 / denom
@@ -223,38 +200,23 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
     )
 
 
-def wald_tetrad_test(data: DataMatrix, idx: TetradIndex) -> WaldReport:
-    """Tetrad Wald statistic with both the regular and the singular p-value."""
-    if max(idx.i, idx.j, idx.k, idx.l) >= data.p:
+def wald_tetrad_test(data: DataMatrix, idx) -> TetradWald:
+    """Tetrad Wald statistics of ``data`` with both the regular and the
+    singular p-value, from one empirical covariance.
+
+    ``idx`` is one :class:`TetradIndex`, giving fields of shape (), or an
+    (m, 4) index array, giving fields of shape (m,).  Degenerate tetrads are
+    flagged in ``degenerate``; indices outside the p columns raise.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    rows = idx.reshape(-1, 4)
+    outside = rows[((rows < 0) | (rows >= data.p)).any(axis=1)]
+    if outside.size:
         raise ValueError(
-            f"tetrad indices {idx} out of range for p={data.p} columns"
+            f"tetrad indices {tuple(outside[0].tolist())} out of range for "
+            f"p={data.p} columns"
         )
-    res = tetrad_wald(
-        empirical_covariance(data), data.n, [(idx.i, idx.j, idx.k, idx.l)]
-    )
-    if res.degenerate[0]:
-        touched = (idx.i, idx.j, idx.k, idx.l)
-        constant = [c for c in zero_variance_columns(data) if c in touched]
-        if constant:
-            raise ValueError(
-                "estimated asymptotic variance is not positive; the tetrad "
-                f"touches zero-variance columns: {', '.join(map(str, constant))}"
-            )
-        raise ValueError(DEGENERATE_MESSAGE)
-    return WaldReport(
-        gamma_hat=float(res.gamma_hat[0]),
-        t_stat=float(res.t_stat[0]),
-        p_regular=float(res.p_regular[0]),
-        p_singular=float(res.p_singular[0]),
-        gradient_norm=float(res.gradient_norm[0]),
-        regime_hint=str(res.regime_hint[0]),
-    )
-
-
-def wald_tetrad_scan(data: DataMatrix) -> TetradWald:
-    """Every tetrad of ``data``, in :func:`all_tetrads` order, from one
-    empirical covariance.  Degenerate tetrads are flagged, not raised."""
-    return tetrad_wald(empirical_covariance(data), data.n, tetrad_index_array(data.p))
+    return tetrad_wald(empirical_covariance(data), data.n, idx)
 
 
 def tetrad_index_array(p: int) -> np.ndarray:

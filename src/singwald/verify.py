@@ -162,13 +162,9 @@ def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
     """Convex combination sum p_i * Y_i / X_i is standard Cauchy."""
     p = _weights(p)
     k = p.size
-    x = _mvn_draws(sigma, n, seed, stream=0) if k > 1 else None
-    if k == 1:
-        rng = make_generator(seed, 0)
-        draws = rng.standard_normal(n) / rng.standard_normal(n)
-    else:
-        y = _mvn_draws(sigma, n, seed, stream=1)
-        draws = (p[None, :] * y / x).sum(axis=1)
+    x = _mvn_draws(sigma, n, seed, stream=0)
+    y = _mvn_draws(sigma, n, seed, stream=1)
+    draws = (p[None, :] * y / x).sum(axis=1)
     stat = ks_distance(
         EmpiricalDistribution.from_samples(draws[np.isfinite(draws)]),
         SimpleNamespace(cdf=lambda t: 0.5 + np.arctan(t) / np.pi),
@@ -265,9 +261,24 @@ def _angle_moment(sigma: float, phi: float, m: int) -> float:
     offsets 0.3, 0.1, 0.03, 0.01, 0.003, ... on either side, down past that
     width.  Each panel takes a 32- and a 64-node rule; the sum of their
     per-panel differences is the error estimate, and the 64-node value is
-    returned.  A non-finite estimate, or one above 1e-8, raises.
+    returned.  A denominator whose minimum underflows to zero or whose
+    maximum overflows, an integrand that overflows, or an error estimate
+    above ``1e-8 * max(1, |moment|)`` raises.
     """
-    psi_star, amp, floor = _moment_geometry(phi, sigma)
+    where = f"sigma={sigma}, phi={phi}, m={m}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_star, amp, floor = _moment_geometry(phi, sigma)
+        top = floor + 2.0 * amp
+    if not np.isfinite(top):
+        raise RuntimeError(
+            f"moment quadrature at {where}: the maximum of the denominator "
+            "overflows the float range"
+        )
+    if not floor > 0.0:
+        raise RuntimeError(
+            f"moment quadrature at {where}: the minimum of the denominator "
+            "underflows to zero"
+        )
     offsets = [0.3, 0.1, 0.03, 0.01]
     while offsets[-1] ** 2 * amp > 2.0 * floor:
         offsets.append(offsets[-2] / 10.0)
@@ -279,17 +290,22 @@ def _angle_moment(sigma: float, phi: float, m: int) -> float:
     panels = np.array(sorted(edges))
     mid = (panels[1:] + panels[:-1]) / 2.0
     half = (panels[1:] - panels[:-1]) / 2.0
-    coarse, fine = (
-        half * ((_moment_integrand(mid[:, None] + half[:, None] * x, phi, sigma) ** m) @ w)
-        for x, w in (_leggauss(32), _leggauss(64))
-    )
-    err = float(np.abs(fine - coarse).sum())
-    if not err <= 1e-8:
-        raise RuntimeError(
-            f"moment quadrature failed to converge (err={err:g}) at "
-            f"sigma={sigma}, phi={phi}, m={m}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, fine = (
+            half * ((_moment_integrand(mid[:, None] + half[:, None] * x, phi, sigma) ** m) @ w)
+            for x, w in (_leggauss(32), _leggauss(64))
         )
-    return float(fine.sum()) / (2.0 * np.pi)
+    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+        raise RuntimeError(
+            f"moment quadrature at {where}: the integrand overflows the float range"
+        )
+    err = float(np.abs(fine - coarse).sum())
+    moment = float(fine.sum()) / (2.0 * np.pi)
+    if not err <= 1e-8 * max(1.0, abs(moment)):
+        raise RuntimeError(
+            f"moment quadrature failed to converge (err={err:g}) at {where}"
+        )
+    return moment
 
 
 def moment_invariance_check(sigma_param: float, phis, ms) -> np.ndarray:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
 
@@ -40,6 +42,25 @@ def test_traced_verify_reaches_every_patched_check(tmp_path):
     for check in checks:
         assert f"verify.check.{check}" in names, check
     assert names.count("verify.entry") == len(verify._REGISTRY) == 16
+
+
+def test_traced_tetrad_scan_records_the_tetrad_test(tmp_path):
+    # tetrad.test_s and tetrad.tests read the span of the CLI's one call
+    # into wald_tetrad_test; a scan that bypassed it would read 0
+    rng = np.random.default_rng(2)
+    csv = tmp_path / "d.csv"
+    csv.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n"
+                           for row in rng.standard_normal((40, 6))))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans),
+         "tetrad-test", "--data", str(csv), "--all", "--out", str(tmp_path / "t.tsv")],
+        env=ENV, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    names = [span[2] for span in json.loads(spans.read_text())]
+    assert names.count("tetrad.test") == 1
+    assert names.count("tetrad.cov") == 1
 
 
 def test_probe_library_calls_run(tmp_path):

@@ -122,9 +122,7 @@ class TestCdf:
         ("0:1e308:1e-300", "bad grid"),
     ])
     def test_non_finite_grid_rejected(self, grid, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["cdf", "tetrad", "--grid", grid])
-        assert exc.value.code == 2
+        assert run(["cdf", "tetrad", "--grid", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
@@ -328,14 +326,17 @@ class TestVerify:
         assert float(first[2]) == pytest.approx(0.5, abs=1e-8)
 
 
-# Each request is exabytes in size or cannot converge, so it fails at once
-# without allocating; exit 1 is kept for a failed theorem-tier check.
+# Each request is exabytes in size or leaves the float range (a denominator
+# that underflows, a moment that overflows), so it fails at once without
+# allocating; exit 1 is kept for a failed theorem-tier check.  A numpy
+# RuntimeWarning is an error here: the cause must come as one error line.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("cdf", "tetrad", "--grid", "0:1e9:1e-9"),
     ("quantile", "tetrad", "--grid", "0.1:0.9:1e-18"),
     ("sample", "--poly", "{poly}", "--sigma", "{mat}", "--n", "1000000000000000000"),
     ("moments", "--sigma", "1e-300"),
-    ("moments", "--sigma", "0.7", "--m", "400"),
+    ("moments", "--sigma", "0.7", "--m", "3000"),
 ])
 def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys):
     poly, mat = tetrad_files
@@ -344,6 +345,7 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
     assert captured.out == ""
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
+    assert "Warning" not in captured.err
 
 
 def test_parser_covers_all_subcommands():

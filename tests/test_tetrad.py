@@ -125,18 +125,24 @@ def simulate(theta, n, seed):
 
 
 class TestEmpiricalCovariance:
-    def test_two_points_by_hand(self):
-        got = empirical_covariance(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        np.testing.assert_array_equal(got, [[1.0, 1.0], [1.0, 1.0]])
+    def test_five_points_by_hand(self):
+        x = np.arange(-2.0, 3.0)
+        got = empirical_covariance(DataMatrix(values=np.column_stack([x, 2 * x, -x, x * x])))
+        np.testing.assert_array_equal(
+            got, [[2, 4, -2, 0], [4, 8, -4, 0], [-2, -4, 2, 0], [0, 0, 0, 2.8]]
+        )
 
     def test_constant_column_zeroes_out(self):
-        data = np.column_stack([np.ones(10), np.arange(10.0)])
+        rng = np.random.default_rng(3)
+        data = DataMatrix(values=np.column_stack([np.ones(10), rng.standard_normal((10, 3))]))
         got = empirical_covariance(data)
-        assert got[0, 0] == 0.0 and got[0, 1] == 0.0
+        assert got[0, 0] == 0.0 and np.all(got[0, 1:] == 0.0)
 
     def test_divisor_is_n(self):
-        data = np.array([[0.0], [1.0]])
-        # centered values +-1/2, so variance is 1/4 with divisor n=2
+        rng = np.random.default_rng(4)
+        first = np.tile([0.0, 1.0], 3)
+        data = DataMatrix(values=np.column_stack([first, rng.standard_normal((6, 3))]))
+        # centered values +-1/2, so variance is 1/4 with divisor n=6
         assert empirical_covariance(data)[0, 0] == pytest.approx(0.25)
 
     def test_consistency(self):
@@ -148,8 +154,10 @@ class TestEmpiricalCovariance:
         assert np.abs(empirical_covariance(data) - theta).max() < 0.01
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_covariance(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        values = np.eye(5, 4)
+        values[1, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_covariance(DataMatrix(values=values))
 
 
 class TestTetradStat:
@@ -277,18 +285,22 @@ class TestWaldTetradTest:
         rep = wald_tetrad_test(data, IDX)
         assert rep.p_regular < 1e-6
 
-    def test_degenerate_data_names_constant_columns(self):
+    def test_degenerate_data_names_constant_columns(self, tmp_path, capsys):
         # constant third and fourth columns zero out the gradient and the
         # variance submatrix exactly
         rng = np.random.default_rng(55)
         values = np.column_stack(
             [rng.standard_normal(10), rng.standard_normal(10), np.ones(10), np.ones(10)]
         )
-        with pytest.raises(ValueError, match="zero-variance columns: 2, 3$") as exc:
-            wald_tetrad_test(DataMatrix(values=values), IDX)
-        assert "more data" not in str(exc.value)
+        assert wald_tetrad_test(DataMatrix(values=values), IDX).degenerate
+        csv = write_csv(tmp_path / "constant.csv", values)
+        assert run(["tetrad-test", "--data", str(csv), "--indices", "0,1,2,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("the tetrad touches zero-variance columns: 2, 3\n")
+        assert "more data" not in captured.err
 
-    def test_degenerate_data_advises_more_without_constant_column(self):
+    def test_degenerate_data_advises_more_without_constant_column(self, tmp_path, capsys):
         # +-1 columns with (0, 1) orthogonal to (2, 3): every cross
         # covariance, hence the gradient, is exactly zero, and no column is
         # constant
@@ -297,13 +309,31 @@ class TestWaldTetradTest:
         c = np.repeat([1.0, -1.0], 4)
         data = DataMatrix(values=np.column_stack([a, b, c, a * b * c]))
         assert zero_variance_columns(data) == []
-        with pytest.raises(ValueError, match="collect more data"):
-            wald_tetrad_test(data, IDX)
+        assert wald_tetrad_test(data, IDX).degenerate
+        csv = write_csv(tmp_path / "orthogonal.csv", data.values)
+        assert run(["tetrad-test", "--data", str(csv), "--indices", "0,1,2,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("collect more data\n")
+
+    def test_one_index_gives_scalars_and_an_index_array_gives_rows(self):
+        data = simulate(np.eye(5), 500, 38)
+        idx = tetrad_index_array(5)
+        scan = wald_tetrad_test(data, idx)
+        assert scan.t_stat.shape == scan.degenerate.shape == (15,)
+        for r, row in enumerate(idx.tolist()):
+            one = wald_tetrad_test(data, TetradIndex(*row))
+            assert one.t_stat.shape == one.regime_hint.shape == ()
+            assert one.t_stat == scan.t_stat[r]
+            assert one.p_singular == scan.p_singular[r]
+            assert one.regime_hint == scan.regime_hint[r]
 
     def test_out_of_range_indices(self):
         data = simulate(np.eye(4), 100, 37)
         with pytest.raises(ValueError, match="out of range"):
             wald_tetrad_test(data, TetradIndex(0, 1, 2, 7))
+        with pytest.raises(ValueError, match=r"\(0, 1, 2, -1\) out of range"):
+            wald_tetrad_test(data, [[0, 1, 2, 3], [0, 1, 2, -1]])
 
 
 class TestBatchedKernel:
