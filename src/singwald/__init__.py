@@ -52,7 +52,7 @@ from .tetrad import (
     tetrad_wald,
     wald_tetrad_test,
 )
-from .verify import VerificationResult, coverage_manifest, run_suite
+from .verify import VerificationResult, run_suite
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "WaldSampleConfig",
     "asymptotic_v_normal",
     "classify",
-    "coverage_manifest",
     "dominance_check",
     "eigenvalues_of_product",
     "empirical_covariance",

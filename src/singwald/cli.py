@@ -31,7 +31,7 @@ from .tetrad import (
     wald_tetrad_test,
     zero_variance_columns,
 )
-from .verify import format_report, moment_invariance_check, run_suite
+from .verify import SUITES, format_report, moment_invariance_check, run_suite
 
 
 def _default_seed() -> int:
@@ -56,6 +56,15 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"bad grid {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
+
+
+def _parse_list(option: str, text: str, kind=float) -> list:
+    """The comma-separated values of ``option``; a bad value names both."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{option} must be comma-separated {noun}, got {text!r}") from None
 
 
 def _join_grid_values(argv: list[str]) -> list[str]:
@@ -145,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="test every tetrad")
 
     p = add_sub("verify", help="run the numerical verification suite")
-    p.add_argument(
-        "--suite", choices=("all", "theorems", "conjectures"), default="all"
-    )
+    p.add_argument("--suite", choices=tuple(SUITES), default="all")
     p.add_argument("--n", type=int, default=10**6, help="draws per check")
 
     p = add_sub("moments", help="angular moment table of the bivariate ratio")
@@ -220,7 +227,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
     if args.command == "quantile":
         law = parse_law(args.law)
         if args.probs:
-            probs = [float(tok) for tok in args.probs.split(",")]
+            probs = _parse_list("--probs", args.probs)
         elif args.grid:
             probs = list(_parse_grid(args.grid))
         else:
@@ -285,8 +292,8 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         return 1 if failed else 0
 
     if args.command == "moments":
-        phis = [float(tok) for tok in args.phi.split(",")]
-        ms = [int(tok) for tok in args.m.split(",")]
+        phis = _parse_list("--phi", args.phi)
+        ms = _parse_list("--m", args.m, int)
         table = moment_invariance_check(args.sigma, phis, ms)
         out.write("m\\phi\t" + "\t".join(f"{p:.12g}" for p in phis) + "\n")
         for r, m in enumerate(ms):

@@ -1,15 +1,17 @@
 """Homogeneous polynomials, power-product forms, and quadratic forms.
 
 A homogeneous polynomial is kept as a sparse, canonical term list
-(coefficient plus integer exponent vector).  On construction it is compiled
-once into two monomial sums, one for the value and one for the gradient
-(the distinct degree-(d-1) monomials with a k-column weight matrix); both
-run a row-blocked kernel of power tables, monomial products and one BLAS
-product per block.  Linear re-parameterization expands ``f(Bx)`` by
-multiplying out the substituted linear forms.  Real (possibly
-non-integer) exponents are confined to :class:`MonomialForm`, which only
-ever enters the sampling machinery through a reciprocal identity that never
-raises a negative number to a fractional power.
+(coefficient plus integer exponent vector).  The constructor canonicalizes
+and validates the terms, which alone fix the number of variables and the
+degree, and compiles the polynomial once into two monomial sums, one for
+the value and one for the gradient (the distinct degree-(d-1) monomials
+with a k-column weight matrix); both run a row-blocked kernel of power
+tables, monomial products and one BLAS product per block.  Linear
+re-parameterization expands ``f(Bx)`` by multiplying out the substituted
+linear forms.  Real (possibly non-integer) exponents are confined to
+:class:`MonomialForm`, which only ever enters the sampling machinery
+through a reciprocal identity that never raises a negative number to a
+fractional power.
 """
 
 from __future__ import annotations
@@ -116,30 +118,44 @@ def _canonical_terms(terms) -> tuple[tuple[float, tuple[int, ...]], ...]:
 class HomogeneousPolynomial:
     """Sparse homogeneous polynomial with integer exponents.
 
-    terms: tuple of (coefficient, exponent vector) pairs, canonicalized
-        (merged, zero coefficients dropped, deterministic order).
-    k: number of variables.
-    d: common total degree of every term (>= 1).
+    terms: tuple of (coefficient, exponent vector) pairs.  Construction
+        canonicalizes them (merged, zero coefficients dropped, deterministic
+        order) and requires at least one term, one exponent count, one total
+        degree >= 1 and no negative exponent.
+
+    The number of variables ``k`` and the degree ``d`` are read from the
+    terms.
     """
 
     terms: tuple[tuple[float, tuple[int, ...]], ...]
-    k: int
-    d: int
     _value: _MonomialSum = field(init=False, repr=False, compare=False)
     _gradient: _MonomialSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        canon = _canonical_terms(self.terms)
+        if not canon:
+            raise ValueError("zero polynomial: at least one nonzero term required")
+        k = len(canon[0][1])
+        for _, exps in canon:
+            if len(exps) != k:
+                raise ValueError(f"term has {len(exps)} exponents, expected {k}")
+        degrees = {sum(exps) for _, exps in canon}
+        if len(degrees) != 1:
+            raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
+        if degrees.pop() < 1:
+            raise ValueError("degree must be at least 1")
+        object.__setattr__(self, "terms", canon)
         # f = sum_t c_t x^e_t, so df/dx_j = sum_t c_t e_tj x^(e_t - u_j).
         # The gradient table holds each distinct exponent g = e_t - u_j once,
         # with weight c_t e_tj in column j.
-        exps = np.array([e for _, e in self.terms], dtype=np.intp)
-        coeffs = np.array([c for c, _ in self.terms])
+        exps = np.array([e for _, e in canon], dtype=np.intp)
+        coeffs = np.array([c for c, _ in canon])
         grad_weights: dict[tuple[int, ...], np.ndarray] = {}
-        for coeff, e in self.terms:
+        for coeff, e in canon:
             for j, ej in enumerate(e):
                 if ej:
                     g = e[:j] + (ej - 1,) + e[j + 1 :]
-                    grad_weights.setdefault(g, np.zeros(self.k))[j] = coeff * ej
+                    grad_weights.setdefault(g, np.zeros(k))[j] = coeff * ej
         object.__setattr__(self, "_value", _MonomialSum(exps, coeffs))
         object.__setattr__(
             self,
@@ -151,24 +167,18 @@ class HomogeneousPolynomial:
         )
 
     @classmethod
-    def from_terms(cls, terms, k: int | None = None) -> "HomogeneousPolynomial":
-        canon = _canonical_terms(terms)
-        if not canon:
-            raise ValueError("zero polynomial: at least one nonzero term required")
-        if k is None:
-            k = len(canon[0][1])
-        for _, exps in canon:
-            if len(exps) != k:
-                raise ValueError(
-                    f"term has {len(exps)} exponents, expected {k}"
-                )
-        degrees = {sum(exps) for _, exps in canon}
-        if len(degrees) != 1:
-            raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
-        d = degrees.pop()
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        return cls(terms=canon, k=k, d=d)
+    def from_terms(cls, terms) -> "HomogeneousPolynomial":
+        return cls(terms=tuple(terms))
+
+    @property
+    def k(self) -> int:
+        """Number of variables."""
+        return len(self.terms[0][1])
+
+    @property
+    def d(self) -> int:
+        """Common total degree of every term."""
+        return sum(self.terms[0][1])
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -194,11 +204,7 @@ class HomogeneousPolynomial:
         """Multiply every coefficient by the nonzero scalar ``c``."""
         if c == 0:
             raise ValueError("scale factor must be nonzero")
-        return HomogeneousPolynomial(
-            terms=tuple((c * coeff, exps) for coeff, exps in self.terms),
-            k=self.k,
-            d=self.d,
-        )
+        return HomogeneousPolynomial(tuple((c * coeff, exps) for coeff, exps in self.terms))
 
     def compose_linear(self, b) -> "HomogeneousPolynomial":
         """Expanded polynomial ``x -> f(Bx)`` for an invertible matrix B."""
@@ -222,9 +228,7 @@ class HomogeneousPolynomial:
                 prod = _poly_mul(prod, _poly_pow(row, e, self.k))
             for exps2, c2 in prod.items():
                 result[exps2] = result.get(exps2, 0.0) + c2
-        return HomogeneousPolynomial.from_terms(
-            [(c, e) for e, c in result.items()], k=self.k
-        )
+        return HomogeneousPolynomial.from_terms([(c, e) for e, c in result.items()])
 
     def to_quadratic_form(self) -> "QuadraticForm":
         """Symmetric matrix A with ``f(x) = x^T A x`` (degree 2 only)."""
@@ -354,7 +358,7 @@ class QuadraticForm:
                     exps = [0] * self.k
                     exps[i] = exps[j] = 1
                     terms.append((2.0 * self.a[i, j], tuple(exps)))
-        return HomogeneousPolynomial.from_terms(terms, k=self.k)
+        return HomogeneousPolynomial.from_terms(terms)
 
 
 _TOKEN = re.compile(r"\S+")
@@ -412,7 +416,7 @@ def parse_polynomial(text: str, path: str = "<input>") -> HomogeneousPolynomial:
     if not terms:
         raise ParseError("no terms found", path)
     try:
-        return HomogeneousPolynomial.from_terms(terms, k=k)
+        return HomogeneousPolynomial.from_terms(terms)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 

@@ -98,16 +98,6 @@ class TetradIndex(namedtuple("TetradIndex", "i j k l")):
             raise ValueError(f"tetrad indices must be nonnegative, got {tuple(self)}")
         return self
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Covariance pairs in the gradient order C = (ik, il, jk, jl)."""
-        return (
-            (self.i, self.k),
-            (self.i, self.l),
-            (self.j, self.k),
-            (self.j, self.l),
-        )
-
 
 def empirical_covariance(data: DataMatrix) -> np.ndarray:
     """Mean-centered second moment with divisor n (not n - 1)."""

@@ -10,7 +10,9 @@ without gating.
 
 Each registry entry owns a deterministically derived seed, so the whole
 suite is reproducible byte for byte from a single seed and can run its
-checks concurrently without changing any result.
+checks concurrently without changing any result.  The registry is the one
+list of the suite's claims: the golden reports of the theorem and the
+conjecture suites pin every row it yields, in order.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ __all__ = [
     "verify_tetrad_kronecker",
     "verify_tetrad_convergence",
     "run_suite",
-    "coverage_manifest",
-    "REQUIRED_CLAIMS",
+    "SUITES",
     "format_report",
 ]
 
@@ -177,20 +178,16 @@ def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
 
 
 def verify_reciprocal(p, sigma, n: int, seed: int) -> VerificationResult:
-    """Quadratic form in reciprocal coordinates matches 1/chi-square-1."""
+    """Quadratic form in reciprocal coordinates matches 1/chi-square-1.
+
+    The form is the reciprocal Wald ratio of the power product with
+    exponents p, so this is the power-product law at degree sum(p) = 1."""
     p = _weights(p)
     sigma = np.asarray(sigma, dtype=float)
-    q = MonomialForm(p).reciprocal_wald(_mvn_draws(sigma, n, seed), sigma)
-    stat = ks_distance(
-        EmpiricalDistribution.from_samples(q[np.isfinite(q) & (q > 0)]),
-        SimpleNamespace(cdf=lambda t: stable_cdf(1.0, t)),
-    )
     diagonal = np.abs(sigma - np.diag(np.diag(sigma))).max() == 0.0
     tier = "theorem" if (p.size <= 2 or diagonal) else "conjecture"
-    return _ks_result(
-        "reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence",
-        tier, stat, n, seed,
-    )
+    name = "reciprocal-form-law" if tier == "theorem" else "reciprocal-form-evidence"
+    return _monomial_result(MonomialForm(p), sigma, n, seed, name, tier)
 
 
 def counterexample_negative_weights(
@@ -471,8 +468,7 @@ def verify_tetrad_kronecker(n: int, seed: int) -> list[VerificationResult]:
         s1 = _random_pd_2x2(rng)
         s2 = _random_pd_2x2(rng)
         cov = validate_covariance(np.kron(s1, s2))
-        cls = classify(QuadraticForm(a.a), cov)
-        law = cls.law
+        law = classify(a, cov).law
         if not (
             isinstance(law, FoldedBetaProduct) and {law.k1, law.k2} == {2}
         ):
@@ -870,54 +866,12 @@ _REGISTRY = (
     (("reciprocal-form-evidence",), "conjecture", _check_reciprocal_evidence),
 )
 
-# Claims the suite must keep covered; the manifest test pins this list.
-REQUIRED_CLAIMS = frozenset(
-    {
-        "product-monomial-law",
-        "bivariate-monomial-law",
-        "monomial-independence-law",
-        "weighted-cauchy-ratio",
-        "scale-invariance-pathwise",
-        "reparam-invariance-pathwise",
-        "folded-beta-representation",
-        "trig-equidistribution",
-        "trig-negative-weight-gap",
-        "bivariate-quadratic-split",
-        "bivariate-quadratic-mixture",
-        "upper-envelope-quarter-chisq",
-        "lower-envelope-one-signed",
-        "lower-envelope-balanced",
-        "tetrad-kronecker-law",
-        "tetrad-cdf-dominance",
-        "tetrad-statistic-convergence",
-        "stable-convolution",
-        "moment-invariance",
-        "negative-weight-counterexample",
-        "reciprocal-form-law",
-        "monomial-law-evidence",
-        "cauchy-ratio-evidence",
-        "reciprocal-form-evidence",
-    }
-)
-
-
-_SUITE_TIERS = {
+# suite name -> the tiers it runs
+SUITES = {
     "all": ("theorem", "conjecture"),
     "theorems": ("theorem",),
     "conjectures": ("conjecture",),
 }
-
-
-def _entries(suite: str) -> list:
-    """Registry entries of a suite, in registry order."""
-    if suite not in _SUITE_TIERS:
-        raise ValueError(f"unknown suite {suite!r}")
-    return [entry for entry in _REGISTRY if entry[1] in _SUITE_TIERS[suite]]
-
-
-def coverage_manifest(suite: str = "all") -> frozenset[str]:
-    """Union of claims the registered checks cover."""
-    return frozenset(claim for claims, _, _ in _entries(suite) for claim in claims)
 
 
 def run_suite(
@@ -928,7 +882,9 @@ def run_suite(
     Every entry derives its own seeds, so the results do not depend on
     ``threads``.
     """
-    entries = _entries(suite)
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    entries = [entry for entry in _REGISTRY if entry[1] in SUITES[suite]]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = list(pool.map(lambda entry: entry[2](n, seed), entries))
     return [r for block in blocks for r in block]

@@ -181,6 +181,7 @@ class TestQuantile:
     @pytest.mark.parametrize("argv, bad", [
         (["--probs", "0.5,1.5,0.9"], "1.5"),
         (["--grid", "0:1:0.25"], "0"),
+        (["--probs", "0.5,abc"], "'0.5,abc'"),
     ])
     def test_bad_probability_writes_nothing(self, argv, bad, capsys):
         assert run(["quantile", "tetrad", *argv]) == 2
@@ -324,6 +325,14 @@ class TestVerify:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(0.5, abs=1e-10)
         assert float(first[2]) == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("option, value", [("--phi", ""), ("--m", "x"), ("--m", "1.5")])
+    def test_bad_list_value_names_its_option(self, option, value, capsys):
+        assert run(["moments", "--sigma", "1.0", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {option} must be comma-separated" in captured.err
+        assert f"got {value!r}\n" in captured.err
 
 
 # Each request is exabytes in size or leaves the float range (a denominator

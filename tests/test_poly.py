@@ -172,22 +172,44 @@ class TestQuadraticForm:
             assert abs(f.evaluate(x) - x @ a @ x) < 1e-12 * (1 + abs(x @ a @ x))
 
 
+# Both entry points canonicalize and validate the same way.
+ENTRY_POINTS = (
+    HomogeneousPolynomial.from_terms,
+    lambda terms: HomogeneousPolynomial(terms=tuple(terms)),
+)
+
+
 class TestConstruction:
     def test_merging_duplicates(self):
-        f = HomogeneousPolynomial.from_terms([(1.0, (1, 1)), (2.0, (1, 1))])
-        assert f.terms == ((3.0, (1, 1)),)
+        for make in ENTRY_POINTS:
+            f = make([(1.0, (1, 1)), (2.0, (1, 1))])
+            assert f.terms == ((3.0, (1, 1)),)
+            assert (f.k, f.d) == (2, 2)
 
     def test_cancellation_to_zero_rejected(self):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            HomogeneousPolynomial.from_terms([(1.0, (1, 1)), (-1.0, (1, 1))])
+        for make in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="zero polynomial"):
+                make([(1.0, (1, 1)), (-1.0, (1, 1))])
 
     def test_inhomogeneous_rejected(self):
-        with pytest.raises(ValueError, match="homogeneous"):
-            HomogeneousPolynomial.from_terms([(1.0, (1, 0)), (1.0, (1, 1))])
+        for make in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="homogeneous"):
+                make([(1.0, (1, 0)), (1.0, (1, 1))])
 
     def test_constant_rejected(self):
-        with pytest.raises(ValueError, match="degree"):
-            HomogeneousPolynomial.from_terms([(1.0, (0, 0))])
+        for make in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="degree"):
+                make([(1.0, (0, 0))])
+
+    def test_mixed_exponent_counts_rejected(self):
+        for make in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="exponents, expected"):
+                make([(1.0, (1, 1)), (1.0, (2, 0, 0))])
+
+    def test_negative_exponent_rejected(self):
+        for make in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="negative exponent"):
+                make([(1.0, (3, -1))])
 
 
 # Random homogeneous polynomials for the property checks.
@@ -209,10 +231,10 @@ def polynomials(draw, max_k=4, max_d=4, max_terms=4):
         )
         terms.append((coeff, tuple(exps)))
     try:
-        return HomogeneousPolynomial.from_terms(terms, k=k)
+        return HomogeneousPolynomial.from_terms(terms)
     except ValueError:
         # cancellation produced the zero polynomial
-        return HomogeneousPolynomial.from_terms([(1.0, tuple([d] + [0] * (k - 1)))], k=k)
+        return HomogeneousPolynomial.from_terms([(1.0, tuple([d] + [0] * (k - 1)))])
 
 
 def loop_evaluate(f, pts):
@@ -266,9 +288,7 @@ def test_compiled_kernel_matches_term_loops(f, n, point_seed):
     rng = np.random.default_rng(point_seed)
     x = rng.standard_normal(f.k if n is None else (n, f.k))
     pts = np.atleast_2d(x)
-    size = HomogeneousPolynomial(
-        terms=tuple((abs(c), e) for c, e in f.terms), k=f.k, d=f.d
-    )
+    size = HomogeneousPolynomial(terms=tuple((abs(c), e) for c, e in f.terms))
     value, grad = f.evaluate(x), f.gradient(x)
     if n is None:
         assert isinstance(value, float) and grad.shape == (f.k,)

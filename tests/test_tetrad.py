@@ -50,6 +50,12 @@ def assert_kernel_matches(theta, idx, gamma, grad):
     assert res.gradient_norm[0] == pytest.approx(np.linalg.norm(grad), abs=1e-14)
 
 
+def tetrad_pairs(idx):
+    """Reference: the covariance pairs in the gradient order C = (ik, il, jk, jl)."""
+    i, j, k, l = idx
+    return ((i, k), (i, l), (j, k), (j, l))
+
+
 def v_loop(theta, pairs):
     """Reference: the Gaussian fourth-moment covariance entry by entry."""
     v = np.empty((len(pairs), len(pairs)))
@@ -209,7 +215,7 @@ class TestTetradStat:
 
 class TestAsymptoticVariance:
     def test_identity_theta(self):
-        v = asymptotic_v_normal(np.eye(4), IDX.pairs)
+        v = asymptotic_v_normal(np.eye(4), tetrad_pairs(IDX))
         np.testing.assert_array_equal(v, np.eye(4))
 
     def test_block_diagonal_kronecker_structure(self):
@@ -218,7 +224,7 @@ class TestAsymptoticVariance:
         theta = np.block(
             [[b1, np.zeros((2, 2))], [np.zeros((2, 2)), b2]]
         )
-        v = asymptotic_v_normal(theta, IDX.pairs)
+        v = asymptotic_v_normal(theta, tetrad_pairs(IDX))
         np.testing.assert_allclose(v, np.kron(b1, b2), atol=1e-14)
 
     def test_diagonal_pair_gives_double_square(self):
@@ -360,7 +366,7 @@ class TestBatchedKernel:
         for r in range(covs.shape[0]):
             for m, idx in enumerate(tetrads):
                 gamma, grad = tetrad_stat(covs[r], idx)
-                t = n * gamma**2 / (grad @ v_loop(covs[r], idx.pairs) @ grad)
+                t = n * gamma**2 / (grad @ v_loop(covs[r], tetrad_pairs(idx)) @ grad)
                 for got, want in (
                     (res.gamma_hat[r, m], gamma),
                     (res.t_stat[r, m], t),
@@ -528,7 +534,7 @@ class TestSingularLimitLaw:
                 [[v[2], r2 * np.sqrt(v[2] * v[3])], [r2 * np.sqrt(v[2] * v[3]), v[3]]]
             )
             theta = np.block([[b1, np.zeros((2, 2))], [np.zeros((2, 2)), b2]])
-            sigma_c = asymptotic_v_normal(theta, IDX.pairs)
+            sigma_c = asymptotic_v_normal(theta, tetrad_pairs(IDX))
             cls = classify(f.to_quadratic_form(), validate_covariance(sigma_c))
             assert cls.law == FoldedBetaProduct(2, 2)
 

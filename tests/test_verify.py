@@ -6,12 +6,10 @@ import pytest
 from singwald.cli import run
 from singwald.poly import MonomialForm
 from singwald.verify import (
-    REQUIRED_CLAIMS,
     VerificationResult,
     _moment_geometry,
     _moment_integrand,
     counterexample_negative_weights,
-    coverage_manifest,
     derive_seed,
     format_report,
     moment_invariance_check,
@@ -258,9 +256,6 @@ class TestTetradChecks:
 
 
 class TestSuiteRunner:
-    def test_coverage_manifest_matches_required(self):
-        assert coverage_manifest() == REQUIRED_CLAIMS
-
     def test_theorem_suite_tiers(self):
         results = run_suite("theorems", n=2000, seed=71)
         assert results and all(r.tier == "theorem" for r in results)
@@ -283,8 +278,6 @@ class TestSuiteRunner:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("lemmas", n=1000, seed=1)
-        with pytest.raises(ValueError, match="unknown suite"):
-            coverage_manifest("lemmas")
 
     def test_report_format(self):
         results = run_suite("conjectures", n=2000, seed=75)
