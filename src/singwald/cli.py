@@ -208,11 +208,13 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         sigma = validate_covariance(load_matrix(args.sigma))
         cfg = WaldSampleConfig(n=args.n, seed=seed, threads=threads)
         emp = sample_wald(poly, sigma, cfg)
+        # Imported here: no other command formats draws, so none loads it.
+        from .textout import _g17_lines
+
         # One write per chunk: joining all n lines at once would hold a
         # second copy of the whole output in memory.
         for start in range(0, emp.values.size, _WRITE_CHUNK):
-            chunk = emp.values[start : start + _WRITE_CHUNK].tolist()
-            out.write("%.17g\n" * len(chunk) % tuple(chunk))
+            out.write(_g17_lines(emp.values[start : start + _WRITE_CHUNK]))
         return 0
 
     if args.command == "cdf":

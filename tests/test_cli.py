@@ -8,6 +8,9 @@ import pytest
 
 import singwald
 from singwald.cli import build_parser, run
+from singwald.gaussian import load_matrix, validate_covariance
+from singwald.poly import load_polynomial
+from singwald.sampler import WaldSampleConfig, sample_wald
 from singwald.verify import VerificationResult
 
 TETRAD_POLY = "1 1 0 0 1\n-1 0 1 1 0\n"
@@ -260,6 +263,25 @@ class TestSample:
         monkeypatch.delenv("WALD_SEED")
         assert run(tail + ["--seed", "5"]) == 0
         assert capsys.readouterr().out == a
+
+    def test_text_is_percent_17g_of_the_sample(self, tetrad_files, tmp_path, capsys):
+        # 300,000 draws span two sampler batches and five write chunks.
+        poly, mat = tetrad_files
+        n, seed = 300_000, 5
+        emp = sample_wald(
+            load_polynomial(poly), validate_covariance(load_matrix(mat)),
+            WaldSampleConfig(n=n, seed=seed),
+        )
+        values = emp.values.tolist()
+        want = "%.17g\n" * n % tuple(values)
+        argv = ["sample", "--poly", str(poly), "--sigma", str(mat), "--n", str(n), "--seed", str(seed)]
+        assert run(argv + ["--threads", "1"]) == 0
+        assert capsys.readouterr().out == want
+        assert run(argv + ["--threads", "2"]) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "sample.txt"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("ascii")
 
 
 class TestTetradTest:

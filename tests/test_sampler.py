@@ -110,6 +110,21 @@ class TestSampleWald:
         # underflow guard is statistically invisible
         assert stats_out["rejected"] <= 0.0001 * stats_out["proposed"]
 
+    def test_result_is_the_sorted_buffer_not_a_copy(self):
+        # Sixteen batches: the result buffer is the largest allocation, and
+        # sorting a copy of it would double the peak.
+        import tracemalloc
+
+        n = 1 << 22
+        tracemalloc.start()
+        try:
+            emp = sample_wald(MonomialForm((1.0, 1.0)), cov2(0.5), WaldSampleConfig(n=n, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(emp.values) >= 0)
+        assert peak < 1.6 * emp.values.nbytes
+
     def test_degenerate_pairing_aborts(self, monkeypatch):
         # an absurd guard forces every draw to be rejected, on both form types
         import singwald.sampler as sampler
