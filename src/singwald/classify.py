@@ -155,7 +155,7 @@ def sample_canonical(lams, n: int, seed: int) -> EmpiricalDistribution:
     z2 = rng.standard_normal((n, lams.size)) ** 2
     num = (z2 @ lams) ** 2
     den = 4.0 * (z2 @ lams**2)
-    return EmpiricalDistribution.from_samples(num / den, copy=False)
+    return EmpiricalDistribution.from_samples(num / den)
 
 
 def k_alpha(alpha: float) -> int:

@@ -146,11 +146,11 @@ class EmpiricalDistribution:
     values: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_samples(cls, samples, *, copy: bool = True) -> "EmpiricalDistribution":
-        """The sorted samples, read-only.  ``copy=False`` sorts a float64
-        array in place and keeps it: for a caller that owns its buffer this
-        saves one copy of the sample."""
-        values = np.array(samples, dtype=float) if copy else np.asarray(samples, dtype=float)
+    def from_samples(cls, samples) -> "EmpiricalDistribution":
+        """The sorted samples, read-only.  A float64 array is sorted in
+        place and kept, so the caller hands its buffer over; a list or an
+        array of another dtype is copied first."""
+        values = np.asarray(samples, dtype=float)
         values.sort()
         if values.size < 2:
             raise ValueError("need at least two samples")
@@ -186,7 +186,7 @@ class LimitLaw:
         if n < 2:
             raise ValueError("n must be at least 2")
         rng = make_generator(seed)
-        return EmpiricalDistribution.from_samples(self._draw(rng, n), copy=False)
+        return EmpiricalDistribution.from_samples(self._draw(rng, n))
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError

@@ -127,7 +127,7 @@ def sample_wald(
             f"rejection rate {rejected / proposed:.2%} exceeds 1%; "
             "f and Sigma form a degenerate pairing"
         )
-    return EmpiricalDistribution.from_samples(out, copy=False)
+    return EmpiricalDistribution.from_samples(out)
 
 
 def ks_distance(emp: EmpiricalDistribution, law) -> float:

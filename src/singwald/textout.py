@@ -207,15 +207,13 @@ def _rows(x: np.ndarray) -> tuple[bytes, np.ndarray]:
     rows = np.stack(words, axis=1)
     rows[~exact] = 0
     table = rows.astype("<u8", copy=False).view(np.uint8)  # byte i of a row is bits 8i..8i+7
-    if (e[1:] >= e[:-1]).all():
-        # Sorted exponents: the rows of each run of one exponent, cut to
-        # the longest row of that exponent, leave only the stripped digits
-        # NUL, which are sparse.
-        starts = [0, *(np.flatnonzero(e[1:] != e[:-1]) + 1).tolist(), e.size]
-        return b"".join(
-            table[i:j, : lays[at[i]].full].tobytes() for i, j in zip(starts, starts[1:])
-        ), exact
-    return table.tobytes(), exact
+    # The rows of each run of one exponent, cut to the longest row of that
+    # exponent, leave only the stripped digits NUL, which are sparse.  A
+    # sorted sample has one run per exponent.
+    starts = [0, *(np.flatnonzero(e[1:] != e[:-1]) + 1).tolist(), e.size]
+    return b"".join(
+        table[i:j, : lays[at[i]].full].tobytes() for i, j in zip(starts, starts[1:])
+    ), exact
 
 
 def _lines(x: np.ndarray) -> str:
