@@ -39,6 +39,13 @@ __all__ = [
 _DENOMINATOR_GUARD = 1e-300
 # Draws per batch; batch i draws from the Philox stream (seed, i).
 _BATCH = 1 << 18
+# ks_distance evaluates the CDF every _KS_STRIDE draws, then refines each
+# segment that can still hold the supremum at 1/_KS_SPLIT of its stride.
+# _KS_MARGIN absorbs rounding in the segment bounds and ulp-sized
+# downward steps of a floating-point CDF.
+_KS_STRIDE = 64
+_KS_SPLIT = 8
+_KS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,26 +140,93 @@ def sample_wald(
 def ks_distance(emp: EmpiricalDistribution, law) -> float:
     """Exact sup distance between the empirical CDF and a reference.
 
-    Against a law with a computable CDF this is the one-sample statistic
-    with both one-sided gaps at every jump; against another empirical
-    sample it is the exact two-sample statistic.
+    Against a law with a computable CDF this is the one-sample statistic:
+    the largest of ``(i+1)/n - F(x_i)`` and ``F(x_i) - i/n`` over the sorted
+    draws.  ``law.cdf`` must be nondecreasing, and its value at a point must
+    not depend on the other points of the call.  Then for evaluated
+    indices a < b every i between them has ``(i+1)/n - F(x_i) <= b/n -
+    F(x_a)`` and ``F(x_i) - i/n <= F(x_b) - (a+1)/n``, so F is evaluated on
+    a coarse stride and only the segments whose bounds can reach the
+    running maximum are refined.  The result is the same float maximum as
+    the evaluation at every draw.  An evaluated F that is NaN or steps down
+    by more than the margin sends the call to that full evaluation.
+
+    Against another empirical sample it is the exact two-sample statistic.
     """
     if isinstance(law, EmpiricalDistribution):
         return two_sample_ks(emp, law)
     x = emp.values
     n = emp.n
-    fvals = np.asarray(law.cdf(x), dtype=float)
-    i = np.arange(1, n + 1)
-    d_plus = float((i / n - fvals).max())
-    d_minus = float((fvals - (i - 1) / n).max())
+    idx = np.arange(0, n + _KS_STRIDE - 1, _KS_STRIDE)
+    idx[-1] = n - 1
+    f = np.asarray(law.cdf(x[idx]), dtype=float)
+    if not _nondecreasing(f):
+        return _ks_every_point(x, law)
+    d_plus, d_minus = _ks_gaps(idx, f, n)
+    a, b, fa, fb = idx[:-1], idx[1:], f[:-1], f[1:]
+    stride = _KS_STRIDE
+    while stride > 1:
+        floor = max(d_plus, d_minus) - _KS_MARGIN
+        keep = (b - a > 1) & ((b / n - fa >= floor) | (fb - (a + 1) / n >= floor))
+        if not keep.any():
+            break
+        a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
+        stride //= _KS_SPLIT
+        # Each row runs a, a + stride, ..., b; points past b collapse onto b.
+        grid = np.minimum(a[:, None] + stride * np.arange(_KS_SPLIT + 1), b[:, None])
+        inner = grid[:, 1:-1] < b[:, None]
+        new = grid[:, 1:-1][inner]
+        fgrid = np.repeat(fb[:, None], _KS_SPLIT + 1, axis=1)
+        fgrid[:, 0] = fa
+        # A segment shorter than the new stride gains no point at this level.
+        if new.size:
+            fnew = np.asarray(law.cdf(x[new]), dtype=float)
+            fgrid[:, 1:-1][inner] = fnew
+            if not _nondecreasing(fgrid):
+                return _ks_every_point(x, law)
+            plus, minus = _ks_gaps(new, fnew, n)
+            d_plus, d_minus = max(d_plus, plus), max(d_minus, minus)
+        a, b = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        fa, fb = fgrid[:, :-1].ravel(), fgrid[:, 1:].ravel()
     return max(d_plus, d_minus)
 
 
+def _ks_gaps(idx: np.ndarray, f: np.ndarray, n: int) -> tuple[float, float]:
+    """The two one-sided KS gaps at 0-based draw indices ``idx``."""
+    return float(((idx + 1) / n - f).max()), float((f - idx / n).max())
+
+
+def _nondecreasing(f: np.ndarray) -> bool:
+    """True when no value is NaN and none steps down along the last axis
+    by more than the pruning margin."""
+    return not np.isnan(f).any() and bool((np.diff(f) >= -_KS_MARGIN).all())
+
+
+def _ks_every_point(x: np.ndarray, law) -> float:
+    """The one-sample statistic from F at every draw."""
+    return max(_ks_gaps(np.arange(x.size), np.asarray(law.cdf(x), dtype=float), x.size))
+
+
 def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
+    """Exact two-sample KS statistic: the largest ``|F_a - F_b|`` over the
+    pooled draws, from one stable merge of the two sorted samples."""
     pooled = np.concatenate([a.values, b.values])
-    fa = np.searchsorted(a.values, pooled, side="right") / a.n
-    fb = np.searchsorted(b.values, pooled, side="right") / b.n
-    return float(np.abs(fa - fb).max())
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    # Both step CDFs are right-continuous: read them at the last draw of
+    # each run of equal values, at 0-based merged ranks ``ends``.
+    ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    # Drop or reuse each pooled-size array once read: at most four are
+    # alive at a time.
+    del pooled
+    ca = np.cumsum(order < a.n)[ends]
+    del order
+    cb = ends  # in place: F_b's count at merged rank r is r + 1 - F_a's
+    cb += 1
+    cb -= ca
+    gap = ca / a.n
+    gap -= cb / b.n
+    return float(np.abs(gap, out=gap).max())
 
 
 def dominance_check(lower, upper, grid) -> float:

@@ -42,6 +42,27 @@ ALL_LAWS = [
 ]
 
 
+class StableLaw:
+    """The index-half stable law through the CDF adapter ``verify`` hands
+    to ``ks_distance``, with the law's own draws."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+
+    def cdf(self, t):
+        return stable_cdf(self.alpha, t)
+
+    def sample(self, n: int, seed: int) -> EmpiricalDistribution:
+        return EmpiricalDistribution.from_samples(sample_stable(self.alpha, n, seed))
+
+    def spec_string(self) -> str:
+        return f"stable:{self.alpha:g}"
+
+
+# Every CDF ``verify`` measures a KS distance against.
+ALL_CDFS = [*ALL_LAWS, StableLaw(1.3)]
+
+
 class TestKernels:
     def test_chi2_cdf_against_mpmath(self):
         # independent special-function route: regularized lower gamma in
@@ -428,7 +449,7 @@ def test_small_p_quantile_keeps_relative_accuracy(law):
         assert abs(float(law.cdf(q)) / p - 1.0) <= 1e-9, (p, q)
 
 
-@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
+@pytest.mark.parametrize("law", ALL_CDFS, ids=lambda l: l.spec_string())
 def test_cdf_of_a_point_does_not_depend_on_the_others(law):
     # the kernels group points and nodes by call size; each value must be
     # bitwise the same alone, in a short call and in a block-filling one
@@ -436,6 +457,14 @@ def test_cdf_of_a_point_does_not_depend_on_the_others(law):
     alone = np.array([law.cdf(v) for v in t])
     np.testing.assert_array_equal(law.cdf(t), alone)
     np.testing.assert_array_equal(law.cdf(np.tile(t, 700))[: t.size], alone)
+
+
+@pytest.mark.parametrize("law", ALL_CDFS, ids=lambda l: l.spec_string())
+def test_cdf_is_nondecreasing_on_a_million_sorted_draws(law):
+    # ks_distance skips the draws between two evaluated ones by this
+    # property, with no margin to spare beyond rounding
+    f = np.asarray(law.cdf(law.sample(10**6, 29).values), dtype=float)
+    assert np.all(np.diff(f) >= 0.0)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from test_laws import ALL_CDFS
 
 from singwald.errors import DegenerateSamplingError
 from singwald import sampler
 from singwald.gaussian import factor, validate_covariance
 from singwald.laws import (
     EmpiricalDistribution,
+    FoldedBetaProduct,
     ScaledChiSquare,
     TetradSingular,
+    monomial_law,
 )
 from singwald.poly import HomogeneousPolynomial, MonomialForm
 from singwald.sampler import (
@@ -193,6 +196,9 @@ class TestKsDistance:
         values = [law.quantile((i - 0.5) / n) for i in range(1, n + 1)]
         emp = EmpiricalDistribution.from_samples(values)
         assert ks_distance(emp, law) <= 1.0 / (2.0 * n) + 1e-9
+        # every gap is 1/(2n) up to rounding, so no segment can be skipped
+        # on its bound and the refinement reaches every draw
+        assert ks_distance(emp, law) == full_ks(emp, law)
 
     def test_self_draw_within_kolmogorov_bound(self):
         # 1.95/sqrt(n) is the 99.9% point of the Kolmogorov law
@@ -213,6 +219,148 @@ class TestKsDistance:
         assert ks_distance(a, b) == 0.0
         c = EmpiricalDistribution.from_samples([10.0, 11.0, 12.0])
         assert ks_distance(a, c) == 1.0
+
+
+# The CDFs of verify's one-sample KS rows: every law, the stable adapter
+# and the monomial theorem's law.
+KS_LAWS = [*ALL_CDFS, monomial_law(MonomialForm((1.0, 2.0)))]
+
+
+def full_gaps(emp, law):
+    """The two one-sided gaps at every draw, from F at every draw."""
+    n = emp.n
+    fvals = np.asarray(law.cdf(emp.values), dtype=float)
+    i = np.arange(1, n + 1)
+    return i / n - fvals, fvals - (i - 1) / n
+
+
+def full_ks(emp, law) -> float:
+    """The oracle: the one-sample statistic as the maximum over every draw."""
+    d_plus, d_minus = full_gaps(emp, law)
+    return max(float(d_plus.max()), float(d_minus.max()))
+
+
+class CountingCdf:
+    """A CDF adapter that records the size of every call."""
+
+    def __init__(self, cdf):
+        self._cdf = cdf
+        self.sizes = []
+
+    def cdf(self, t):
+        self.sizes.append(np.size(t))
+        return self._cdf(t)
+
+
+class TestKsPruning:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 10**5, 10**6])
+    @pytest.mark.parametrize("law", KS_LAWS, ids=lambda l: l.spec_string())
+    def test_equals_full_evaluation(self, law, n, seed):
+        emp = law.sample(n, seed)
+        assert ks_distance(emp, law) == full_ks(emp, law)
+
+    @pytest.mark.parametrize("law", KS_LAWS, ids=lambda l: l.spec_string())
+    def test_evaluates_under_a_tenth_of_a_million_draws(self, law):
+        emp = law.sample(10**6, 3)
+        counted = CountingCdf(law.cdf)
+        ks_distance(emp, counted)
+        assert sum(counted.sizes) <= 10**5
+
+    @pytest.mark.parametrize(
+        "law", [ScaledChiSquare(1.0, 1), TetradSingular(), FoldedBetaProduct(3, 1)],
+        ids=lambda l: l.spec_string(),
+    )
+    def test_supremum_at_the_first_or_last_draw(self, law):
+        base = law.sample(10**5, 4).values
+        # Shifted far right, F is nearly flat at 1 and F(x_i) - i/n peaks
+        # at the first draw; squeezed toward 0, (i+1)/n - F(x_i) peaks at
+        # the last.
+        for values, side, where in ((base + law.quantile(0.99), 1, 0), (base * 1e-12, 0, -1)):
+            emp = EmpiricalDistribution.from_samples(values.copy())
+            gaps = full_gaps(emp, law)
+            assert np.argmax(gaps[side]) == np.arange(emp.n)[where]
+            assert gaps[side][where] > gaps[1 - side].max()
+            assert ks_distance(emp, law) == full_ks(emp, law)
+
+    @pytest.mark.parametrize("law", [ScaledChiSquare(0.25, 1), TetradSingular()], ids=lambda l: l.spec_string())
+    def test_tied_draws(self, law):
+        emp = EmpiricalDistribution.from_samples(np.round(law.sample(10**5, 5).values, 2))
+        assert np.unique(emp.values).size < emp.n // 10
+        assert ks_distance(emp, law) == full_ks(emp, law)
+
+    @pytest.mark.parametrize(
+        "values, sup",
+        [
+            # (i+1)/n - F peaks at 0.5 on draw 63, the last of a tie run
+            # that starts at draw 0: the bound b/n - F(x_a) of segment
+            # (0, 64) is attained, while draws 64..127 all read 0.499.
+            ([0.0] * 64 + [(i + 1) / 128 - 0.499 for i in range(64, 128)], 0.5),
+            # F - i/n peaks at 0.252 on draw 1, the first of a tie run that
+            # ends on draw 64: the bound F(x_b) - (a+1)/n is attained, and
+            # the largest gap on a stride point is 0.251.
+            ([0.25] + [0.252 + 1 / 128] * 64 + [(i + 1) / 128 - 0.251 for i in range(65, 128)], 0.252),
+        ],
+        ids=["plus", "minus"],
+    )
+    def test_segment_bounds_are_exact_on_tie_runs(self, values, sup):
+        # A bound one step looser than the one in ks_distance would skip
+        # the segment that holds the supremum.
+        emp = EmpiricalDistribution.from_samples(values)
+        uniform = CountingCdf(lambda t: np.clip(t, 0.0, 1.0))
+        assert full_ks(emp, uniform) == pytest.approx(sup)
+        assert ks_distance(emp, uniform) == full_ks(emp, uniform)
+
+    def test_short_last_segment_alone(self):
+        # n = 70: the last segment (64, 69) is shorter than the second
+        # stride, so it gains no point at that level, and it alone holds
+        # the supremum 68/70 - F(x_67), two draws before a jump to F = 1.
+        emp = EmpiricalDistribution.from_samples([i * 1e-9 for i in range(68)] + [2.0, 2.0])
+        uniform = CountingCdf(lambda t: np.clip(t, 0.0, 1.0))
+        stat = ks_distance(emp, uniform)
+        assert uniform.sizes == [3, 4]
+        assert stat == full_ks(emp, uniform)
+
+    def test_sawtooth_cdf_falls_back_to_every_draw(self):
+        emp = EmpiricalDistribution.from_samples(np.random.default_rng(30).uniform(size=10**4))
+        law = CountingCdf(lambda t: (3.0 * np.asarray(t)) % 1.0)
+        stat = ks_distance(emp, law)
+        assert law.sizes[-1] == emp.n
+        assert stat == full_ks(emp, law)
+
+    def test_nan_cdf_falls_back_to_every_draw(self):
+        chi = ScaledChiSquare(1.0, 1)
+        emp = chi.sample(10**4, 31)
+        law = CountingCdf(lambda t: np.where(np.asarray(t) < 2.0, chi.cdf(t), np.nan))
+        stat = ks_distance(emp, law)
+        assert law.sizes[-1] == emp.n
+        assert np.isnan(stat) and np.isnan(full_ks(emp, law))
+
+
+def searchsorted_two_sample_ks(a, b) -> float:
+    """The oracle: both step CDFs read at every pooled draw."""
+    pooled = np.concatenate([a.values, b.values])
+    fa = np.searchsorted(a.values, pooled, side="right") / a.n
+    fb = np.searchsorted(b.values, pooled, side="right") / b.n
+    return float(np.abs(fa - fb).max())
+
+
+class TestTwoSampleKs:
+    def test_equals_searchsorted_form(self):
+        rng = np.random.default_rng(32)
+        for trial in range(60):
+            na, nb = rng.integers(2, 500, size=2)
+            a, b = rng.standard_normal(na), 1.3 * rng.standard_normal(nb)
+            if trial % 2:
+                a, b = np.round(a, 1), np.concatenate([np.round(b, 1), a[:3]])
+            ea, eb = EmpiricalDistribution.from_samples(a), EmpiricalDistribution.from_samples(b)
+            assert two_sample_ks(ea, eb) == searchsorted_two_sample_ks(ea, eb)
+            assert two_sample_ks(eb, ea) == searchsorted_two_sample_ks(eb, ea)
+
+    def test_equals_searchsorted_form_at_a_million(self):
+        law = ScaledChiSquare(1.0, 1)
+        a, b = law.sample(10**6, 33), law.sample(10**6 - 7, 34)
+        assert two_sample_ks(a, b) == searchsorted_two_sample_ks(a, b)
 
 
 class TestDominance:
