@@ -18,20 +18,29 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .classify import classify
-from .gaussian import load_matrix, validate_covariance
-from .laws import parse_law
-from .poly import load_polynomial
-from .sampler import WaldSampleConfig, sample_wald
-from .tetrad import (
-    TetradIndex,
-    load_data_csv,
-    tetrad_index_array,
-    wald_tetrad_test,
-    zero_variance_columns,
-)
-from .verify import SUITES, format_report, moment_invariance_check, run_suite
+from . import SUITES, __version__, _importer
+
+# module -> the callees of the commands.  Each is imported on first use, so
+# a command loads only the modules it runs.
+__getattr__ = _importer(globals(), {
+    "classify": ("classify",),
+    "gaussian": ("load_matrix", "validate_covariance"),
+    "laws": ("parse_law",),
+    "poly": ("load_polynomial",),
+    "sampler": ("WaldSampleConfig", "sample_wald"),
+    "tetrad": (
+        "TetradIndex",
+        "load_data_csv",
+        "tetrad_index_array",
+        "wald_tetrad_test",
+        "zero_variance_columns",
+    ),
+    "textout": ("_g17_lines",),
+    "verify": ("format_report", "moment_invariance_check", "run_suite"),
+})
+# This module, read by attribute: a callee is imported when first read, and
+# one replaced here (a tracer's wrapper, a test's stub) is the one called.
+_cli = sys.modules[__name__]
 
 
 def _default_seed() -> int:
@@ -83,6 +92,13 @@ def _join_grid_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on, where the platform says so."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count(text: str) -> int:
     try:
         value = int(text)
@@ -103,8 +119,8 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     )
     parser.add_argument(
         "--threads", type=_thread_count, default=d,
-        help="worker threads (default: available parallelism); "
-        "--threads 1 guarantees bitwise-reproducible output",
+        help="worker threads (default: the CPUs this process may use); "
+        "the output does not depend on the thread count",
     )
     parser.add_argument(
         "--out", default=argparse.SUPPRESS if suppress else "-",
@@ -189,7 +205,7 @@ def run(argv=None) -> int:
     out, close = sys.stdout, False
     try:
         seed = args.seed if args.seed is not None else _default_seed()
-        threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+        threads = args.threads if args.threads is not None else _available_cpus()
         print(f"# wald {__version__} command={args.command} seed={seed} threads={threads}",
               file=sys.stderr)
         out, close = _open_out(args.out)
@@ -204,21 +220,18 @@ def run(argv=None) -> int:
 
 def _dispatch(args, seed: int, threads: int, out) -> int:
     if args.command == "sample":
-        poly = load_polynomial(args.poly)
-        sigma = validate_covariance(load_matrix(args.sigma))
-        cfg = WaldSampleConfig(n=args.n, seed=seed, threads=threads)
-        emp = sample_wald(poly, sigma, cfg)
-        # Imported here: no other command formats draws, so none loads it.
-        from .textout import _g17_lines
-
+        poly = _cli.load_polynomial(args.poly)
+        sigma = _cli.validate_covariance(_cli.load_matrix(args.sigma))
+        cfg = _cli.WaldSampleConfig(n=args.n, seed=seed, threads=threads)
+        emp = _cli.sample_wald(poly, sigma, cfg)
         # One write per chunk: joining all n lines at once would hold a
         # second copy of the whole output in memory.
         for start in range(0, emp.values.size, _WRITE_CHUNK):
-            out.write(_g17_lines(emp.values[start : start + _WRITE_CHUNK]))
+            out.write(_cli._g17_lines(emp.values[start : start + _WRITE_CHUNK]))
         return 0
 
     if args.command == "cdf":
-        law = parse_law(args.law)
+        law = _cli.parse_law(args.law)
         grid = _parse_grid(args.grid)
         vals = np.asarray(law.cdf(grid))
         out.write("t\tF\n")
@@ -227,7 +240,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         return 0
 
     if args.command == "quantile":
-        law = parse_law(args.law)
+        law = _cli.parse_law(args.law)
         if args.probs:
             probs = _parse_list("--probs", args.probs)
         elif args.grid:
@@ -240,29 +253,29 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         return 0
 
     if args.command == "classify":
-        poly = load_polynomial(args.quad)
-        sigma = validate_covariance(load_matrix(args.sigma))
-        result = classify(poly.to_quadratic_form(), sigma)
+        poly = _cli.load_polynomial(args.quad)
+        sigma = _cli.validate_covariance(_cli.load_matrix(args.sigma))
+        result = _cli.classify(poly.to_quadratic_form(), sigma)
         out.write(f"form: {poly}\n")
         out.write(result.describe() + "\n")
         out.write(result.machine_line() + "\n")
         return 0
 
     if args.command == "tetrad-test":
-        data = load_data_csv(args.data)
+        data = _cli.load_data_csv(args.data)
         if args.all:
-            idx = tetrad_index_array(data.p)
+            idx = _cli.tetrad_index_array(data.p)
         elif args.indices:
             try:
                 i, j, k, l = (int(tok) for tok in args.indices.split(","))
             except ValueError:
                 raise ValueError("--indices must be i,j,k,l") from None
-            idx = [TetradIndex(i, j, k, l)]
+            idx = [_cli.TetradIndex(i, j, k, l)]
         else:
             raise ValueError("provide --indices or --all")
-        res = wald_tetrad_test(data, idx)
+        res = _cli.wald_tetrad_test(data, idx)
         bad = res.degenerate
-        constant = zero_variance_columns(data) if bad.any() else []
+        constant = _cli.zero_variance_columns(data) if bad.any() else []
         if bad.any() and not args.all:
             touched = [c for c in constant if c in idx[0]]
             raise ValueError("estimated asymptotic variance is not positive; " + (
@@ -286,8 +299,8 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         return 0
 
     if args.command == "verify":
-        results = run_suite(args.suite, n=args.n, seed=seed, threads=threads)
-        out.write(format_report(results))
+        results = _cli.run_suite(args.suite, n=args.n, seed=seed, threads=threads)
+        out.write(_cli.format_report(results))
         failed = [r for r in results if r.tier == "theorem" and not r.passed]
         for r in failed:
             print(f"FAILED theorem-tier check: {r.name}", file=sys.stderr)
@@ -296,7 +309,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
     if args.command == "moments":
         phis = _parse_list("--phi", args.phi)
         ms = _parse_list("--m", args.m, int)
-        table = moment_invariance_check(args.sigma, phis, ms)
+        table = _cli.moment_invariance_check(args.sigma, phis, ms)
         out.write("m\\phi\t" + "\t".join(f"{p:.12g}" for p in phis) + "\n")
         for r, m in enumerate(ms):
             out.write(

@@ -36,11 +36,16 @@ __all__ = [
 _DET_RTOL = 1e-12
 
 
-# Rows per block of the compiled kernel.  2^14 rows keep the per-thread
-# buffers of a 35-term quartic near 7 MB while amortising numpy's per-call
-# cost well enough that two sampler threads still scale: at 2^12 rows the
-# threads serialised on the interpreter lock, and 2^16 rows saved about a
-# tenth at two threads for four times the temporaries.
+# Rows per block of the compiled kernel and of :func:`_row_quadratic`.
+# 2^14 rows keep the per-thread buffers of a 35-term quartic near 7 MB
+# while amortising numpy's per-call cost well enough that two sampler
+# threads still scale: at 2^12 rows the threads serialised on the
+# interpreter lock, and 2^16 rows saved about a tenth at two threads for
+# four times the temporaries.  On 2^18 rows at one BLAS thread (medians
+# of 15 interleaved runs, 2-core Xeon) the row quadratic form took 1.9 /
+# 4.9 / 8.7 / 18.1 ms for k = 2 / 3 / 4 / 6 in blocks of 2^14, against
+# 2.3 / 5.0 / 8.7 / 17.8 ms at 2^13, 2.1 / 6.3 / 11.1 / 24.7 ms at 2^16,
+# and 13.4 / 20.0 / 27.1 / 46.5 ms for the einsum it replaces.
 _BLOCK = 1 << 14
 
 
@@ -99,6 +104,37 @@ class _MonomialSum:
                         np.multiply(dst, t[q], out=dst)
             np.matmul(m.T, self._weights, out=out[s : s + b])
         return out
+
+
+def _row_quadratic(g: np.ndarray, sigma: np.ndarray, over=None) -> np.ndarray:
+    """``g_i^T Sigma g_i`` for every row g_i of the (n, k) array ``g``, or
+    for the rows ``over / g_i`` when the k-vector ``over`` is given.
+
+    Rows are processed in blocks of ``_BLOCK``, each copied transposed into
+    a (k, block) buffer.  Every row sums ``(g_j * s_jm) * g_m`` into a zero,
+    with j outer and m inner: the order of ``np.einsum("ij,jk,ik->i", g,
+    sigma, g)``, so the result is the einsum's bit for bit, except at k = 2
+    with n <= 2, where einsum's iterator takes another order.
+    """
+    n, k = g.shape
+    out = np.zeros(n)
+    width = min(n, _BLOCK)
+    rows = np.empty((k, width))
+    term = np.empty(width)
+    for s in range(0, n, _BLOCK):
+        gb = g[s : s + _BLOCK]
+        b = gb.shape[0]
+        t, w, acc = rows[:, :b], term[:b], out[s : s + b]
+        if over is None:
+            t[...] = gb.T
+        else:
+            np.divide(over[:, None], gb.T, out=t)
+        for j in range(k):
+            for m in range(k):
+                np.multiply(t[j], sigma[j, m], out=w)
+                np.multiply(w, t[m], out=w)
+                np.add(acc, w, out=acc)
+    return out
 
 
 def _canonical_terms(terms) -> tuple[tuple[float, tuple[int, ...]], ...]:
@@ -317,9 +353,7 @@ class MonomialForm:
 
     def reciprocal_wald(self, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """``1/W`` evaluated row-wise on an (n, k) array of points."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(self.exponents) / x
-        return np.einsum("ij,jk,ik->i", v, sigma, v)
+        return _row_quadratic(np.asarray(x, dtype=float), sigma, np.asarray(self.exponents))
 
 
 @dataclass(frozen=True)

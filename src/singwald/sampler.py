@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, factor, make_generator
 from .laws import EmpiricalDistribution
-from .poly import HomogeneousPolynomial, MonomialForm
+from .poly import HomogeneousPolynomial, MonomialForm, _row_quadratic
 
 __all__ = [
     "WaldSampleConfig",
@@ -69,9 +69,7 @@ def _wald_terms(f: HomogeneousPolynomial | MonomialForm, sigma: np.ndarray, x: n
     (a/x)^T Sigma (a/x) for a power product."""
     if isinstance(f, MonomialForm):
         return 1.0, f.reciprocal_wald(x, sigma)
-    num = np.square(f.evaluate(x))
-    grads = f.gradient(x)
-    return num, np.einsum("ij,jk,ik->i", grads, sigma, grads)
+    return np.square(f.evaluate(x)), _row_quadratic(f.gradient(x), sigma)
 
 
 def sample_wald(
@@ -112,8 +110,11 @@ def sample_wald(
             x = rng.standard_normal((need, root.shape[1])) @ root.T
             num, den = _wald_terms(f, smat, x)
             good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
-            den = den[good]
-            np.divide(num[good] if np.ndim(num) else num, den, out=part[filled : filled + den.size])
+            # Compact only a batch the guard touched: in practice none is.
+            if not good.all():
+                den = den[good]
+                num = num[good] if np.ndim(num) else num
+            np.divide(num, den, out=part[filled : filled + den.size])
             proposed += need
             filled += den.size
         return proposed

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import SUITES
 from .classify import classify, sample_canonical
 from .gaussian import factor, make_generator, validate_covariance
 from .laws import (
@@ -61,7 +62,6 @@ __all__ = [
     "verify_tetrad_kronecker",
     "verify_tetrad_convergence",
     "run_suite",
-    "SUITES",
     "format_report",
 ]
 
@@ -865,13 +865,6 @@ _REGISTRY = (
     (("cauchy-ratio-evidence",), "conjecture", _check_cauchy_evidence),
     (("reciprocal-form-evidence",), "conjecture", _check_reciprocal_evidence),
 )
-
-# suite name -> the tiers it runs
-SUITES = {
-    "all": ("theorem", "conjecture"),
-    "theorems": ("theorem",),
-    "conjectures": ("conjecture",),
-}
 
 
 def run_suite(

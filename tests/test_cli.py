@@ -1,4 +1,5 @@
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,13 @@ class TestHelp:
             run(argv)
         assert exc.value.code == 2
         assert "argument --threads" in capsys.readouterr().err
+
+    def test_default_threads_are_the_cpus_this_process_may_use(self, monkeypatch, capsys):
+        # One usable CPU of a 64-CPU host: the affinity mask decides.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert run(["cdf", "tetrad", "--grid", "0:1:1"]) == 0
+        assert " threads=1\n" in capsys.readouterr().err
 
 
 class TestCdf:
@@ -386,21 +394,25 @@ def test_parser_covers_all_subcommands():
         assert name in text
 
 
-def _scipy_modules_after(code: str, *argv: str) -> list[str]:
-    """The ``scipy`` modules loaded after running ``code`` in a fresh interpreter."""
+def _modules_after(code: str, package: str, *argv: str) -> list[str]:
+    """The modules of ``package`` loaded after running ``code`` in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(singwald.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code + "; import sys; "
-         "print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        [sys.executable, "-c", code + "; import sys; print('modules:', *sorted("
+         f"m for m in sys.modules if m.split('.')[0] == {package!r}))",
          *argv],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return out.stdout.splitlines()[-1].split()[1:]
 
 
+_RUN_ARGV = "import sys; from singwald.cli import run; assert run(sys.argv[1:]) in (0, 1)"
+
+
 @pytest.fixture
 def command_inputs(tetrad_files, tmp_path):
-    """Input files for every command in the no-scipy check."""
+    """Input files for every command in the module-loading checks."""
     rng = np.random.default_rng(4)
     np.savetxt(tmp_path / "d.csv", rng.standard_normal((50, 5)), delimiter=",")
     (tmp_path / "q.poly").write_text("1 2 0\n0.5 0 2\n", encoding="utf-8")
@@ -414,13 +426,9 @@ def _law_commands(law):
             ("quantile", law, "--grid", "0.01:0.99:0.07", "--out", "{dir}/Q.tsv")]
 
 
-_NO_SCIPY_COMMANDS = [
-    (),  # import alone
-    ("sample", "--poly", "{poly}", "--sigma", "{kron}", "--n", "100", "--out", "{dir}/w.txt"),
-    ("verify", "--suite", "all", "--n", "2000"),
-    ("tetrad-test", "--data", "{dir}/d.csv", "--all", "--out", "{dir}/t.tsv"),
-    ("classify", "--quad", "{dir}/q.poly", "--sigma", "{dir}/s.mat", "--out", "{dir}/c.txt"),
-    ("moments", "--sigma", "1.0", "--phi", "0,0.7", "--m", "1,2"),
+_SAMPLE = ("sample", "--poly", "{poly}", "--sigma", "{kron}", "--n", "100", "--out", "{dir}/w.txt")
+_TETRAD_SCAN = ("tetrad-test", "--data", "{dir}/d.csv", "--all", "--out", "{dir}/t.tsv")
+_LAW_COMMANDS = [
     *_law_commands("mix2:0.25:0.2"),
     *_law_commands("beta-fold:3:1"),
     *_law_commands("beta-fold:2:1"),
@@ -428,16 +436,66 @@ _NO_SCIPY_COMMANDS = [
     *_law_commands("tetrad"),
 ]
 
+_NO_SCIPY_COMMANDS = [
+    (),  # import alone
+    _SAMPLE,
+    ("verify", "--suite", "all", "--n", "2000"),
+    _TETRAD_SCAN,
+    ("classify", "--quad", "{dir}/q.poly", "--sigma", "{dir}/s.mat", "--out", "{dir}/c.txt"),
+    ("moments", "--sigma", "1.0", "--phi", "0,0.7", "--m", "1,2"),
+    *_LAW_COMMANDS,
+]
 
-@pytest.mark.parametrize(
-    "argv", _NO_SCIPY_COMMANDS,
-    ids=lambda argv: "-".join(argv[: 2 if argv[:1] in (("cdf",), ("quantile",)) else 1]) or "import",
-)
+
+def _command_id(argv) -> str:
+    return "-".join(argv[: 2 if argv[:1] in (("cdf",), ("quantile",)) else 1]) or "import"
+
+
+@pytest.mark.parametrize("argv", _NO_SCIPY_COMMANDS, ids=_command_id)
 def test_no_wald_command_loads_a_scipy_module(argv, command_inputs):
     # the special functions, quadrature rules and root finder are numpy code
     code = "import singwald.cli"
     if argv:
         argv = [a.format(**command_inputs) for a in argv]
         # 1 is a failed verify check at this small n; 2 would be an input error
-        code = "import sys; from singwald.cli import run; assert run(sys.argv[1:]) in (0, 1)"
-    assert _scipy_modules_after(code, *argv) == []
+        code = _RUN_ARGV
+    assert _modules_after(code, "scipy", *argv) == []
+
+
+# command -> singwald modules it must not load
+_UNUSED_MODULES = [
+    (_SAMPLE, {"verify", "classify", "tetrad"}),
+    (_TETRAD_SCAN, {"verify", "classify", "sampler", "textout"}),
+    *((argv, {"verify"}) for argv in _LAW_COMMANDS),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unused", _UNUSED_MODULES, ids=[_command_id(argv) for argv, _ in _UNUSED_MODULES]
+)
+def test_each_command_loads_only_what_it_runs(argv, unused, command_inputs):
+    argv = [a.format(**command_inputs) for a in argv]
+    loaded = _modules_after(_RUN_ARGV, "singwald", *argv)
+    assert "singwald.cli" in loaded
+    assert not {f"singwald.{name}" for name in unused} & set(loaded)
+
+
+def test_importing_the_cli_loads_no_other_module():
+    assert _modules_after("import singwald.cli", "singwald") == ["singwald", "singwald.cli"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(info.name for info in pkgutil.iter_modules(singwald.__path__))
+)
+def test_every_module_imports_alone(module):
+    # A fresh interpreter per module: an import cycle fails here whichever
+    # module the cycle is entered from.
+    loaded = _modules_after(f"import singwald.{module}", "singwald")
+    assert f"singwald.{module}" in loaded
+
+
+def test_classify_names_the_function_whatever_loaded_first():
+    code = ("import singwald.verify, singwald; from singwald import classify; "
+            "assert callable(classify) and singwald.classify is classify; "
+            "import singwald.classify as c; assert c is classify")
+    assert "singwald.classify" in _modules_after(code, "singwald")

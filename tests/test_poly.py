@@ -10,6 +10,7 @@ from singwald.poly import (
     HomogeneousPolynomial,
     MonomialForm,
     QuadraticForm,
+    _row_quadratic,
     parse_polynomial,
 )
 
@@ -364,6 +365,62 @@ class TestMonomialForm:
         grads = f.gradient(x)
         direct = np.einsum("ij,jk,ik->i", grads, sigma, grads) / vals**2
         np.testing.assert_allclose(m.reciprocal_wald(x, sigma), direct, rtol=1e-9)
+
+
+def _spread_rows(rng, n, k, layout):
+    """(n, k) normals scaled over 1e-100 .. 1e100, in memory ``layout``."""
+    shape = (2 * n, 2 * k) if layout == "strided" else (n, k)
+    g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100, shape)
+    if layout == "strided":
+        return g[::2, ::2]
+    return np.asfortranarray(g) if layout == "F" else g
+
+
+def _random_covariance(rng, k):
+    a = rng.standard_normal((k, k))
+    return a @ a.T + 0.1 * np.eye(k)
+
+
+class TestRowQuadratic:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 4095, 4097, 2**14 + 3, 100_000])
+    def test_equals_einsum_bit_for_bit(self, n, layout):
+        rng = np.random.default_rng([n, len(layout)])
+        for k in range(1, 7):
+            g = _spread_rows(rng, n, k, layout)
+            sigma = _random_covariance(rng, k)
+            assert np.array_equal(
+                _row_quadratic(g, sigma), np.einsum("ij,jk,ik->i", g, sigma, g)
+            ), k
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_few_rows_sum_in_the_stated_order(self, n):
+        # At k = 2 and n <= 2 einsum sums in another order, so the
+        # reference is the stated one: (g_j * s_jm) * g_m, j outer, m inner.
+        rng = np.random.default_rng(n)
+        for k in range(1, 7):
+            for _ in range(50):
+                g = _spread_rows(rng, n, k, "C")
+                sigma = _random_covariance(rng, k)
+                want = np.zeros(n)
+                for i in range(n):
+                    for j in range(k):
+                        for m in range(k):
+                            want[i] += g[i, j] * sigma[j, m] * g[i, m]
+                assert np.array_equal(_row_quadratic(g, sigma), want)
+
+    @pytest.mark.parametrize("n", [3, 4097, 100_000])
+    def test_reciprocal_form_equals_einsum_of_the_quotients(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(1, 7):
+            a = rng.uniform(0.1, 3.0, k)
+            x = _spread_rows(rng, n, k, "C")
+            sigma = _random_covariance(rng, k)
+            v = a / x
+            assert np.array_equal(
+                MonomialForm(tuple(a)).reciprocal_wald(x, sigma),
+                np.einsum("ij,jk,ik->i", v, sigma, v),
+            ), k
 
 
 class TestTextFormat:
