@@ -74,9 +74,8 @@ _PUBLIC = {
     ),
     "verify": ("VerificationResult", "run_suite"),
 }
-_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = ["__version__", *_MODULE_OF]
+__all__ = ["__version__", *(name for names in _PUBLIC.values() for name in names)]
 
 
 def _importer(namespace: dict, public: dict):
@@ -104,7 +103,7 @@ class _Package(types.ModuleType):
     not bound, so that name stays the function, whatever loaded first."""
 
     def __setattr__(self, name, value):
-        if not (name in _MODULE_OF and isinstance(value, types.ModuleType)):
+        if not (name in __all__ and isinstance(value, types.ModuleType)):
             super().__setattr__(name, value)
 
 
