@@ -29,6 +29,7 @@ SUITES = {
 # module -> the public names it defines
 _PUBLIC = {
     "classify": ("QuadraticClassification", "classify", "k_alpha", "sample_canonical"),
+    "empirical": ("EmpiricalDistribution",),
     "errors": ("DegenerateSamplingError", "ParseError", "WaldError"),
     "gaussian": (
         "CovarianceMatrix",
@@ -38,7 +39,6 @@ _PUBLIC = {
         "validate_covariance",
     ),
     "laws": (
-        "EmpiricalDistribution",
         "FoldedBetaProduct",
         "LimitLaw",
         "ScaledChiSquare",
@@ -47,7 +47,6 @@ _PUBLIC = {
         "monomial_law",
         "parse_law",
         "stable_cdf",
-        "tetrad_singular_cdf",
     ),
     "poly": (
         "HomogeneousPolynomial",
@@ -63,6 +62,7 @@ _PUBLIC = {
         "sample_wald",
         "two_sample_ks",
     ),
+    "special": ("tetrad_singular_cdf",),
     "tetrad": (
         "DataMatrix",
         "TetradIndex",

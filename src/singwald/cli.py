@@ -35,7 +35,7 @@ __getattr__ = _importer(globals(), {
         "wald_tetrad_test",
         "zero_variance_columns",
     ),
-    "textout": ("_g17_lines",),
+    "textout": ("_g17_lines", "_tsv"),
     "verify": ("format_report", "moment_invariance_check", "run_suite"),
 })
 # This module, read by attribute: a callee is imported when first read, and
@@ -185,12 +185,21 @@ _WRITE_CHUNK = 1 << 16
 _TETRAD_HEADER = "i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n"
 
 
-def _tetrad_row(idx, gamma, t_stat, p_regular, p_singular, regime) -> str:
-    i, j, k, l = idx
-    return (
-        f"{i}\t{j}\t{k}\t{l}\t{gamma:.10g}\t{t_stat:.10g}\t"
-        f"{p_regular:.10g}\t{p_singular:.10g}\t{regime}\n"
-    )
+def _tetrad_rows(res) -> str:
+    """One TSV row per tetrad of ``res``: its indices, gamma, the statistic
+    and both p-values as ``%.10g``, and its regime.  A degenerate tetrad
+    keeps its gamma; its statistic and p-values are undefined and print as
+    nan."""
+    idx = np.reshape(res.idx, (-1, 4))
+    columns = range(int(idx.max(initial=0)) + 1)
+    bad = np.atleast_1d(res.degenerate)
+    undefined = lambda a: np.where(bad, np.nan, a)
+    regime = np.where(bad, 2, res.regime_hint == "near_singular")
+    return _cli._tsv([
+        *((i, columns) for i in idx.T), np.atleast_1d(res.gamma_hat),
+        undefined(res.t_stat), undefined(res.p_regular), undefined(res.p_singular),
+        (regime, ("regular", "near_singular", "degenerate")),
+    ])
 
 
 def _open_out(path: str):
@@ -282,16 +291,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
                 f"the tetrad touches zero-variance columns: {', '.join(map(str, touched))}"
                 if touched else "the empirical covariance is degenerate, collect more data"
             ))
-        # A degenerate tetrad of a scan keeps its gamma; its statistic and
-        # p-values are undefined and print as nan.
-        undefined = lambda a: np.where(bad, np.nan, a).tolist()
-        out.write(_TETRAD_HEADER + "".join(
-            _tetrad_row(*row) for row in zip(
-                res.idx.tolist(), res.gamma_hat.tolist(), undefined(res.t_stat),
-                undefined(res.p_regular), undefined(res.p_singular),
-                np.where(bad, "degenerate", res.regime_hint).tolist(),
-            )
-        ))
+        out.write(_TETRAD_HEADER + _tetrad_rows(res))
         if bad.any():
             print(f"# {int(bad.sum())} of {bad.size} tetrads are degenerate "
                   "(estimated variance not positive); zero-variance columns: "

@@ -169,5 +169,5 @@ def parse_matrix(text: str, path: str = "<input>") -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_matrix(fh.read(), path=str(path))

@@ -46,8 +46,12 @@ node and point.
 
 The special functions (erf, erfc, erfcx and the incomplete gamma
 functions at integer and half-integer shapes) and the root finder are the
-numpy kernels of ``singwald.special``.  Every law has a survival function
-``sf``: ``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
+numpy kernels of ``singwald.special``, and so are the distribution
+functions ``chi2_cdf``, ``chi2_sf``, ``tetrad_singular_cdf`` and
+``tetrad_singular_sf``, which the tetrad test calls without loading this
+module; they are re-exported here, as is ``EmpiricalDistribution`` of
+``singwald.empirical``.  Every law has a survival function ``sf``:
+``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
 ``tetrad_singular_sf`` for the scaled chi-square and tetrad laws.
 :meth:`LimitLaw.quantile` roots ``sf`` above the median and ``cdf`` below,
 starting from the law's mean, with Newton steps for the scaled chi-square
@@ -58,20 +62,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .empirical import EmpiricalDistribution
 from .gaussian import make_generator
 from .poly import MonomialForm
 from .special import (
-    _erf,
     _erfc,
-    _erfcx,
-    _lower_gamma,
     _lower_gamma_block,
     _root,
-    _upper_gamma,
+    chi2_cdf,
+    chi2_sf,
+    tetrad_singular_cdf,
+    tetrad_singular_sf,
 )
 
 __all__ = [
@@ -90,86 +95,6 @@ __all__ = [
     "chi2_sf",
     "parse_law",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Scalar kernels.  The chi-square CDF is the regularized lower incomplete
-# gamma function; normal tail probabilities go through erfc for accuracy.
-# ---------------------------------------------------------------------------
-
-def chi2_cdf(x, df: int):
-    x = np.asarray(x, dtype=float)
-    half = np.where(x > 0, x, 0.0) / 2.0
-    if df == 1:
-        out = _erf(np.sqrt(half), half)
-    elif df == 2:
-        out = -np.expm1(-half)
-    else:
-        out = _lower_gamma(df, half)
-    return float(out) if out.ndim == 0 else out
-
-
-def chi2_sf(x, df: int):
-    x = np.asarray(x, dtype=float)
-    out = _upper_gamma(df, np.where(x > 0, x, 0.0) / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def tetrad_singular_cdf(t):
-    """Distribution function of ``R^2*U^2/4`` in closed form."""
-    t = np.asarray(t, dtype=float)
-    tp = np.where(t > 0, t, 0.0)
-    upper_tail = 0.5 * _erfc(np.sqrt(2.0 * tp), 2.0 * tp)  # 1 - Phi(2 sqrt t)
-    out = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
-    return float(out) if out.ndim == 0 else out
-
-
-def tetrad_singular_sf(t):
-    """Survival function ``1 - F(t)`` of ``R^2*U^2/4``, written as
-    ``exp(-2t) * (1 - sqrt(2*pi*t)/2 * erfcx(sqrt(2t)))`` so that it keeps
-    full relative accuracy in the tail, where ``1 - F`` cancels."""
-    t = np.asarray(t, dtype=float)
-    tp = np.where(t > 0, t, 0.0)
-    root = np.sqrt(2.0 * tp)
-    out = np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * _erfcx(root))
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Empirical distributions.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted Monte Carlo sample with step-CDF utilities."""
-
-    values: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDistribution":
-        """The sorted samples, read-only.  A float64 array is sorted in
-        place and kept, so the caller hands its buffer over; a list or an
-        array of another dtype is copied first."""
-        values = np.asarray(samples, dtype=float)
-        values.sort()
-        if values.size < 2:
-            raise ValueError("need at least two samples")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("samples contain non-finite values")
-        values.flags.writeable = False
-        return cls(values=values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.values, t, side="right") / self.n
-        return float(out) if out.ndim == 0 else out
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 # ---------------------------------------------------------------------------

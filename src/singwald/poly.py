@@ -456,5 +456,5 @@ def parse_polynomial(text: str, path: str = "<input>") -> HomogeneousPolynomial:
 
 
 def load_polynomial(path) -> HomogeneousPolynomial:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_polynomial(fh.read(), path=str(path))

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, factor, make_generator
-from .laws import EmpiricalDistribution
 from .poly import HomogeneousPolynomial, MonomialForm, _row_quadratic
 
 __all__ = [

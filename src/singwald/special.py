@@ -48,7 +48,12 @@ Roots
     kept inside a bracket that doubles and then bisects geometrically.
     Every quantile in the package goes through it.
 
-All names are private: the laws in ``singwald.laws`` call them.
+Distribution functions
+    ``chi2_cdf``, ``chi2_sf``, ``tetrad_singular_cdf`` and
+    ``tetrad_singular_sf`` are the public names: the laws of
+    ``singwald.laws`` are built on them, and ``singwald.tetrad`` takes its
+    p-values from them without loading the laws.  Every other name is
+    private to the package.
 """
 
 from __future__ import annotations
@@ -365,6 +370,44 @@ def _lower_gamma(df, x):
 def _upper_gamma(df, x):
     """Regularized upper incomplete gamma function Q(df/2, x)."""
     return _blockwise(functools.partial(_gamma_kernel, _check_df(df), True), x)
+
+
+def chi2_cdf(x, df: int):
+    x = np.asarray(x, dtype=float)
+    half = np.where(x > 0, x, 0.0) / 2.0
+    if df == 1:
+        out = _erf(np.sqrt(half), half)
+    elif df == 2:
+        out = -np.expm1(-half)
+    else:
+        out = _lower_gamma(df, half)
+    return float(out) if out.ndim == 0 else out
+
+
+def chi2_sf(x, df: int):
+    x = np.asarray(x, dtype=float)
+    out = _upper_gamma(df, np.where(x > 0, x, 0.0) / 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def tetrad_singular_cdf(t):
+    """Distribution function of ``R^2*U^2/4`` in closed form."""
+    t = np.asarray(t, dtype=float)
+    tp = np.where(t > 0, t, 0.0)
+    upper_tail = 0.5 * _erfc(np.sqrt(2.0 * tp), 2.0 * tp)  # 1 - Phi(2 sqrt t)
+    out = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
+    return float(out) if out.ndim == 0 else out
+
+
+def tetrad_singular_sf(t):
+    """Survival function ``1 - F(t)`` of ``R^2*U^2/4``, written as
+    ``exp(-2t) * (1 - sqrt(2*pi*t)/2 * erfcx(sqrt(2t)))`` so that it keeps
+    full relative accuracy in the tail, where ``1 - F`` cancels."""
+    t = np.asarray(t, dtype=float)
+    tp = np.where(t > 0, t, 0.0)
+    root = np.sqrt(2.0 * tp)
+    out = np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * _erfcx(root))
+    return float(out) if out.ndim == 0 else out
 
 
 def _root(side, target: float, x: float, upper: bool = False, log_density=None) -> float:

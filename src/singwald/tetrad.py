@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ParseError
 # tetrad_singular_cdf is unused here but stays importable from this module,
 # where bench/tracer.py wraps it by name.
-from .laws import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
+from .special import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
 
 __all__ = [
     "DataMatrix",
@@ -236,7 +236,7 @@ def load_data_csv(path) -> DataMatrix:
     path = str(path)
     rows: list[list[float]] = []
     width = None
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not tok.strip() for tok in row):
                 continue

@@ -1,16 +1,26 @@
-"""The ``"%.17g\\n"`` text of a float array, computed in numpy.
+"""``%.17g`` and ``%.10g`` text of float arrays, computed in numpy.
 
-``wald sample`` prints every draw as ``"%.17g\\n" % value``.  Formatting
-each value through Python costs about 0.7 us a value; :func:`_g17_lines`
-writes the same bytes from whole-array numpy operations and formats
-through Python only the rare values it cannot decide exactly.
+``wald sample`` prints every draw as ``"%.17g\\n" % value``, and
+``wald tetrad-test`` prints each tetrad as a tab-separated row of four
+indices, four ``%.10g`` numbers and a word.  Formatting each value through
+Python costs about 0.7 us a value; :func:`_g17_lines` and :func:`_tsv`
+write the same bytes from whole-array numpy operations and format through
+Python only the rare values the kernel cannot decide exactly: zeros,
+non-finite values, possible rounding ties and values next to a power of
+ten.
 
-Each value becomes one row of at most 24 bytes, held as three
-little-endian uint64 words: its digits, the '.' or the leading zeros, and
-the exponent and newline.  Rows of one decimal exponent share a layout,
-and the bytes that ``%.17g`` leaves out (stripped trailing zeros, a '.'
-with no digit after it) are NUL; deleting the NUL bytes of all rows at
-once gives the text.
+Text is built as a table of bytes with one fixed-width row per line, whose
+unused bytes are NUL; deleting the NUL bytes of the whole table at once
+gives the text.  A number of either precision, with the tab or newline
+after it, takes a cell of 25 bytes: a sign byte, then three little-endian
+uint64 words holding its digits, the '.' or the leading zeros, the
+exponent and the terminator.  A 10-digit significand is written as 17
+digits whose last 7 are cut off.  Cells of one decimal exponent share a
+layout, and the bytes that ``%g`` leaves out (stripped trailing zeros, a
+'.' with no digit after it) are NUL.  A value left to Python has its own
+text written into its cell; the longest, ``-1.2345678901234567e-308\\n``,
+fills it.  A column keeps only the cell bytes that some row uses, so a
+column without a negative value has no sign byte.
 """
 
 from __future__ import annotations
@@ -21,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 _U = np.uint64
-# Values per block: the temporaries of one block stay small enough for the
-# allocator to reuse, where those of a 65,536-value block are mapped and
-# faulted in anew (1.6 times the time per value; 4,096 took 1.2 times).
-_BLOCK = 1 << 13
+# Values per block.  On a sorted sample, 8,192 took 1.2 times and 32,768
+# 1.25 times the time per value of 16,384, whose temporaries stay in a
+# 2 MB cache; those of a 65,536-value block are mapped and faulted in anew.
+_BLOCK = 1 << 14
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant: splits a double in halves
 _TIE = 1e-9  # a rounding remainder this close to 1/2 may be an exact tie
 _TEN8 = _U(10**8)
@@ -53,29 +63,31 @@ def _pow10(k: int) -> tuple[float, float, float, float, int]:
 
 
 class _Layout(NamedTuple):
-    """How ``%.17g`` lays out the 17 digits of one decimal exponent: the
-    row is digits[:cut] + gap + digits[cut:] + tail."""
+    """How ``%g`` lays out the digits of one decimal exponent: the number is
+    digits[:cut] + gap + digits[cut:] + tail, in at most ``full`` bytes
+    with its sign."""
 
     cut: int
     width: int  # gap bytes
     low: tuple[np.uint64, ...]  # per word, the bytes before the gap
     high: tuple[np.uint64, ...]  # per word, the bytes after the gap
     gap: tuple[np.uint64, ...]  # per word, the gap
-    tail: np.uint64  # the tail, always in the third word
-    full: int  # bytes of a row that keeps all 17 digits
+    tail: tuple[np.uint64, ...]  # per word, the tail
+    full: int
 
 
 @lru_cache(maxsize=None)
-def _layout(e: int) -> _Layout:
+def _layout(e: int, digits: int, end: bytes) -> _Layout:
     """The gap is '0.' and leading zeros before every digit for exponents
-    -4..-1, and otherwise a '.' after the integer digits (the first digit
-    in scientific notation, whose tail is the exponent)."""
+    -4..-1, and otherwise a '.' after the integer digits: all of them below
+    the exponent ``digits``, and the first digit in scientific notation,
+    whose tail is the exponent.  The tail ends in ``end``."""
     if -4 <= e < 0:
-        cut, gap, tail = 0, b"0." + b"0" * (-e - 1), b"\n"
-    elif 0 <= e < 17:
-        cut, gap, tail = e + 1, b".", b"\n"
+        cut, gap, tail = 0, b"0." + b"0" * (-e - 1), end
+    elif 0 <= e < digits:
+        cut, gap, tail = e + 1, b".", end
     else:
-        cut, gap, tail = 1, b".", b"e%+03d\n" % e
+        cut, gap, tail = 1, b".", b"e%+03d" % e + end
     width = len(gap)
 
     def words(pos: int, text: bytes) -> tuple[np.uint64, ...]:
@@ -84,7 +96,7 @@ def _layout(e: int) -> _Layout:
 
     return _Layout(
         cut, width, words(0, b"\xff" * cut), words(cut + width, b"\xff" * (24 - cut - width)),
-        words(cut, gap), words(17 + width, tail)[2], 17 + width + len(tail),
+        words(cut, gap), words(digits + width, tail), 1 + digits + width + len(tail),
     )
 
 
@@ -106,28 +118,31 @@ def _nonzero_bytes(w: np.ndarray) -> np.ndarray:
     return (flags * _U(0x0102040810204080)) >> _U(56)
 
 
-def _decimal17(x: np.ndarray, pow10) -> tuple[np.ndarray, np.ndarray]:
-    """The 17-digit significands d of the positive finite values x and the
-    mask of the exact ones, given ``pow10`` = :func:`_pow10` (16 - e) of an
-    estimate e of each decimal exponent floor(log10 x): ``%.17g`` prints x
-    as d * 10^(e - 16) wherever the mask holds.
+def _decimal(x: np.ndarray, digits: int, pow10) -> tuple[np.ndarray, np.ndarray]:
+    """The ``digits``-digit significands d of the positive finite values x
+    and the mask of the exact ones, given ``pow10`` = :func:`_pow10`
+    (digits - 1 - e) of an estimate e of each decimal exponent
+    floor(log10 x): ``%.<digits>g`` prints x as d * 10^(e - digits + 1)
+    wherever the mask holds.
 
-    Each x is m * 2^q with an integer m < 2^53, and 10^(16-e) is
-    (hh + hl + lo) * 2^s, so N = x * 10^(16-e) is
+    Each x is m * 2^q with an integer m < 2^53, and 10^(digits-1-e) is
+    (hh + hl + lo) * 2^s, so N = x * 10^(digits-1-e) is
     (m*(hh + hl) + m*lo) * 2^(q+s).  The product m*(hh + hl) is exact as a
     double plus its rounding error (Dekker's two-product); only m*lo, its
     sum with that error and lo's own rounding are inexact.  With m < 2^53,
     |lo| <= 2^-53 and 2^(q+s) <= 16 wherever N < 10^17, the computed N is
-    within 2^-45 < 1e-13 of the exact one.
+    within 2^-45 < 1e-13 of the exact one.  Below 2^53 the product's
+    fraction is moved into the remainder, which adds at most 2^-53.
 
-    ``%.17g`` prints round(N), the exact N rounded to an integer with ties
-    to even, and an error of 1e-13 moves that rounding only if N lies
-    within 1e-13 of a half-integer.  So d = round(N) is exact wherever the
+    ``%g`` prints round(N), the exact N rounded to an integer with ties to
+    even, and an error of 1e-13 moves that rounding only if N lies within
+    1e-13 of a half-integer.  So d = round(N) is exact wherever the
     computed remainder N - floor(N) is at least 1e-9 from 1/2 and floor(N)
-    lies in [10^16 + 2, 10^17 - 2): there the exact N lies in
-    [10^16, 10^17), so e is floor(log10 x) and the rounding does not carry
-    to 10^17.  Possible ties and values within 2 units of a power of ten,
-    where the estimate e may be off by one, are left to Python.
+    lies in [10^(digits-1) + 2, 10^digits - 2): there the exact N lies in
+    [10^(digits-1), 10^digits), so e is floor(log10 x) and the rounding
+    does not carry to 10^digits.  Possible ties and values within 2 units
+    of a power of ten, where the estimate e may be off by one, are left to
+    Python.
     """
     hi, hh, hl, lo, s = pow10
     frac, q = np.frexp(x)
@@ -140,10 +155,14 @@ def _decimal17(x: np.ndarray, pow10) -> tuple[np.ndarray, np.ndarray]:
     q += s - 53
     big = np.ldexp(p, q)  # an integer wherever N >= 2^53
     small = np.ldexp(err + m * lo, q)
+    if digits < 16:
+        whole = np.floor(big)
+        small += big - whole
+        big = whole
     whole = np.floor(small)
     rem = small - whole
     d = big.astype(np.int64) + whole.astype(np.int64)
-    exact = (d >= 10**16 + 2) & (d < 10**17 - 2) & (np.abs(rem - 0.5) >= _TIE)
+    exact = (d >= 10 ** (digits - 1) + 2) & (d < 10**digits - 2) & (np.abs(rem - 0.5) >= _TIE)
     return d + (rem > 0.5), exact
 
 
@@ -162,12 +181,15 @@ def _digit_words(d: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return ((lead + _U(0x30)) | (a << _U(8)), (a >> _U(56)) | (b << _U(8)), b >> _U(56)), sig
 
 
-def _rows(x: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The rows of x joined, and the mask of the rows written here; every
-    other row, left to Python, is all NUL."""
-    fast = (x > 0) & (x < np.inf)
-    xs = np.where(fast, x, 1.0)
-    e = np.floor(np.log10(xs)).astype(np.intp)
+def _exact_cells(x: np.ndarray, digits: int, end: bytes) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cells of ``b"%.<digits>g" % value + end`` for the values of x as
+    an (n, 4) little-endian uint64 array whose words 1 to 3 are written
+    (word 0 is left to the caller), the mask of the values written exactly,
+    and the longest layout among them, sign included."""
+    a = np.abs(x)
+    fast = (a > 0) & (a < np.inf)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
     # Values of one exponent estimate share their powers of ten and layout.
     e_lo = int(e.min())
     span = range(e_lo, int(e.max()) + 1)
@@ -180,57 +202,97 @@ def _rows(x: np.ndarray) -> tuple[bytes, np.ndarray]:
             return dtype(values[0])
         return np.take(np.array(values, dtype=dtype), at)
 
-    hi, hh, hl, lo, s = zip(*(_pow10(16 - k) for k in span))
+    hi, hh, hl, lo, s = zip(*(_pow10(digits - 1 - k) for k in span))
     pow10 = [per_value(v, np.float64) for v in (hi, hh, hl, lo)] + [per_value(s, np.int32)]
-    d, exact = _decimal17(xs, pow10)
+    d, exact = _decimal(a, digits, pow10)
     exact &= fast
+    if digits < 17:
+        d *= 10 ** (17 - digits)
     chars, sig = _digit_words(d)
-    # Open the gap: the bytes after it move up by its width.
-    lays = [_layout(k) for k in span]
-    cut, width, low, high, gap, tail, _ = zip(*lays)
-    low, high, gap = ([per_value(word, _U) for word in zip(*field)] for field in (low, high, gap))
+    cut, width, low, high, gap, tail, full = zip(*(_layout(k, digits, end) for k in span))
+    low, high, gap, tail = (
+        [per_value(word, _U) for word in zip(*field)] for field in (low, high, gap, tail)
+    )
+    # Keep every significant digit and every digit before the gap; keep
+    # the gap only if a digit follows it.  At 17 digits most rows keep all
+    # of them.
     shift = per_value([8 * w for w in width], _U)
     back = _U(64) - shift
-    words = []
-    for i in range(3):
-        moved = (chars[i] << shift) | (chars[i - 1] >> back) if i else chars[i] << shift
-        words.append((chars[i] & low[i]) | (moved & high[i]) | gap[i])
-    # Keep every significant digit and every digit before the gap; keep
-    # the gap only if a digit follows it.  Most rows keep all 17 digits.
     cut, width = per_value(cut, np.intp), per_value(width, np.intp)
     kept = np.maximum(sig, cut)
-    end = kept + np.where(kept > cut, width, 0)
-    cut_short = np.flatnonzero(end < 17 + width)
-    for i, w in enumerate(words):
-        w[cut_short] &= _PREFIX[np.clip(end[cut_short] - 8 * i, 0, 8)]
-    words[2] |= per_value(tail, _U)
-    rows = np.stack(words, axis=1)
-    rows[~exact] = 0
-    table = rows.astype("<u8", copy=False).view(np.uint8)  # byte i of a row is bits 8i..8i+7
-    # The rows of each run of one exponent, cut to the longest row of that
-    # exponent, leave only the stripped digits NUL, which are sparse.  A
-    # sorted sample has one run per exponent.
-    starts = [0, *(np.flatnonzero(e[1:] != e[:-1]) + 1).tolist(), e.size]
-    return b"".join(
-        table[i:j, : lays[at[i]].full].tobytes() for i, j in zip(starts, starts[1:])
-    ), exact
+    stop = kept + np.where(kept > cut, width, 0)
+    short = np.flatnonzero(stop < 17 + width) if digits == 17 else slice(None)
+    # Each cell is the top byte of word 0, the sign, and words 1 to 3.
+    cells = np.empty((x.size, 4), dtype="<u8")
+    for i in range(3):
+        # Open the gap: the bytes after it move up by its width.
+        moved = (chars[i] << shift) | (chars[i - 1] >> back) if i else chars[i] << shift
+        w = (chars[i] & low[i]) | (moved & high[i]) | gap[i]
+        w[short] &= _PREFIX[np.clip(stop[short] - 8 * i, 0, 8)]
+        np.bitwise_or(w, tail[i], out=cells[:, i + 1])
+    return cells, exact, int(np.max(per_value(full, np.intp)))
 
 
-def _lines(x: np.ndarray) -> str:
-    """The ``%.17g`` lines of the values x."""
-    raw, exact = _rows(x)
-    text = raw.replace(b"\0", b"").decode("ascii")
-    if exact.all():
-        return text
-    # Merge in the lines of the values left to Python.
-    lines = np.empty(x.size, dtype=object)
-    lines[exact] = text.split("\n")[:-1]
-    slow = x[~exact].tolist()
-    lines[~exact] = ("%.17g\n" * len(slow) % tuple(slow)).split("\n")[:-1]
-    return "\n".join(lines.tolist()) + "\n"
+def _numbers(x: np.ndarray, digits: int, end: bytes) -> np.ndarray:
+    """``b"%.<digits>g" % value + end`` of each value of x as one row of an
+    (n, w) uint8 array, NUL-padded: the columns of the cells that some
+    value uses.  Values not written exactly are formatted by Python."""
+    cells, exact, longest = _exact_cells(x, digits, end)
+    slow = np.flatnonzero(~exact)
+    negative = np.signbit(x)
+    if not (slow.size or negative.any()):
+        # no sign to write: the cells start at word 1
+        return cells.view(np.uint8)[:, 8 : 7 + longest]
+    cells[:, 0] = negative * _U(ord("-") << 56)
+    cells = cells.view(np.uint8)
+    fmt = b"%%.%dg%s" % (digits, end)
+    for i, value in zip(slow.tolist(), x[slow].tolist()):
+        text = fmt % value
+        cells[i] = 0
+        cells[i, 7 : 7 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells[:, 7 : 32 if slow.size else 7 + longest]
+
+
+def _text(cells, sparse: bool = True) -> str:
+    """The rows of the uint8 arrays ``cells`` side by side, as lines with
+    every NUL byte deleted.  ``sparse`` says that NUL bytes are rare."""
+    raw = (np.concatenate(cells, axis=1) if len(cells) > 1 else cells[0]).tobytes()
+    # replace() copies the text between NUL bytes, translate() tests every
+    # byte: the first is the faster where NUL bytes are rare.
+    raw = raw.replace(b"\0", b"") if sparse else raw.translate(None, b"\0")
+    return raw.decode("ascii")
 
 
 def _g17_lines(values) -> str:
     """``"%.17g\\n" * n % tuple(values)``, byte for byte."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    return "".join(_lines(x[i : i + _BLOCK]) for i in range(0, x.size, _BLOCK))
+    return "".join(
+        _text([_numbers(x[i : i + _BLOCK], 17, b"\n")]) for i in range(0, x.size, _BLOCK)
+    )
+
+
+def _words(codes: np.ndarray, words, end: bytes) -> np.ndarray:
+    """``words[code] + end`` for each of the integer codes, NUL-padded, as
+    the rows of a uint8 array."""
+    table = np.array([str(w).encode("ascii") + end for w in words])
+    return np.take(table.view(np.uint8).reshape(table.size, -1), codes, axis=0)
+
+
+def _tsv(columns) -> str:
+    """Tab-separated lines, one per row of the equal-length ``columns``: a
+    float array prints as ``%.10g``, and a pair (codes, words) as
+    ``words[code]``."""
+    ends = [b"\t"] * (len(columns) - 1) + [b"\n"]
+    # Floats are formatted block by block, words looked up at once.
+    arrays = [
+        _words(*column, end) if isinstance(column, tuple)
+        else np.ascontiguousarray(column, dtype=np.float64)
+        for column, end in zip(columns, ends)
+    ]
+    return "".join(
+        _text([
+            _numbers(a[i : i + _BLOCK], 10, end) if a.dtype == np.float64 else a[i : i + _BLOCK]
+            for a, end in zip(arrays, ends)
+        ], sparse=False)
+        for i in range(0, len(arrays[0]), _BLOCK)
+    )

@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 import singwald
-from singwald.cli import build_parser, run
+from singwald import cli as cli_module
+from singwald.cli import _TETRAD_HEADER, build_parser, run
 from singwald.gaussian import load_matrix, validate_covariance
 from singwald.poly import load_polynomial
 from singwald.sampler import WaldSampleConfig, sample_wald
+from singwald.tetrad import (
+    TetradIndex,
+    TetradWald,
+    load_data_csv,
+    tetrad_index_array,
+    wald_tetrad_test,
+)
 from singwald.verify import VerificationResult
 
 TETRAD_POLY = "1 1 0 0 1\n-1 0 1 1 0\n"
@@ -292,7 +300,99 @@ class TestSample:
         assert out.read_bytes() == want.encode("ascii")
 
 
+def fstring_rows(res) -> str:
+    """The rows as a Python f-string writes them, one row at a time: the
+    oracle of the numpy row builder."""
+    bad = np.atleast_1d(res.degenerate)
+    undefined = lambda a: np.where(bad, np.nan, a).tolist()
+    rows = zip(
+        np.reshape(res.idx, (-1, 4)).tolist(), np.atleast_1d(res.gamma_hat).tolist(),
+        undefined(res.t_stat), undefined(res.p_regular), undefined(res.p_singular),
+        np.where(bad, "degenerate", res.regime_hint).tolist(),
+    )
+    return "".join(
+        f"{i}\t{j}\t{k}\t{l}\t{gamma:.10g}\t{t:.10g}\t{p_reg:.10g}\t{p_sing:.10g}\t{regime}\n"
+        for (i, j, k, l), gamma, t, p_reg, p_sing, regime in rows
+    )
+
+
+def assert_same_lines(got: str, want: str):
+    """got == want, failing with the first differing line: a diff of the
+    whole text would take minutes."""
+    if got == want:
+        return
+    got, want = got.split("\n"), want.split("\n")
+    assert len(got) == len(want)
+    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+
+
+def one_factor_csv(path, seed: int, p: int = 20, n: int = 1000):
+    """One-factor data shaped like the benchmark's tetrad scan."""
+    rng = np.random.default_rng([seed, 3])
+    loadings, noise_sd = rng.uniform(0.5, 1.5, p), np.sqrt(rng.uniform(0.5, 1.5, p))
+    x = rng.standard_normal(n)[:, None] * loadings + rng.standard_normal((n, p)) * noise_sd
+    path.write_text(
+        ",".join(f"x{j + 1}" for j in range(p)) + "\n"
+        + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
+    )
+    return path
+
+
 class TestTetradTest:
+    @pytest.mark.parametrize("seed", [1, 3, 11])
+    def test_scan_bytes_match_the_fstring_rows(self, tmp_path, seed, capsys):
+        path = one_factor_csv(tmp_path / "d.csv", seed)
+        assert run(["tetrad-test", "--data", str(path), "--all"]) == 0
+        data = load_data_csv(path)
+        want = fstring_rows(wald_tetrad_test(data, tetrad_index_array(data.p)))
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 + 14535
+        assert_same_lines(out, _TETRAD_HEADER + want)
+
+    def test_degenerate_scan_bytes_match_the_fstring_rows(self, tmp_path, capsys):
+        values = np.random.default_rng(12).standard_normal((30, 6))
+        values[:, 2] = 3.0
+        path = tmp_path / "constant.csv"
+        path.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in values))
+        assert run(["tetrad-test", "--data", str(path), "--all"]) == 0
+        data = load_data_csv(path)
+        res = wald_tetrad_test(data, tetrad_index_array(data.p))
+        assert res.degenerate.sum() == 30  # every tetrad touching column 2
+        out = capsys.readouterr().out
+        assert "\tnan\tnan\tnan\tdegenerate\n" in out
+        assert_same_lines(out, _TETRAD_HEADER + fstring_rows(res))
+
+    def test_two_digit_indices_match_the_fstring_row(self, tmp_path, capsys):
+        path = one_factor_csv(tmp_path / "d.csv", 5, p=12, n=40)
+        assert run(["tetrad-test", "--data", str(path), "--indices", "10,2,11,0"]) == 0
+        data = load_data_csv(path)
+        want = fstring_rows(wald_tetrad_test(data, TetradIndex(10, 2, 11, 0)))
+        out = capsys.readouterr().out
+        assert out.split("\n")[1].startswith("10\t2\t11\t0\t")
+        assert out == _TETRAD_HEADER + want
+
+    def test_rows_of_records_built_directly(self):
+        rng = np.random.default_rng(20)
+        m = 400
+        gamma = np.concatenate([
+            10.0 ** np.linspace(-300, 300, 200) * rng.uniform(1, 10, 200) * rng.choice([-1, 1], 200),
+            [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 12345678905.0, -12345678915.0,
+             9.9999999995e-05, 1e-05, 9999999999.5, -1e10, 1e-4],
+            rng.standard_normal(m - 212),
+        ])
+        t_stat = np.concatenate([[np.inf, 0.0, 5e-324, 1e300], rng.chisquare(1, m - 4)])
+        p_regular = np.concatenate([[0.0, 1.0, 1e-300, 0.5], rng.uniform(size=m - 4)])
+        p_singular = np.concatenate([[1.0, 0.0, 12345678905.0, 9.9999999995e-05], rng.uniform(size=m - 4)])
+        degenerate = np.zeros(m, dtype=bool)
+        degenerate[[7, 300]] = True
+        rec = TetradWald(
+            idx=rng.integers(0, 150, (m, 4)), gamma_hat=gamma, t_stat=t_stat,
+            p_regular=p_regular, p_singular=p_singular, gradient_norm=np.ones(m),
+            regime_hint=np.where(rng.uniform(size=m) < 0.3, "near_singular", "regular"),
+            degenerate=degenerate,
+        )
+        assert_same_lines(cli_module._tetrad_rows(rec), fstring_rows(rec))
+
     def test_single_tetrad_line(self, data_csv, capsys):
         assert run(["tetrad-test", "--data", str(data_csv), "--indices", "0,1,2,3"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -464,8 +564,8 @@ def test_no_wald_command_loads_a_scipy_module(argv, command_inputs):
 
 # command -> singwald modules it must not load
 _UNUSED_MODULES = [
-    (_SAMPLE, {"verify", "classify", "tetrad"}),
-    (_TETRAD_SCAN, {"verify", "classify", "sampler", "textout"}),
+    (_SAMPLE, {"verify", "classify", "tetrad", "laws", "special"}),
+    (_TETRAD_SCAN, {"verify", "classify", "sampler", "laws", "gaussian", "poly"}),
     *((argv, {"verify"}) for argv in _LAW_COMMANDS),
 ]
 

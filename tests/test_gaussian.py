@@ -5,6 +5,7 @@ from singwald.errors import ParseError
 from singwald.gaussian import (
     eigenvalues_of_product,
     factor,
+    load_matrix,
     make_generator,
     parse_matrix,
     validate_covariance,
@@ -194,6 +195,12 @@ class TestMatrixFormat:
     def test_empty(self):
         with pytest.raises(ParseError, match="empty"):
             parse_matrix("# nothing\n")
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.mat"
+        path.write_text("2\n1 0.5\n0.5 1\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(load_matrix(path), [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_sampler_from_factor_couples_pathwise():

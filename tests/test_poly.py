@@ -11,6 +11,7 @@ from singwald.poly import (
     MonomialForm,
     QuadraticForm,
     _row_quadratic,
+    load_polynomial,
     parse_polynomial,
 )
 
@@ -457,3 +458,9 @@ class TestTextFormat:
     def test_empty_rejected(self):
         with pytest.raises(ParseError, match="no terms"):
             parse_polynomial("# nothing here\n")
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.poly"
+        path.write_text("1 1 0 0 1\n-1 0 1 1 0\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_polynomial(path).terms == tetrad_poly().terms

@@ -582,6 +582,15 @@ class TestCsvLoading:
         assert data.n == 6
         assert data.values[0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # '\ufeff1.5' is no number, so the first row would pass for a header
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(f"{i}.5,2,3,{i}" for i in range(8)) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        data = load_data_csv(path)
+        assert data.n == 8
+        assert data.values[0].tolist() == [0.5, 2.0, 3.0, 0.0]
+
     def test_ragged_row_line_number(self, tmp_path):
         text = "1,2,3,4\n1,2,3\n"
         with pytest.raises(ParseError, match=r"data\.csv:2"):

@@ -1,4 +1,4 @@
-"""The numpy ``%.17g`` formatter of ``wald sample`` against Python's own."""
+"""The numpy ``%.17g`` and ``%.10g`` formatters against Python's own."""
 
 from decimal import Decimal
 
@@ -8,17 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singwald import textout
-from singwald.textout import _g17_lines
+from singwald.textout import _g17_lines, _tsv
+
+DIGITS = [17, 10]
 
 
-def python_lines(values) -> str:
+def python_lines(values, digits: int = 17) -> str:
     values = np.asarray(values, dtype=float).tolist()
-    return "%.17g\n" * len(values) % tuple(values)
+    return f"%.{digits}g\n" * len(values) % tuple(values)
 
 
-def assert_same_text(values):
+def numpy_lines(values, digits: int = 17) -> str:
+    """The lines of ``wald sample`` at 17 digits, and a one-column TSV at 10."""
     values = np.asarray(values, dtype=float)
-    got, want = _g17_lines(values), python_lines(values)
+    return _g17_lines(values) if digits == 17 else _tsv([values])
+
+
+def assert_same_text(values, digits: int = 17):
+    values = np.asarray(values, dtype=float)
+    got, want = numpy_lines(values, digits), python_lines(values, digits)
     if got == want:
         return
     got, want = got.split("\n"), want.split("\n")
@@ -27,9 +35,9 @@ def assert_same_text(values):
     assert not bad[:5]
 
 
-def left_to_python(values) -> np.ndarray:
+def left_to_python(values, digits: int = 17) -> np.ndarray:
     """Mask of the values the formatter hands to Python."""
-    return ~textout._rows(np.asarray(values, dtype=float))[1]
+    return ~textout._exact_cells(np.asarray(values, dtype=float), digits, b"\n")[1]
 
 
 def neighbours(values, ulps: int = 1) -> np.ndarray:
@@ -40,6 +48,11 @@ def neighbours(values, ulps: int = 1) -> np.ndarray:
         down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
         out += [down, up]
     return np.concatenate(out)
+
+
+def signed(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
 
 
 def powers_of_ten() -> np.ndarray:
@@ -57,48 +70,70 @@ def carries_to_power_of_ten() -> dict[int, float]:
     return out
 
 
-def seventeen_digit_ties() -> list[float]:
-    """Doubles k * 2^-m, k odd, whose exact decimal value has 18
-    significant digits ending in 5: halfway between two 17-digit values."""
-    ties = []
-    for m in range(2, 26):
-        first = -(-(10**17) // 5**m) | 1
+def ties(digits: int) -> list[float]:
+    """Doubles k * 2^-m, k odd, whose exact decimal value has digits + 1
+    significant digits ending in 5: halfway between two values of
+    ``digits`` digits."""
+    out = []
+    for m in range(1, 26):
+        first = -(-(10**digits) // 5**m) | 1
         for k in (first, first + 2):
-            if k * 5**m < 10**18 and k < 2**53:
-                ties.append(float(np.ldexp(float(k), -m)))
-    return ties
+            if k * 5**m < 10 ** (digits + 1) and k < 2**53:
+                out.append(float(np.ldexp(float(k), -m)))
+    return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_any_finite_floats(values):
-    assert_same_text(values)
+    for digits in DIGITS:
+        assert_same_text(values, digits)
+
+
+def random_finite_bit_patterns() -> np.ndarray:
+    # half of them negative
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
 
 
 def test_random_bit_patterns_over_the_finite_range():
-    bits = np.random.default_rng(20261018).integers(0, 2**64, 10**6, dtype=np.uint64)
-    values = bits.view(np.float64)
-    assert_same_text(values[np.isfinite(values)])
+    assert_same_text(random_finite_bit_patterns())
+
+
+def test_random_bit_patterns_at_ten_digits():
+    assert_same_text(random_finite_bit_patterns(), 10)
 
 
 def test_signed_zeros_subnormal_and_largest():
-    assert_same_text([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    for digits in DIGITS:
+        assert_same_text(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+             1.7976931348623157e308, -1.7976931348623157e308],
+            digits,
+        )
 
 
 def test_non_finite_values_keep_their_place():
     values = np.random.default_rng(3).standard_normal(3 * textout._BLOCK)
-    values[[5, 700, 9000, 20000]] = [np.nan, np.inf, -np.inf, 0.0]
-    assert_same_text(values)
+    values[[5, 700, 9000, 20000, 20001]] = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    for digits in DIGITS:
+        assert_same_text(values, digits)
 
 
 def test_powers_of_ten_and_two_and_their_neighbours():
-    assert_same_text(neighbours(powers_of_ten()))
-    assert_same_text(neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+    for digits in DIGITS:
+        assert_same_text(signed(neighbours(powers_of_ten())), digits)
+        assert_same_text(signed(neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))), digits)
 
 
 def test_notation_switch_points():
-    # %g turns scientific below 1e-4 and from 1e17 on.
-    assert_same_text(neighbours([1e-4, 1e17, 1e16, 0.001], ulps=3))
+    # %.17g turns scientific below 1e-4 and from 1e17 on, %.10g from 1e10
+    assert_same_text(signed(neighbours([1e-4, 1e17, 1e16, 0.001], ulps=3)))
+    assert_same_text(signed(neighbours([1e-4, 1e-5, 1e10, 1e9, 0.001], ulps=3)), 10)
+    # %.10g rounds these up across the switch
+    assert python_lines([9.9999999995e-05, 1e-05, 9999999999.5], 10) == "0.0001\n1e-05\n1e+10\n"
+    assert_same_text(signed(neighbours([9.9999999995e-05, 9999999999.5, 0.99999999995], ulps=3)), 10)
 
 
 def test_rounding_that_carries_to_a_power_of_ten():
@@ -107,27 +142,45 @@ def test_rounding_that_carries_to_a_power_of_ten():
     assert {1e-305, 1e-243, 1e-79, 1e-73} <= set(carries.values())
     # none sits at a notation switch point
     assert -4 not in carries and 17 not in carries
-    assert_same_text(list(carries.values()))
+    assert_same_text(signed(list(carries.values())))
+    # at 10 digits, the doubles around the rounding boundary below 10^j
+    below = powers_of_ten()[1:-1] * (1.0 - 5e-11)
+    assert_same_text(signed(neighbours(below, ulps=2)), 10)
 
 
 def test_exact_ties_round_half_to_even():
-    ties = seventeen_digit_ties()
-    assert len(ties) >= 20
-    for t in ties:
-        digits = Decimal(t).as_tuple().digits
-        assert len(digits) == 18 and digits[-1] == 5
-    assert_same_text(ties)
+    for digits in DIGITS:
+        exact = ties(digits)
+        assert len(exact) >= 20
+        for t in exact:
+            tail = Decimal(t).as_tuple().digits
+            assert len(tail) == digits + 1 and tail[-1] == 5
+        assert_same_text(signed(exact), digits)
+
+
+def test_ten_digit_integer_ties():
+    assert python_lines([12345678905.0, 12345678915.0], 10) == "1.23456789e+10\n1.234567892e+10\n"
+    assert_same_text(signed(neighbours([12345678905.0, 12345678915.0])), 10)
 
 
 def test_python_formats_only_ties_and_not_a_wald_sample():
     # The fallback must stay rare: sending every value through Python
     # keeps the bytes right and gives the speed back.
     sample = np.sort(np.random.default_rng(16).chisquare(1, 10**5) / 16.0)
-    assert not left_to_python(sample).any()
-    assert left_to_python(seventeen_digit_ties()).all()
+    for digits in DIGITS:
+        assert not left_to_python(sample, digits).any()
+        assert not left_to_python(-sample, digits).any()
+        assert left_to_python(signed(ties(digits)), digits).all()
 
 
 @pytest.mark.parametrize("size", [0, 1, textout._BLOCK - 1, textout._BLOCK + 1])
 def test_block_edges(size):
     values = np.sort(np.random.default_rng(size).exponential(1.0, size))
     assert _g17_lines(values) == python_lines(values)
+    assert _tsv([-values]) == python_lines(-values, 10)
+
+
+def test_tsv_columns():
+    gamma = np.array([-0.0, 1.5e-300, np.nan, 2.5])
+    text = _tsv([(np.array([0, 7, 12, 3]), range(13)), gamma, (np.array([1, 0, 1, 2]), ("a", "bcd", "e"))])
+    assert text == "0\t-0\tbcd\n7\t1.5e-300\ta\n12\tnan\tbcd\n3\t2.5\te\n"
