@@ -173,7 +173,7 @@ def test_python_formats_only_ties_and_not_a_wald_sample():
         assert left_to_python(signed(ties(digits)), digits).all()
 
 
-@pytest.mark.parametrize("size", [0, 1, textout._BLOCK - 1, textout._BLOCK + 1])
+@pytest.mark.parametrize("size", [0, 1, 8191, 8193, textout._BLOCK - 1, textout._BLOCK + 1])
 def test_block_edges(size):
     values = np.sort(np.random.default_rng(size).exponential(1.0, size))
     assert _g17_lines(values) == python_lines(values)
