@@ -44,11 +44,13 @@ adaptive quadrature is pinned below 1e-9.  For k other than 2 each term is
 w_j times one minus exp(-x) times a closed-form sum, one exponential per
 node and point.
 
-The special functions (erf, erfc, erfcx and the incomplete gamma
-functions at integer and half-integer shapes) and the root finder are the
-numpy kernels of ``singwald.special``, and so are the distribution
-functions ``chi2_cdf``, ``chi2_sf``, ``tetrad_singular_cdf`` and
-``tetrad_singular_sf``, which the tetrad test calls without loading this
+Every distribution function here reads the regularized incomplete gamma
+functions P and Q at a half-integer shape, the numpy kernels of
+``singwald.special`` (which also holds the root finder): ``chi2_cdf`` and
+``chi2_sf`` are P and Q at (df/2, x/2), the tetrad CDF takes its normal
+tail as Q(1/2, 2t)/2, and the index-1/2 stable law of alpha^2/Z^2 is
+``chi2_sf`` at alpha^2/x.  Those two and the tetrad ``cdf`` and ``sf`` live
+in ``singwald.special``, which the tetrad test calls without loading this
 module; they are re-exported here, as is ``EmpiricalDistribution`` of
 ``singwald.empirical``.  Every law has a survival function ``sf``:
 ``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
@@ -70,7 +72,6 @@ from .empirical import EmpiricalDistribution
 from .gaussian import make_generator
 from .poly import MonomialForm
 from .special import (
-    _erfc,
     _lower_gamma_block,
     _root,
     chi2_cdf,
@@ -386,13 +387,14 @@ def monomial_law(m: MonomialForm) -> ScaledChiSquare:
 # ---------------------------------------------------------------------------
 
 def stable_cdf(alpha: float, x):
-    """First-passage form: P(alpha^2/Z^2 <= x) = 2*(1 - Phi(alpha/sqrt(x)))."""
+    """First-passage form: P(alpha^2/Z^2 <= x) = P(Z^2 >= alpha^2/x), the
+    chi-square-1 survival function at alpha^2/x, and 0 for x <= 0."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    two_x = 2.0 * np.maximum(x, 1e-300)
-    out = np.where(x > 0, _erfc(alpha / np.sqrt(two_x), alpha**2 / two_x), 0.0)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):  # alpha^2/x = inf gives 0, as it should
+        ratio = np.divide(alpha**2, x, out=np.full_like(x, np.inf), where=x > 0)
+    return chi2_sf(ratio, 1)
 
 
 def sample_stable(alpha: float, n: int, seed: int) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Special functions of the chi-square family, in numpy alone.
 
 Every law in this package is a chi-square law, a mixture over an angle of
-chi-square laws with integer degrees of freedom, or a normal tail.  So the
-special functions it needs are erfc and the regularized incomplete gamma
-functions P(a, x) and Q(a, x) = 1 - P(a, x) at a = df/2 for integer df,
-and each has a closed form in exp and erfc:
+chi-square laws with integer degrees of freedom, or a chi-square law read
+in 1/x.  So every distribution function it needs is one of the
+regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x)
+at a = df/2 for integer df, and each has a closed form in exp and erfc:
 
     Q(m, x)       = exp(-x) * sum_{k<m} x^k / k!,
     Q(m + 1/2, x) = erfc(sqrt(x)) + exp(-x) * sum_{k<m} x^(k+1/2) / Gamma(k + 3/2).
+
+The module computes three things: erfcx, P and Q (pointwise, and the
+per-node block of the angle rules), and the root that inverts them.
 
 erfcx
     erfcx(z) = exp(z^2) * erfc(z) for z >= 0 is t * exp(C(u)) with
@@ -22,13 +25,8 @@ erfcx
     The table keeps the first 28 of them, rounded to double; the first one
     dropped is 2.3e-18.  ``tests/test_special.py`` refits the table from
     mpmath.  The kernel sums the same polynomial in the power basis of u by
-    Horner's rule, in blocks.
-erfc, erf
-    erfc(z) = erfcx(z) * exp(-z^2).  Every caller passes z^2 beside z,
-    formed from the quantity it holds rather than by squaring a rounded z:
-    the chi-square-1 tail passes x/2, and ``stable_cdf`` passes
-    alpha^2/(2x).  erf(z) = 1 - erfc(z) for z >= 1/2 and its Taylor
-    series below, which keeps full relative accuracy at small z.
+    Horner's rule, in blocks.  erfc(sqrt(x)) = erfcx(sqrt(x)) * exp(-x)
+    takes the exponent from x itself, not from a rounded sqrt(x) squared.
 P and Q
     On the side where the value is small, each is a sum of positive terms:
     Q for x >= a by the closed form above, summed from its largest term;
@@ -49,11 +47,12 @@ Roots
     Every quantile in the package goes through it.
 
 Distribution functions
-    ``chi2_cdf``, ``chi2_sf``, ``tetrad_singular_cdf`` and
-    ``tetrad_singular_sf`` are the public names: the laws of
-    ``singwald.laws`` are built on them, and ``singwald.tetrad`` takes its
-    p-values from them without loading the laws.  Every other name is
-    private to the package.
+    ``chi2_cdf`` and ``chi2_sf`` are P and Q at (df/2, x/2) for every df.
+    ``tetrad_singular_cdf`` takes its normal tail 1 - Phi(2 sqrt(t)) as
+    Q(1/2, 2t)/2, and ``tetrad_singular_sf`` is written in erfcx.  These
+    four are the public names: the laws of ``singwald.laws`` are built on
+    them, and ``singwald.tetrad`` takes its p-values from them without
+    loading the laws.  Every other name is private to the package.
 """
 
 from __future__ import annotations
@@ -136,14 +135,6 @@ _ERFCX_A0 = _erfcx_anchor()
 # Points per block: the kernels' temporaries then stay in cache.
 _BLOCK = 2**14
 
-# Taylor coefficients of erf(z)/z in z^2, (2/sqrt(pi)) (-1)^n / (n! (2n + 1));
-# below z = 1/2 the 13 terms reach 5e-18 relative.
-_ERF_TAYLOR = tuple(
-    2.0 / math.sqrt(math.pi) * (-1) ** n / (math.factorial(n) * (2 * n + 1))
-    for n in range(13)
-)
-_ERF_TAYLOR_MAX = 0.5
-
 # Up to this a, the lower series takes its prefactor x^a e^-x / Gamma(a + 1)
 # directly (x < a keeps x^a below 1e200); beyond it, in logs.
 _DIRECT_POWER_MAX = 100.0
@@ -179,62 +170,26 @@ def _erfcx_block(z, out, u, h):
     out *= h
 
 
-def _blockwise(kernel, x, z2=None):
-    """``kernel(x_block, z2_block)`` over ``_BLOCK``-point blocks of x (and
-    of z2 when given), so that the kernels' temporaries stay in cache."""
+def _blockwise(kernel, x):
+    """``kernel(x_block)`` over ``_BLOCK``-point blocks of x, so that the
+    kernels' temporaries stay in cache."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    sq = None if z2 is None else np.asarray(z2, dtype=float).reshape(-1)
     out = np.empty_like(flat)
     for i in range(0, flat.size, _BLOCK):
-        part = slice(i, i + _BLOCK)
-        out[part] = kernel(flat[part], None if sq is None else sq[part])
+        out[i : i + _BLOCK] = kernel(flat[i : i + _BLOCK])
     return out.reshape(x.shape)
 
 
-def _erfcx_kernel(z, _=None):
+def _erfcx_kernel(z):
     out = np.empty_like(z)
     _erfcx_block(z, out, *np.empty((2, z.size)))
-    return out
-
-
-def _erfc_kernel(z, z2):
-    out = _erfcx_kernel(z)
-    out *= np.exp(-z2)
-    return out
-
-
-def _erf_kernel(z, z2):
-    out = np.empty_like(z)
-    small = z < _ERF_TAYLOR_MAX
-    big = np.flatnonzero(~small)  # NaN goes here and stays NaN
-    if big.size:
-        out[big] = 1.0 - _erfc_kernel(z[big], z2[big])
-    small = np.flatnonzero(small)
-    if small.size:
-        zs, s2 = z[small], z2[small]
-        acc = np.full_like(zs, _ERF_TAYLOR[-1])
-        for c in _ERF_TAYLOR[-2::-1]:
-            acc *= s2
-            acc += c
-        out[small] = zs * acc
     return out
 
 
 def _erfcx(z):
     """exp(z^2) * erfc(z) for z >= 0."""
     return _blockwise(_erfcx_kernel, z)
-
-
-def _erfc(z, z2):
-    """erfc(z) for z >= 0 from z and its square ``z2``, which the caller
-    holds more exactly than the square of a rounded z."""
-    return _blockwise(_erfc_kernel, z, z2)
-
-
-def _erf(z, z2):
-    """erf(z) for z >= 0 from z and its square ``z2``."""
-    return _blockwise(_erf_kernel, z, z2)
 
 
 def _lower_gamma_block(df: int, x, out, scratch, w):
@@ -310,7 +265,8 @@ def _exp_diff(c, x):
 def _upper_sum(a: float, x):
     """Q(a, x) for x >= a, x > 0: a sum of positive terms."""
     n = int(a)  # terms of the finite sum
-    q = _erfc_kernel(np.sqrt(x), x) if a != n else np.zeros_like(x)
+    # Q(1/2, x) = erfc(sqrt(x)) for half-integer a
+    q = _erfcx_kernel(np.sqrt(x)) * np.exp(-x) if a != n else np.zeros_like(x)
     if n:
         xs = np.minimum(x, 1e300)  # Q is 0 there; keeps log finite
         top = _exp_diff((a - 1.0) * np.log(xs) - math.lgamma(a), xs)
@@ -339,15 +295,15 @@ def _lower_series(a: float, x):
         term *= x
         term /= a + k
         total += term
-        # each element stops on its own, so its value does not depend on
-        # the others in the call
-        term[term <= 2.0**-54 * total] = 0.0
-        if not term.any():
+        # the terms fall (x < a + k), so once none exceeds 2^-54 of its total
+        # every later one is below half an ulp of it and leaves it unchanged:
+        # each value does not depend on the others in the call
+        if not np.any(term > 2.0**-54 * total):
             return lead * total
         k += 1
 
 
-def _gamma_kernel(df: int, upper: bool, x, _=None):
+def _gamma_kernel(df: int, upper: bool, x):
     a = df / 2.0
     # x <= 0 and NaN give P = 0, Q = 1
     out = np.full(x.shape, 1.0 if upper else 0.0)
@@ -373,20 +329,12 @@ def _upper_gamma(df, x):
 
 
 def chi2_cdf(x, df: int):
-    x = np.asarray(x, dtype=float)
-    half = np.where(x > 0, x, 0.0) / 2.0
-    if df == 1:
-        out = _erf(np.sqrt(half), half)
-    elif df == 2:
-        out = -np.expm1(-half)
-    else:
-        out = _lower_gamma(df, half)
+    out = _lower_gamma(df, np.asarray(x, dtype=float) / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
 def chi2_sf(x, df: int):
-    x = np.asarray(x, dtype=float)
-    out = _upper_gamma(df, np.where(x > 0, x, 0.0) / 2.0)
+    out = _upper_gamma(df, np.asarray(x, dtype=float) / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -394,7 +342,7 @@ def tetrad_singular_cdf(t):
     """Distribution function of ``R^2*U^2/4`` in closed form."""
     t = np.asarray(t, dtype=float)
     tp = np.where(t > 0, t, 0.0)
-    upper_tail = 0.5 * _erfc(np.sqrt(2.0 * tp), 2.0 * tp)  # 1 - Phi(2 sqrt t)
+    upper_tail = 0.5 * _upper_gamma(1, 2.0 * tp)  # 1 - Phi(2 sqrt t)
     out = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
     return float(out) if out.ndim == 0 else out
 

@@ -28,31 +28,35 @@ def test_erfcx_against_mpmath():
 
 
 def test_erf_against_mpmath():
-    z = np.geomspace(1e-300, 6.0, 700)
+    # the chi-square-1 CDF is erf(sqrt(x/2)), with full relative accuracy
+    # down to the smallest x
+    x = np.geomspace(1e-300, 72.0, 700)
     with mpmath.workdps(40):
-        want = [mpmath.erf(mpmath.mpf(v)) for v in z]
-    assert _rel_err(special._erf(z, z * z), want) <= 1e-15
+        want = [mpmath.erf(mpmath.sqrt(mpmath.mpf(v) / 2)) for v in x]
+    assert _rel_err(special.chi2_cdf(x, 1), want) <= 1e-15
 
 
 def test_exact_square_passed_by_caller():
-    # callers that hold z^2 = x exactly pass it: erfc(sqrt(x)) and
-    # erf(sqrt(x)) keep their accuracy although sqrt(x) is rounded
+    # Q(1/2, x) = erfc(sqrt(x)) and P(1/2, x) = erf(sqrt(x)) take the
+    # exponent from x itself, so they keep their accuracy although sqrt(x)
+    # is rounded
     z2 = np.linspace(0.0, 600.0, 1201)
-    z = np.sqrt(z2)
     with mpmath.workdps(40):
         want = [mpmath.erfc(mpmath.sqrt(mpmath.mpf(v))) for v in z2]
         want_erf = [mpmath.erf(mpmath.sqrt(mpmath.mpf(v))) for v in z2[1:]]
-    assert _rel_err(special._erfc(z, z2), want) <= 1e-14
-    assert _rel_err(special._erf(z[1:], z2[1:]), want_erf) <= 1e-15
+    assert _rel_err(special._upper_gamma(1, z2), want) <= 1e-14
+    assert _rel_err(special._lower_gamma(1, z2[1:]), want_erf) <= 1e-15
 
 
 def test_endpoints_are_exact():
     assert special._erfcx(0.0) == 1.0
-    assert special._erfc(0.0, 0.0) == 1.0
-    assert special._erf(0.0, 0.0) == 0.0
+    assert special._upper_gamma(1, 0.0) == 1.0
+    assert special._lower_gamma(1, 0.0) == 0.0
+    assert special.chi2_cdf(0.0, 1) == 0.0
     assert special._erfcx(np.inf) == 0.0
-    assert special._erfc(np.inf, np.inf) == 0.0
-    assert special._erf(np.inf, np.inf) == 1.0
+    assert special._upper_gamma(1, np.inf) == 0.0
+    assert special._lower_gamma(1, np.inf) == 1.0
+    assert special.chi2_cdf(np.inf, 1) == 1.0
 
 
 def _gamma_mp(df, x, upper):
