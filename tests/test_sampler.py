@@ -137,6 +137,16 @@ class TestSampleWald:
             with pytest.raises(DegenerateSamplingError):
                 sample_wald(f, cov2(0.0), WaldSampleConfig(n=1000, seed=11))
 
+    def test_rejection_rate_above_one_percent_aborts(self):
+        # f = x^200 under Sigma = [1]: the denominator 200^2 x^398 falls
+        # below the guard for |x| < 0.17, 13% of draws; batches still fill,
+        # and the rate check after them raises
+        f = HomogeneousPolynomial.from_terms([(1.0, (200,))])
+        stats = {}
+        with pytest.raises(DegenerateSamplingError, match="exceeds 1%"):
+            sample_wald(f, validate_covariance([[1.0]]), WaldSampleConfig(n=10**4, seed=13), stats_out=stats)
+        assert 0.12 < stats["rejected"] / stats["proposed"] < 0.15
+
     def test_rank_deficient_sigma(self):
         # perfectly correlated pair behaves like one variable of degree 2
         emp = sample_wald(
@@ -327,6 +337,19 @@ class TestKsPruning:
         stat = ks_distance(emp, law)
         assert law.sizes[-1] == emp.n
         assert stat == full_ks(emp, law)
+
+    def test_step_down_inside_a_refined_segment_falls_back(self):
+        # F(t) = t on draws at (i + 1/2)/n is nondecreasing on the stride,
+        # and every segment is refined; F dips by 0.01 at draw 8 alone, the
+        # first point of the first refinement, which sends the call to the
+        # evaluation at every draw
+        n = 10**4
+        emp = EmpiricalDistribution.from_samples((np.arange(n) + 0.5) / n)
+        lo, hi = emp.values[7], emp.values[9]
+        law = CountingCdf(lambda t: np.where((lo < t) & (t < hi), t - 0.01, t))
+        stat = ks_distance(emp, law)
+        assert len(law.sizes) == 3 and law.sizes[-1] == n
+        assert stat == sampler._ks_every_point(emp.values, law)
 
     def test_nan_cdf_falls_back_to_every_draw(self):
         chi = ScaledChiSquare(1.0, 1)

@@ -606,6 +606,21 @@ class TestCsvLoading:
         with pytest.raises(ParseError, match="no data"):
             self.load(tmp_path, "")
 
+    def test_blank_and_comma_only_lines_skipped(self, tmp_path):
+        rows = [f"{i},2,3,{i}.5" for i in range(6)]
+        data = self.load(tmp_path, "\n".join(rows[:2] + ["", ",,,", " , "] + rows[2:]) + "\n\n")
+        assert data.n == 6
+        assert data.values[:, 3].tolist() == [i + 0.5 for i in range(6)]
+
+    def test_data_matrix_rejection_names_the_path(self, tmp_path):
+        # a well-formed file of 3 columns parses, and DataMatrix rejects it
+        path = tmp_path / "narrow.csv"
+        path.write_text("\n".join("1,2,3" for _ in range(6)) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_data_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "need at least 4 columns, got 3" in str(info.value)
+
 
 def test_all_tetrads_enumeration():
     idx = list(all_tetrads(4))

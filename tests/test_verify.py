@@ -6,6 +6,7 @@ import pytest
 from singwald.cli import run
 from singwald.poly import MonomialForm
 from singwald.verify import (
+    _REGISTRY,
     VerificationResult,
     _moment_geometry,
     _moment_integrand,
@@ -107,13 +108,29 @@ class TestCauchyAndReciprocal:
 
 class TestCounterexample:
     def test_mean_formula_across_rho(self):
-        # passing means the sample mean is within 2% of (1 + 2 rho^2)/(1 - rho^2),
-        # i.e. of 1, 2 and 19/3 here
+        # passing means the sample mean is within six exact standard errors
+        # of (1 + 2 rho^2)/(1 - rho^2), i.e. of 1, 2 and 19/3 here, a bound
+        # no looser than 2% at n = 1e6
         for rho in (0.0, 0.5, 0.8):
             results = counterexample_negative_weights(rho, 10**6, 60)
             mean_result = results[0]
-            assert mean_result.threshold == 0.02
+            assert mean_result.threshold <= 0.02
             assert mean_result.passed, (rho, mean_result.statistic)
+
+    def test_exact_mean_rows(self):
+        # the angle-rule mean matches the formula to rounding, whatever n
+        for rho in (0.0, 0.5, 0.8, 0.95):
+            exact = counterexample_negative_weights(rho, 1000, 62)[1]
+            assert exact.name == f"negative-weight-exact-mean-rho{rho:g}"
+            assert exact.threshold == 1e-12 and exact.statistic <= 1e-15
+
+    def test_mean_threshold_scales_with_n(self):
+        # six exact relative standard deviations over sqrt(n): at rho = 0,
+        # q = 4 Z1^2 Z2^2 / (Z1^2 + Z2^2) = R^2 sin^2(2 theta) has mean 1 and
+        # E[q^2] = 8 * 3/8 = 3, so sd = sqrt(2)
+        small, large = (counterexample_negative_weights(0.0, n, 63)[0] for n in (10**4, 10**6))
+        assert small.threshold == pytest.approx(6.0 * 2**0.5 / 100.0, rel=1e-14)
+        assert large.threshold == pytest.approx(small.threshold / 10.0, rel=1e-14)
 
     def test_rho_08_law_departs_from_chi2(self):
         results = counterexample_negative_weights(0.8, 2 * 10**5, 61)
@@ -274,6 +291,14 @@ class TestSuiteRunner:
         b = run_suite("all", n=5000, seed=74, threads=2)
         assert format_report(a) == format_report(b)
         assert [(r.name, r.statistic) for r in a] == [(r.name, r.statistic) for r in b]
+
+    def test_registry_claims_are_the_row_stems(self):
+        # every row of an entry starts with one of its claims, and every
+        # claim starts some row of its entry
+        for claims, tier, runner in _REGISTRY:
+            names = [r.name for r in runner(2000, 76)]
+            assert all(name.startswith(claims) for name in names), (claims, names)
+            assert all(any(name.startswith(c) for name in names) for c in claims), (claims, names)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
