@@ -45,7 +45,7 @@ w_j times one minus exp(-x) times a closed-form sum, one exponential per
 node and point.
 
 Every distribution function here reads the regularized incomplete gamma
-functions P and Q at a half-integer shape, the numpy kernels of
+functions P and Q at integer or half-integer shapes, the numpy kernels of
 ``singwald.special`` (which also holds the root finder): ``chi2_cdf`` and
 ``chi2_sf`` are P and Q at (df/2, x/2), the tetrad CDF takes its normal
 tail as Q(1/2, 2t)/2, and the index-1/2 stable law of alpha^2/Z^2 is
