@@ -19,13 +19,26 @@ from singwald.cli import run
 from test_laws import ALL_LAWS
 
 PINNED = Path(__file__).parent / "data" / "law_tables.sha256"
-SPECS = [law.spec_string() for law in ALL_LAWS] + ["scaled-chisq:0.25:2", "scaled-chisq:0.25:3"]
+# beta-fold:2:1 runs the angle kernel at an odd df (one erfcx per node) and
+# beta-fold:1:1 the folded-Beta rule at df = 2
+SPECS = [law.spec_string() for law in ALL_LAWS] + [
+    "scaled-chisq:0.25:2",
+    "scaled-chisq:0.25:3",
+    "beta-fold:2:1",
+    "beta-fold:1:1",
+]
 TABLES = [
     ("cdf", "--grid", "0:40:0.01"),
     ("quantile", "--grid", "0.005:0.995:0.005"),
     ("quantile", "--probs", "1e-12,1e-9,1e-6,0.999999,0.999999999,0.999999999999"),
 ]
-COMMANDS = [f"{cmd} {spec} {opt} {value}" for spec in SPECS for cmd, opt, value in TABLES]
+COMMANDS = [f"{cmd} {spec} {opt} {value}" for spec in SPECS for cmd, opt, value in TABLES] + [
+    # 20,001 points: both cross two tile edges of the angle kernel
+    "cdf beta-fold:3:1 --grid 0:40:0.002",
+    "cdf mix2:0.25:0.2 --grid 0:40:0.002",
+    # df = 401: the kernel's pointwise fallback above its closed-form range
+    "cdf beta-fold:201:200 --grid 0:400:0.1",
+]
 
 
 def _digest(command: str) -> str:
