@@ -27,32 +27,26 @@ The branch zoo
     ``TetradSingular`` in distribution.
 
 ``TwoChiSquareMix`` and ``FoldedBetaProduct`` are mixtures over an angle,
-so each CDF is one blocked kernel (``_angle_cdf``) over a cached node rule:
 
     F(t) = sum_j w_j * P(k/2, t * r_j),
 
-with P the regularized lower incomplete gamma function (the chi-square-k
-CDF at 2*t*r_j) and weights that are multiples of 2^-53 summing to exactly
-1, so that F(0) = 0 and F <= 1 hold without clipping.  The mix2 rule
-(``_mix2_rule``, k = 2) is a midpoint rule in a rescaled polar angle with
-one exponential per node; the test suite pins it within 1e-12 of a 30-digit
-angle integral for weight ratios down to 1e-8.  Below a ratio of 1e-16 the
-smaller component is dropped, within (2/pi)*sqrt(ratio).  The folded-Beta
-rule (``_fb_rule``, k = k1 + k2) takes Gauss-Legendre panels in the Beta
-angle, graded toward the angle where the rate diverges; agreement with
-adaptive quadrature is pinned below 1e-9.  For k other than 2 each term is
-w_j times one minus exp(-x) times a closed-form sum, one exponential per
-node and point.
+with P the regularized lower incomplete gamma function.  This module builds
+their node rules, cached per law parameter.  The mix2 rule (``_mix2_rule``,
+k = 2) is a midpoint rule in a rescaled polar angle; the test suite pins it
+within 1e-12 of a 30-digit angle integral for weight ratios down to 1e-8.
+Below a ratio of 1e-16 the smaller component is dropped, within
+(2/pi)*sqrt(ratio).  The folded-Beta rule (``_fb_rule``, k = k1 + k2) takes
+Gauss-Legendre panels in the Beta angle, graded toward the angle where the
+rate diverges; agreement with adaptive quadrature is pinned below 1e-9.
 
-Every distribution function here reads the regularized incomplete gamma
-functions P and Q at integer or half-integer shapes, the numpy kernels of
-``singwald.special`` (which also holds the root finder): ``chi2_cdf`` and
-``chi2_sf`` are P and Q at (df/2, x/2), the tetrad CDF takes its normal
-tail as Q(1/2, 2t)/2, and the index-1/2 stable law of alpha^2/Z^2 is
-``chi2_sf`` at alpha^2/x.  Those two and the tetrad ``cdf`` and ``sf`` live
-in ``singwald.special``, which the tetrad test calls without loading this
-module; they are re-exported here, as is ``EmpiricalDistribution`` of
-``singwald.empirical``.  Every law has a survival function ``sf``:
+Every distribution function is evaluated in ``singwald.special``, which
+also holds the root finder: the mixtures by its ``_angle_cdf`` over a rule
+from its ``_node_rule``, and the chi-square and tetrad laws by ``chi2_cdf``,
+``chi2_sf``, ``tetrad_singular_cdf`` and ``tetrad_singular_sf``.  The
+tetrad test calls those four without loading this module; they are
+re-exported here, as is ``EmpiricalDistribution`` of
+``singwald.empirical``.  The index-1/2 stable law of alpha^2/Z^2 is
+``chi2_sf`` at alpha^2/x.  Every law has a survival function ``sf``:
 ``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
 ``tetrad_singular_sf`` for the scaled chi-square and tetrad laws.
 :meth:`LimitLaw.quantile` roots ``sf`` above the median and ``cdf`` below,
@@ -72,7 +66,8 @@ from .empirical import EmpiricalDistribution
 from .gaussian import make_generator
 from .poly import MonomialForm
 from .special import (
-    _lower_gamma_block,
+    _angle_cdf,
+    _node_rule,
     _root,
     chi2_cdf,
     chi2_sf,
@@ -181,66 +176,6 @@ def _leggauss(n: int):
     return nodes, weights
 
 
-# Elements per tile of the angle-rule kernel, which holds seven tile-sized buffers.
-_BLOCK = 2**14
-
-
-def _node_rule(rate: np.ndarray, p: np.ndarray):
-    """Nodes (r_j, w_j) with the probabilities p rounded to multiples of
-    2^-53 that sum to exactly 1, so that any partial sum of the weights is
-    exact."""
-    units = np.rint(p * 2.0**53).astype(np.int64)
-    units[np.argmax(units)] += 2**53 - units.sum()
-    return tuple(zip(rate.tolist(), (units / 2.0**53).tolist()))
-
-
-def _angle_cdf(t, nodes, df: int):
-    """F(t) = sum_j w_j * P(df/2, t * r_j) over the nodes of an angle rule,
-    with P the regularized lower incomplete gamma function (the chi-square-df
-    CDF at 2*t*r_j).
-
-    Points go in blocks of ``_BLOCK``, and each point's terms are added one
-    node at a time, in the same order for every point.  With nonnegative
-    weights that sum to exactly 1 this gives F(0) = 0, F <= 1 and, wherever
-    P is nondecreasing in floating point, F nondecreasing, without clipping.
-    Points t <= 0 (and NaN) map to 0.  df = 2 needs one ``expm1`` per node
-    and point; other df take one ``exp`` per node and point times a
-    closed-form sum (and an erfcx for odd df), see
-    :func:`singwald.special._lower_gamma_block`.
-    """
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    out = np.empty_like(flat)
-    rates, weights = np.array(nodes).T[:, :, None]  # one row per node
-    buffers = np.empty((7, _BLOCK))  # tb, tt and the P kernel's scratch
-    for i in range(0, flat.size, _BLOCK):
-        x = flat[i : i + _BLOCK]
-        x = np.where(x > 0, x, 0.0)[None, :]
-        acc = out[i : i + x.size]
-        acc[:] = 0.0
-        # nodes go in groups of rows that fill a block, so that a call on a
-        # few points (a scalar CDF inside a root finder) makes few array
-        # calls; every element sees the same arithmetic whatever the grouping
-        group = max(1, _BLOCK // x.size)
-        tiles = buffers[:, : group * x.size].reshape(7, group, x.size)
-        with np.errstate(over="ignore"):
-            for j in range(0, len(rates), group):
-                r, w = rates[j : j + group], weights[j : j + group]
-                tb, tt, *scratch = tiles if len(r) == group else tiles[:, : len(r)]
-                if df == 2:
-                    # w * (1 - exp(-x*r)) = -w * expm1(-x*r): exactly +0 at
-                    # x = 0, and w where x*r overflows to inf
-                    np.multiply(x, -r, out=tb)
-                    np.expm1(tb, out=tb)
-                    np.multiply(tb, -w, out=tt)
-                else:
-                    np.multiply(x, r, out=tb)
-                    _lower_gamma_block(df, tb, tt, scratch, w)
-                for row in tt:
-                    acc += row
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-
 # Below this weight ratio the mix2 rule would need more than 8e4 nodes, and
 # the smaller component moves the CDF by at most (2/pi)*sqrt(ratio) <= 6.4e-9.
 _MIX2_RATIO_MIN = 1e-16
@@ -248,7 +183,7 @@ _MIX2_RATIO_MIN = 1e-16
 
 @functools.lru_cache(maxsize=64)
 def _mix2_rule(w1: float, w2: float):
-    """Nodes (r_j, w_j) of the angle rule for w1 >= w2 > 0.
+    """The angle rule (r_j, w_j) for w1 >= w2 > 0.
 
     In polar coordinates, 1 - F(t) = (2/pi) * int_0^{pi/2}
     exp(-t / (2*(w1*cos^2(theta) + w2*sin^2(theta)))) dtheta.  With
@@ -261,7 +196,7 @@ def _mix2_rule(w1: float, w2: float):
     rho^(1/4), rho = w2/w1.  The midpoint rule in phi then converges
     geometrically; N = max(16, ceil(8 * rho^(-1/4))) nodes keep the error
     below 1e-12.  The weights w_j are the normalised Jacobian and the rates
-    are r_j = r(phi_j), for the df = 2 kernel of :func:`_angle_cdf`.
+    are r_j = r(phi_j), for :func:`_angle_cdf` at df = 2.
     """
     a, b = np.sqrt(w1), np.sqrt(w2)
     n = max(16, math.ceil(8.0 * (w2 / w1) ** -0.25))
@@ -308,8 +243,8 @@ _FB_NODES = 10
 
 @functools.lru_cache(maxsize=None)
 def _fb_rule(k1: int, k2: int):
-    """Nodes (r_j, w_j) of F(t) = E_B[P((k1+k2)/2, 2t / (2B-1)^2)] for the
-    kernel :func:`_angle_cdf` with df = k1 + k2.
+    """The angle rule (r_j, w_j) of F(t) = E_B[P((k1+k2)/2, 2t / (2B-1)^2)]
+    for :func:`_angle_cdf` with df = k1 + k2.
 
     With b = sin^2(theta), B ~ Beta(k1/2, k2/2) has an angle density
     proportional to sin^(k1-1)(theta) * cos^(k2-1)(theta), smooth on

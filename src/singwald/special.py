@@ -9,8 +9,9 @@ at a = df/2 for integer df, and each has a closed form in exp and erfc:
     Q(m, x)       = exp(-x) * sum_{k<m} x^k / k!,
     Q(m + 1/2, x) = erfc(sqrt(x)) + exp(-x) * sum_{k<m} x^(k+1/2) / Gamma(k + 3/2).
 
-The module computes three things: erfcx, P and Q (pointwise, and the
-per-node block of the angle rules), and the root that inverts them.
+The module computes four things: erfcx, P and Q, the mixtures of P over
+an angle rule, and the root that inverts them.  Every kernel runs through
+one block loop, ``_blockwise``, over tiles of ``_BLOCK`` points.
 
 erfcx
     erfcx(z) = exp(z^2) * erfc(z) for z >= 0 is t * exp(C(u)) with
@@ -36,10 +37,15 @@ P and Q
     compensated), so large df and large x neither underflow nor overflow
     early.  The other side is one minus that.
 Angle rules
-    :func:`_lower_gamma_block` is the per-node kernel of the mixture CDFs:
-    one minus exp(-x) times the closed-form sum, one exponential per node
-    and point, accurate to a few ulp in absolute terms, and the positive
-    series where P < 1e-6.
+    The limit laws of a definite bivariate form and of an equal-magnitude
+    split spectrum are mixtures F(t) = sum_j w_j P(df/2, t r_j).
+    :func:`_node_rule` makes a rule, a read-only (2, N) array of rates
+    r_j and weights w_j that are multiples of 2^-53 summing to exactly 1;
+    :func:`_angle_cdf` sums the terms node by node.  Each term is
+    -w expm1(-x) for df = 2; otherwise w minus w times exp(-x) times the
+    closed-form sum, one exponential per node and point and accurate to a
+    few ulp of w, with the positive series where P < 1e-6; and pointwise
+    P above df = 400.
 Roots
     :func:`_root` inverts a CDF or a survival function: Newton steps on
     log(side/target) where a log-density is given, secant steps otherwise,
@@ -51,8 +57,9 @@ Distribution functions
     ``tetrad_singular_cdf`` takes its normal tail 1 - Phi(2 sqrt(t)) as
     Q(1/2, 2t)/2, and ``tetrad_singular_sf`` is written in erfcx.  These
     four are the public names: the laws of ``singwald.laws`` are built on
-    them, and ``singwald.tetrad`` takes its p-values from them without
-    loading the laws.  Every other name is private to the package.
+    them and on the angle rules, and ``singwald.tetrad`` takes its p-values
+    from them without loading the laws.  Every other name is private to the
+    package.
 """
 
 from __future__ import annotations
@@ -172,80 +179,24 @@ def _erfcx_block(z, out, u, h):
 
 def _blockwise(kernel, x):
     """``kernel(x_block)`` over ``_BLOCK``-point blocks of x, so that the
-    kernels' temporaries stay in cache."""
+    kernels' temporaries stay in cache; a float for a 0-d x."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     out = np.empty_like(flat)
     for i in range(0, flat.size, _BLOCK):
         out[i : i + _BLOCK] = kernel(flat[i : i + _BLOCK])
-    return out.reshape(x.shape)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _erfcx_kernel(z):
     out = np.empty_like(z)
-    _erfcx_block(z, out, *np.empty((2, z.size)))
+    _erfcx_block(z, out, *np.empty((2, *z.shape)))
     return out
 
 
 def _erfcx(z):
     """exp(z^2) * erfc(z) for z >= 0."""
     return _blockwise(_erfcx_kernel, z)
-
-
-def _lower_gamma_block(df: int, x, out, scratch, w):
-    """w * P(df/2, x) into ``out`` for one block of x >= 0 (inf allowed),
-    the per-node kernel of the angle-rule CDFs; w is a scalar or broadcasts
-    against x (one weight per row of nodes).
-
-    Where P >= 1e-6 it is w - w * Q, with Q = exp(-x) times the closed-form
-    sum (capped at 1), accurate to a few ulp of w; x is clamped at
-    ``_X_CLAMP``, where Q is below any ulp.  Below, the rounding of that
-    difference would be noise far above P itself, so the positive series
-    for P takes over and keeps P's relative accuracy and monotonicity.
-    ``scratch`` holds 5 arrays of x's shape, and ``out`` must be contiguous
-    and must not be ``x``.  Above ``_CLOSED_FORM_DF_MAX`` the clamp would
-    cut off mass, and :func:`_lower_gamma` takes over.
-    """
-    if df > _CLOSED_FORM_DF_MAX:
-        np.multiply(_lower_gamma(df, x), w, out=out)
-        return
-    n, odd = divmod(df, 2)
-    xc, z = scratch[0], scratch[1]
-    h = scratch[2] if odd else out
-    np.minimum(x, _X_CLAMP, out=xc)
-    # w * sum_{k<n} x^(k+a0) / Gamma(k + a0 + 1), a0 = odd/2, nested as
-    # w * x^a0 / Gamma(a0 + 1) * (1 + x/(a0 + 1) * (1 + x/(a0 + 2) * ...))
-    lead = w * (2.0 / math.sqrt(math.pi) if odd else 1.0)
-    if n == 1:
-        h[...] = lead
-    elif n:
-        np.multiply(xc, lead / (0.5 * odd + n - 1), out=h)
-        h += lead
-        for k in range(n - 2, 0, -1):
-            h *= xc
-            h *= 1.0 / (0.5 * odd + k)
-            h += lead
-    if odd:
-        np.sqrt(xc, out=z)
-        _erfcx_block(z, out, *scratch[3:5])
-        out *= w
-        if n:
-            h *= z
-            out += h
-    np.negative(xc, out=xc)
-    np.exp(xc, out=xc)
-    out *= xc
-    # near x = 0 the rounding can put w * Q an ulp or three above w
-    np.minimum(out, w, out=out)
-    np.subtract(w, out, out=out)
-    a = df / 2.0
-    edge = math.exp((math.log(1e-6) + math.lgamma(a + 1.0)) / a)  # P(a, edge) ~ 1e-6
-    x, flat = x.reshape(-1), out.reshape(-1)
-    small = np.flatnonzero(x < edge)
-    small = small[x[small] > 0.0]  # x = 0 already gives exactly 0
-    if small.size:
-        w = np.broadcast_to(w, out.shape).reshape(-1)
-        flat[small] = w[small] * _lower_series(a, x[small])
 
 
 def _check_df(df) -> int:
@@ -329,13 +280,104 @@ def _upper_gamma(df, x):
 
 
 def chi2_cdf(x, df: int):
-    out = _lower_gamma(df, np.asarray(x, dtype=float) / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _lower_gamma(df, np.asarray(x, dtype=float) / 2.0)
 
 
 def chi2_sf(x, df: int):
-    out = _upper_gamma(df, np.asarray(x, dtype=float) / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _upper_gamma(df, np.asarray(x, dtype=float) / 2.0)
+
+
+def _node_rule(rate, p):
+    """The angle rule (r_j, w_j) as a read-only (2, N) array, with the
+    probabilities p rounded to multiples of 2^-53 that sum to exactly 1, so
+    that any partial sum of the weights is exact."""
+    units = np.rint(p * 2.0**53).astype(np.int64)
+    units[np.argmax(units)] += 2**53 - units.sum()
+    rule = np.stack([rate, units / 2.0**53])
+    rule.flags.writeable = False
+    return rule
+
+
+def _node_terms(df: int, x, w):
+    """w * P(df/2, x) for a tile of x >= 0 (inf allowed), one row of x and
+    one weight w per node.
+
+    df = 2 is -w * expm1(-x).  Otherwise, where P >= 1e-6, it is w - w * Q,
+    with Q = exp(-x) times the closed-form sum (capped at 1), accurate to a
+    few ulp of w; x is clamped at ``_X_CLAMP``, where Q is below any ulp.
+    Below, the rounding of that difference would be noise far above P
+    itself, so the positive series for P takes over and keeps P's relative
+    accuracy and monotonicity.  Above ``_CLOSED_FORM_DF_MAX`` the clamp
+    would cut off mass, and :func:`_lower_gamma` takes over.
+    """
+    if df == 2:
+        # exactly +0 at x = 0, and w where x overflows to inf
+        return np.expm1(-x) * -w
+    if df > _CLOSED_FORM_DF_MAX:
+        return _lower_gamma(df, x) * w
+    n, odd = divmod(df, 2)
+    xc = np.minimum(x, _X_CLAMP)
+    # w * sum_{k<n} x^(k+a0) / Gamma(k + a0 + 1), a0 = odd/2, nested as
+    # w * x^a0 / Gamma(a0 + 1) * (1 + x/(a0 + 1) * (1 + x/(a0 + 2) * ...))
+    lead = w * (2.0 / math.sqrt(math.pi) if odd else 1.0)
+    h = lead
+    if n > 1:
+        h = xc * (lead / (0.5 * odd + n - 1))
+        h += lead
+        for k in range(n - 2, 0, -1):
+            h *= xc
+            h *= 1.0 / (0.5 * odd + k)
+            h += lead
+    if odd:
+        z = np.sqrt(xc)
+        out = _erfcx_kernel(z)
+        out *= w
+        if n:
+            out += h * z
+    else:
+        out = h
+    np.negative(xc, out=xc)
+    np.exp(xc, out=xc)
+    out *= xc
+    # near x = 0 the rounding can put w * Q an ulp or three above w
+    np.minimum(out, w, out=out)
+    np.subtract(w, out, out=out)
+    a = df / 2.0
+    edge = math.exp((math.log(1e-6) + math.lgamma(a + 1.0)) / a)  # P(a, edge) ~ 1e-6
+    x, flat = x.reshape(-1), out.reshape(-1)
+    small = np.flatnonzero(x < edge)
+    small = small[x[small] > 0.0]  # x = 0 already gives exactly 0
+    if small.size:
+        w = np.broadcast_to(w, out.shape).reshape(-1)
+        flat[small] = w[small] * _lower_series(a, x[small])
+    return out
+
+
+def _angle_kernel(rule, df: int, t):
+    x = np.where(t > 0, t, 0.0)
+    acc = np.zeros_like(x)
+    # nodes go in groups of rows that fill a tile, so that a call on a few
+    # points (a scalar CDF inside a root finder) makes few array calls;
+    # every element sees the same arithmetic whatever the grouping
+    group = max(1, _BLOCK // x.size)
+    with np.errstate(over="ignore"):
+        for j in range(0, rule.shape[1], group):
+            r, w = rule[:, j : j + group, None]
+            for row in _node_terms(df, x * r, w):
+                acc += row
+    return acc
+
+
+def _angle_cdf(t, rule, df: int):
+    """F(t) = sum_j w_j * P(df/2, t * r_j) over the nodes (r_j, w_j) of an
+    angle rule from :func:`_node_rule`.
+
+    Each point's terms are added one node at a time, in the same order for
+    every point.  With nonnegative weights that sum to exactly 1 this gives
+    F(0) = 0, F <= 1 and, wherever P is nondecreasing in floating point, F
+    nondecreasing, without clipping.  Points t <= 0 (and NaN) map to 0.
+    """
+    return _blockwise(functools.partial(_angle_kernel, rule, df), t)
 
 
 def tetrad_singular_cdf(t):

@@ -105,13 +105,13 @@ def test_incomplete_gamma_edges():
 
 @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 12, 25, 401, 402])
 def test_angle_rule_block(df):
-    # the per-node kernel of the angle-rule CDFs: w * P to a few ulp of w
-    # (absolute), relative accuracy where P is far below 1e-6, exactly 0 at
-    # x = 0, and w where x is clamped or infinite
+    # the angle-rule CDF on a one-node rule (r = 1, w = 0.375) is its
+    # per-node term w * P: to a few ulp of w (absolute), relative accuracy
+    # where P is far below 1e-6, exactly 0 at x = 0, and w where x is
+    # clamped or infinite
     x = np.concatenate([[0.0], np.geomspace(1e-30, 2.0 * df + 50.0, 600), [650.0, 1e30, np.inf]])
-    out = np.empty_like(x)
     w = 0.375
-    special._lower_gamma_block(df, x, out, np.empty((5, x.size)), w)
+    out = special._angle_cdf(x, np.array([[1.0], [w]]), df)
     want = w * special._lower_gamma(df, x)
     assert out[0] == 0.0 and np.all(out[-3:] == w)
     assert np.abs(out - want).max() <= 2e-15 * w
