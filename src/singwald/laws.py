@@ -97,6 +97,18 @@ __all__ = [
 # Limit laws.
 # ---------------------------------------------------------------------------
 
+def _positive_int(name: str, value) -> int:
+    """An integral law parameter as an int, so that its spec string reads
+    back through :func:`parse_law`."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = 0
+    if whole < 1 or whole != value:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return whole
+
+
 class LimitLaw:
     """Common quantile / sampling plumbing for the concrete branches."""
 
@@ -146,8 +158,7 @@ class ScaledChiSquare(LimitLaw):
     def __post_init__(self):
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.df < 1 or self.df != int(self.df):
-            raise ValueError("df must be a positive integer")
+        object.__setattr__(self, "df", _positive_int("df", self.df))
 
     def cdf(self, t):
         return chi2_cdf(np.asarray(t, dtype=float) / self.scale, self.df)
@@ -263,7 +274,9 @@ def _fb_rule(k1: int, k2: int):
     ds = np.append(half[:, None] * w, edges[-1])
     dens = lambda theta: np.sin(theta) ** (k1 - 1) * np.cos(theta) ** (k2 - 1)
     mass = ds * (dens(np.pi / 4.0 - s) + dens(np.pi / 4.0 + s))
-    return _node_rule(2.0 / np.sin(2.0 * s) ** 2, mass / mass.sum())
+    with np.errstate(invalid="ignore"):  # 0/0 where every mass underflows
+        p = mass / mass.sum()
+    return _node_rule(2.0 / np.sin(2.0 * s) ** 2, p)
 
 
 @dataclass(frozen=True)
@@ -272,8 +285,8 @@ class FoldedBetaProduct(LimitLaw):
     k2: int
 
     def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError("k1 and k2 must be positive integers")
+        object.__setattr__(self, "k1", _positive_int("k1", self.k1))
+        object.__setattr__(self, "k2", _positive_int("k2", self.k2))
 
     def cdf(self, t):
         return _angle_cdf(t, _fb_rule(self.k1, self.k2), self.k1 + self.k2)

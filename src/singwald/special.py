@@ -291,6 +291,11 @@ def _node_rule(rate, p):
     """The angle rule (r_j, w_j) as a read-only (2, N) array, with the
     probabilities p rounded to multiples of 2^-53 that sum to exactly 1, so
     that any partial sum of the weights is exact."""
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0) and p.sum() > 0.0):
+        raise ValueError(
+            "angle-rule node probabilities are not finite and nonnegative with a "
+            "positive sum: the node masses underflow for these law parameters"
+        )
     units = np.rint(p * 2.0**53).astype(np.int64)
     units[np.argmax(units)] += 2**53 - units.sum()
     rule = np.stack([rate, units / 2.0**53])

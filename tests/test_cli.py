@@ -487,6 +487,33 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
     assert "Warning" not in captured.err
 
 
+# Input errors reach run() as one ValueError: exit 2, nothing on stdout,
+# and one error line that names the cause.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, wald_seed, cause", [
+    (("cdf", "tetrad", "--grid", "a:b:c"), None, "grid must be start:stop:step"),
+    (("cdf", "tetrad", "--grid", "0:1:0.5"), "abc", "WALD_SEED must be an integer, got 'abc'"),
+    (("moments", "--sigma", "1", "--m", "0"), None, "moment orders must be positive integers"),
+    (("tetrad-test", "--data", "{csv}", "--indices=-1,0,1,2"), None,
+     "tetrad indices must be nonnegative"),
+    # every node density of the folded-Beta rule underflows to 0
+    (("cdf", "beta-fold:2000:2000", "--grid", "0:2000:500"), None, "node masses underflow"),
+    (("quantile", "beta-fold:2000:2000", "--probs", "0.5"), None, "node masses underflow"),
+], ids=["grid", "wald-seed", "moment-order", "tetrad-index", "underflow-cdf",
+        "underflow-quantile"])
+def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv, monkeypatch,
+                                                capsys):
+    if wald_seed is None:
+        monkeypatch.delenv("WALD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("WALD_SEED", wald_seed)
+    assert run([tok.format(csv=data_csv) for tok in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and cause in errors[0]
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

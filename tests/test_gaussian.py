@@ -44,6 +44,10 @@ class TestValidateCovariance:
         with pytest.raises(ValueError, match="square"):
             validate_covariance(np.ones((2, 3)))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_covariance([[1.0, np.nan], [np.nan, 1.0]])
+
     def test_rank_is_the_factor_column_count(self):
         # a fourth eigenvalue at the rank threshold: one eigendecomposition
         # decides both the rank and the factor's columns
@@ -195,6 +199,14 @@ class TestMatrixFormat:
     def test_empty(self):
         with pytest.raises(ParseError, match="empty"):
             parse_matrix("# nothing\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\n", r"^<input>:1: dimension must be positive, got 0$"),
+        ("2\n1 0\na b\n", r"^<input>:3: bad matrix row 'a b'$"),
+    ])
+    def test_bad_dimension_or_row(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_matrix(text)
 
     def test_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "bom.mat"

@@ -374,6 +374,11 @@ class TestFoldedBetaProduct:
         with pytest.raises(ValueError):
             FoldedBetaProduct(0, 2)
 
+    def test_integral_float_parameters_are_the_integer_law(self):
+        law = FoldedBetaProduct(2.0, 2.0)
+        assert (law.k1, law.k2) == (2, 2) and type(law.k1) is int
+        assert law.cdf(0.5) == FoldedBetaProduct(2, 2).cdf(0.5)
+
     def test_memory_is_blocked(self):
         law = FoldedBetaProduct(3, 1)
         t = np.linspace(0.0, 10.0, 10**5)
@@ -568,6 +573,29 @@ class TestSpecStrings:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_law(bad)
+
+    @pytest.mark.parametrize("law, spec", [
+        (ScaledChiSquare(0.25, 2.0), "scaled-chisq:0.25:2"),
+        (FoldedBetaProduct(2.0, 2.0), "beta-fold:2:2"),
+    ])
+    def test_integral_float_parameters_round_trip(self, law, spec):
+        assert law.spec_string() == spec
+        assert parse_law(spec) == law
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: FoldedBetaProduct(1.5, 2), "k1"),
+        (lambda: FoldedBetaProduct(2, 2.5), "k2"),
+        (lambda: ScaledChiSquare(0.25, 2.5), "df"),
+        (lambda: ScaledChiSquare(0.25, float("nan")), "df"),
+    ], ids=["k1", "k2", "df", "df-nan"])
+    def test_non_integral_parameter_names_itself(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            make()
+
+
+def test_sample_needs_two_draws():
+    with pytest.raises(ValueError, match="at least 2"):
+        TetradSingular().sample(n=1, seed=1)
 
 
 def test_sampling_determinism_across_laws():

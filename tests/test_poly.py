@@ -109,6 +109,10 @@ class TestComposeLinear:
         with pytest.raises(ValueError, match="singular"):
             tetrad_poly().compose_linear(np.ones((4, 4)))
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"matrix must be 4x4, got \(3, 3\)"):
+            tetrad_poly().compose_linear(np.eye(3))
+
     def test_composition_matches_pointwise(self):
         # f(Bx) evaluated two ways at many points, and the chain rule
         # grad (f o B)(x) = B^T grad f(Bx), both at relative tolerance 1e-10.
@@ -162,6 +166,10 @@ class TestQuadraticForm:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             QuadraticForm(np.zeros((2, 2)))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            QuadraticForm(np.ones((2, 3)))
 
     def test_form_value_matches_polynomial(self):
         rng = np.random.default_rng(3)
@@ -458,6 +466,15 @@ class TestTextFormat:
     def test_empty_rejected(self):
         with pytest.raises(ParseError, match="no terms"):
             parse_polynomial("# nothing here\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 -1 3\n", r"^x\.poly:1: negative exponent -1$"),
+        # a constant term: the error from the polynomial comes back naming the path
+        ("1 0 0\n", r"^x\.poly: degree must be at least 1$"),
+    ])
+    def test_bad_term_names_the_path(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_polynomial(text, "x.poly")
 
     def test_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "bom.poly"

@@ -546,6 +546,10 @@ class TestSingularLimitLaw:
 
 
 class TestDataMatrix:
+    def test_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="2-d"):
+            DataMatrix(values=np.zeros(10))
+
     def test_needs_four_columns(self):
         with pytest.raises(ValueError, match="4 columns"):
             DataMatrix(values=np.zeros((10, 3)))

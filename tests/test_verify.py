@@ -132,6 +132,11 @@ class TestCounterexample:
         assert small.threshold == pytest.approx(6.0 * 2**0.5 / 100.0, rel=1e-14)
         assert large.threshold == pytest.approx(small.threshold / 10.0, rel=1e-14)
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_rho_outside_the_open_interval_rejected(self, rho):
+        with pytest.raises(ValueError, match=r"rho must be in \(-1, 1\)"):
+            counterexample_negative_weights(rho, 1000, 64)
+
     def test_rho_08_law_departs_from_chi2(self):
         results = counterexample_negative_weights(0.8, 2 * 10**5, 61)
         gap = [r for r in results if r.name == "negative-weight-law-gap"][0]
