@@ -316,8 +316,12 @@ def _node_terms(df: int, x, w):
     would cut off mass, and :func:`_lower_gamma` takes over.
     """
     if df == 2:
-        # exactly +0 at x = 0, and w where x overflows to inf
-        return np.expm1(-x) * -w
+        # -w * expm1(-x), in one buffer: exactly +0 at x = 0, and w where x
+        # overflows to inf
+        out = np.negative(x)
+        np.expm1(out, out=out)
+        out *= -w
+        return out
     if df > _CLOSED_FORM_DF_MAX:
         return _lower_gamma(df, x) * w
     n, odd = divmod(df, 2)

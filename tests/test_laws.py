@@ -593,6 +593,16 @@ class TestSpecStrings:
             make()
 
 
+def test_angle_rules_are_cached_read_only_arrays():
+    from singwald.laws import _fb_rule, _mix2_rule
+
+    for make in (lambda: _fb_rule(3, 1), lambda: _mix2_rule(0.25, 0.2)):
+        rule = make()
+        assert rule is make()
+        assert rule.shape[0] == 2 and not rule.flags.writeable
+        assert rule[1].sum() == 1.0
+
+
 def test_sample_needs_two_draws():
     with pytest.raises(ValueError, match="at least 2"):
         TetradSingular().sample(n=1, seed=1)
