@@ -68,6 +68,7 @@ from .poly import MonomialForm
 from .special import (
     _angle_cdf,
     _node_rule,
+    _positive_int,
     _root,
     chi2_cdf,
     chi2_sf,
@@ -96,18 +97,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Limit laws.
 # ---------------------------------------------------------------------------
-
-def _positive_int(name: str, value) -> int:
-    """An integral law parameter as an int, so that its spec string reads
-    back through :func:`parse_law`."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = 0
-    if whole < 1 or whole != value:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return whole
-
 
 class LimitLaw:
     """Common quantile / sampling plumbing for the concrete branches."""
@@ -158,7 +147,8 @@ class ScaledChiSquare(LimitLaw):
     def __post_init__(self):
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "df", _positive_int("df", self.df))
+        # stored as an int, so that the spec string reads back through parse_law
+        object.__setattr__(self, "df", _positive_int(self.df))
 
     def cdf(self, t):
         return chi2_cdf(np.asarray(t, dtype=float) / self.scale, self.df)
@@ -285,8 +275,8 @@ class FoldedBetaProduct(LimitLaw):
     k2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", _positive_int("k1", self.k1))
-        object.__setattr__(self, "k2", _positive_int("k2", self.k2))
+        object.__setattr__(self, "k1", _positive_int(self.k1, "k1"))
+        object.__setattr__(self, "k2", _positive_int(self.k2, "k2"))
 
     def cdf(self, t):
         return _angle_cdf(t, _fb_rule(self.k1, self.k2), self.k1 + self.k2)

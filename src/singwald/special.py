@@ -199,10 +199,16 @@ def _erfcx(z):
     return _blockwise(_erfcx_kernel, z)
 
 
-def _check_df(df) -> int:
-    if df != int(df) or df < 1:
-        raise ValueError(f"df must be a positive integer, got {df!r}")
-    return int(df)
+def _positive_int(value, name: str = "df") -> int:
+    """An integral parameter (2.0 counts) as an int; a ValueError naming it
+    otherwise."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = 0
+    if whole < 1 or whole != value:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return whole
 
 
 def _exp_diff(c, x):
@@ -271,12 +277,12 @@ def _gamma_kernel(df: int, upper: bool, x):
 
 def _lower_gamma(df, x):
     """Regularized lower incomplete gamma function P(df/2, x)."""
-    return _blockwise(functools.partial(_gamma_kernel, _check_df(df), False), x)
+    return _blockwise(functools.partial(_gamma_kernel, _positive_int(df), False), x)
 
 
 def _upper_gamma(df, x):
     """Regularized upper incomplete gamma function Q(df/2, x)."""
-    return _blockwise(functools.partial(_gamma_kernel, _check_df(df), True), x)
+    return _blockwise(functools.partial(_gamma_kernel, _positive_int(df), True), x)
 
 
 def chi2_cdf(x, df: int):
