@@ -307,7 +307,7 @@ class TestMix2AngleRule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 8 MB output plus two 128 KB block buffers
+        # the 8 MB output plus a few 128 KB tile temporaries
         assert peak < 16 * 2**20
 
     def test_tiny_ratio_takes_the_larger_weight(self):
@@ -389,7 +389,7 @@ class TestFoldedBetaProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 0.8 MB output plus two 128 KB block buffers, not a
+        # the 0.8 MB output plus a few 128 KB tile temporaries, not a
         # points-by-nodes matrix
         assert peak < 16 * 2**20
 
