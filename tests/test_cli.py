@@ -20,7 +20,7 @@ from singwald.tetrad import (
     tetrad_index_array,
     wald_tetrad_test,
 )
-from singwald.verify import VerificationResult
+from singwald.verify import VerificationResult, moment_invariance_check
 
 TETRAD_POLY = "1 1 0 0 1\n-1 0 1 1 0\n"
 KRON_MAT = (
@@ -455,6 +455,19 @@ class TestVerify:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(0.5, abs=1e-10)
         assert float(first[2]) == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("sigma, options, phis, ms", [
+        (0.4, ["--phi", "0,0.3,0.7,1.2,1.5", "--m", "1,2,3,4"], [0, 0.3, 0.7, 1.2, 1.5], [1, 2, 3, 4]),
+        (2.5, [], [0, 0.3, 0.7, 1.2, 1.5], [1, 2, 3, 4]),  # the default --phi and --m
+    ])
+    def test_moments_table_bytes(self, sigma, options, phis, ms, capsys):
+        # the oracle: the header and one f-string row per m of the table
+        table = moment_invariance_check(sigma, phis, ms)
+        want = "m\\phi\t" + "\t".join(f"{p:.12g}" for p in phis) + "\n" + "".join(
+            f"{m}\t" + "\t".join(f"{v:.12g}" for v in row) + "\n" for m, row in zip(ms, table)
+        )
+        assert run(["moments", "--sigma", str(sigma), *options]) == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("option, value", [("--phi", ""), ("--m", "x"), ("--m", "1.5")])
     def test_bad_list_value_names_its_option(self, option, value, capsys):

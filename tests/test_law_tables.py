@@ -38,6 +38,8 @@ COMMANDS = [f"{cmd} {spec} {opt} {value}" for spec in SPECS for cmd, opt, value 
     "cdf mix2:0.25:0.2 --grid 0:40:0.002",
     # df = 401: the kernel's pointwise fallback above its closed-form range
     "cdf beta-fold:201:200 --grid 0:400:0.1",
+    # negative t: the sign column of the 12-digit table
+    "cdf tetrad --grid -2:2:0.25",
 ]
 
 
