@@ -35,7 +35,7 @@ __getattr__ = _importer(globals(), {
         "wald_tetrad_test",
         "zero_variance_columns",
     ),
-    "textout": ("_g17_lines", "_tsv"),
+    "textout": ("_lines",),
     "verify": ("format_report", "moment_invariance_check", "run_suite"),
 })
 # This module, read by attribute: a callee is imported when first read, and
@@ -180,26 +180,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_WRITE_CHUNK = 1 << 16
-
 _TETRAD_HEADER = "i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n"
 
 
-def _tetrad_rows(res) -> str:
-    """One TSV row per tetrad of ``res``: its indices, gamma, the statistic
-    and both p-values as ``%.10g``, and its regime.  A degenerate tetrad
-    keeps its gamma; its statistic and p-values are undefined and print as
-    nan."""
+def _tetrad_columns(res) -> list:
+    """The table columns of the tetrads of ``res``: its indices, gamma, the
+    statistic, both p-values and its regime.  A degenerate tetrad keeps its
+    gamma; its statistic and p-values are undefined and print as nan."""
     idx = np.reshape(res.idx, (-1, 4))
-    columns = range(int(idx.max(initial=0)) + 1)
+    names = range(int(idx.max(initial=0)) + 1)
     bad = np.atleast_1d(res.degenerate)
     undefined = lambda a: np.where(bad, np.nan, a)
     regime = np.where(bad, 2, res.regime_hint == "near_singular")
-    return _cli._tsv([
-        *((i, columns) for i in idx.T), np.atleast_1d(res.gamma_hat),
+    return [
+        *((i, names) for i in idx.T), np.atleast_1d(res.gamma_hat),
         undefined(res.t_stat), undefined(res.p_regular), undefined(res.p_singular),
         (regime, ("regular", "near_singular", "degenerate")),
-    ])
+    ]
+
+
+def _write_table(out, header: str, columns, digits: int) -> None:
+    """``header``, then the rows of ``columns`` with floats at ``digits``
+    significant digits, one write per block of lines."""
+    out.write(header)
+    for block in _cli._lines(columns, digits):
+        out.write(block)
 
 
 def _open_out(path: str):
@@ -232,20 +237,13 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         poly = _cli.load_polynomial(args.poly)
         sigma = _cli.validate_covariance(_cli.load_matrix(args.sigma))
         cfg = _cli.WaldSampleConfig(n=args.n, seed=seed, threads=threads)
-        emp = _cli.sample_wald(poly, sigma, cfg)
-        # One write per chunk: joining all n lines at once would hold a
-        # second copy of the whole output in memory.
-        for start in range(0, emp.values.size, _WRITE_CHUNK):
-            out.write(_cli._g17_lines(emp.values[start : start + _WRITE_CHUNK]))
+        _write_table(out, "", [_cli.sample_wald(poly, sigma, cfg).values], 17)
         return 0
 
     if args.command == "cdf":
         law = _cli.parse_law(args.law)
         grid = _parse_grid(args.grid)
-        vals = np.asarray(law.cdf(grid))
-        out.write("t\tF\n")
-        for t, v in zip(grid, vals):
-            out.write(f"{t:.12g}\t{v:.12g}\n")
+        _write_table(out, "t\tF\n", [grid, law.cdf(grid)], 12)
         return 0
 
     if args.command == "quantile":
@@ -257,8 +255,8 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         else:
             raise ValueError("provide --probs or --grid")
         # every quantile before the first write: a bad p leaves no half table
-        rows = [f"{p:.12g}\t{law.quantile(p):.12g}\n" for p in probs]
-        out.write("p\tQ\n" + "".join(rows))
+        quantiles = [law.quantile(p) for p in probs]
+        _write_table(out, "p\tQ\n", [probs, quantiles], 12)
         return 0
 
     if args.command == "classify":
@@ -291,7 +289,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
                 f"the tetrad touches zero-variance columns: {', '.join(map(str, touched))}"
                 if touched else "the empirical covariance is degenerate, collect more data"
             ))
-        out.write(_TETRAD_HEADER + _tetrad_rows(res))
+        _write_table(out, _TETRAD_HEADER, _tetrad_columns(res), 10)
         if bad.any():
             print(f"# {int(bad.sum())} of {bad.size} tetrads are degenerate "
                   "(estimated variance not positive); zero-variance columns: "
@@ -310,11 +308,8 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         phis = _parse_list("--phi", args.phi)
         ms = _parse_list("--m", args.m, int)
         table = _cli.moment_invariance_check(args.sigma, phis, ms)
-        out.write("m\\phi\t" + "\t".join(f"{p:.12g}" for p in phis) + "\n")
-        for r, m in enumerate(ms):
-            out.write(
-                f"{m}\t" + "\t".join(f"{v:.12g}" for v in table[r]) + "\n"
-            )
+        header = "m\\phi\t" + "\t".join(f"{p:.12g}" for p in phis) + "\n"
+        _write_table(out, header, [(range(len(ms)), ms), *table.T], 12)
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -1,21 +1,23 @@
-"""``%.17g`` and ``%.10g`` text of float arrays, computed in numpy.
+"""The numeric tables of ``wald`` as text, computed in numpy.
 
-``wald sample`` prints every draw as ``"%.17g\\n" % value``, and
-``wald tetrad-test`` prints each tetrad as a tab-separated row of four
-indices, four ``%.10g`` numbers and a word.  Formatting each value through
-Python costs about 0.7 us a value; :func:`_g17_lines` and :func:`_tsv`
-write the same bytes from whole-array numpy operations and format through
-Python only the rare values the kernel cannot decide exactly: zeros,
-non-finite values, possible rounding ties and values next to a power of
-ten.
+Every table the commands print is one call of :func:`_lines`: tab-separated
+rows of float columns at one precision and of word columns.  ``wald
+sample`` prints each draw as ``"%.17g\\n" % value``; ``wald cdf``,
+``quantile`` and ``moments`` print ``%.12g`` numbers, and ``wald
+tetrad-test`` four indices, four ``%.10g`` numbers and a word per row.
+Formatting each value through Python costs about 0.7 us a value;
+:func:`_lines` writes the same bytes from whole-array numpy operations and
+formats through Python only the rare values the kernel cannot decide
+exactly: zeros, non-finite values, possible rounding ties and values next
+to a power of ten.
 
 Text is built as a table of bytes with one fixed-width row per line, whose
 unused bytes are NUL; deleting the NUL bytes of the whole table at once
-gives the text.  A number of either precision, with the tab or newline
+gives the text.  A number of up to 17 digits, with the tab or newline
 after it, takes a cell of 25 bytes: a sign byte, then three little-endian
 uint64 words holding its digits, the '.' or the leading zeros, the
-exponent and the terminator.  A 10-digit significand is written as 17
-digits whose last 7 are cut off.  Cells of one decimal exponent share a
+exponent and the terminator.  A shorter significand is written as 17
+digits whose last ones are cut off.  Cells of one decimal exponent share a
 layout, and the bytes that ``%g`` leaves out (stripped trailing zeros, a
 '.' with no digit after it) are NUL.  A value left to Python has its own
 text written into its cell; the longest, ``-1.2345678901234567e-308\\n``,
@@ -253,24 +255,6 @@ def _numbers(x: np.ndarray, digits: int, end: bytes) -> np.ndarray:
     return cells[:, 7 : 32 if slow.size else 7 + longest]
 
 
-def _text(cells, sparse: bool = True) -> str:
-    """The rows of the uint8 arrays ``cells`` side by side, as lines with
-    every NUL byte deleted.  ``sparse`` says that NUL bytes are rare."""
-    raw = (np.concatenate(cells, axis=1) if len(cells) > 1 else cells[0]).tobytes()
-    # replace() copies the text between NUL bytes, translate() tests every
-    # byte: the first is the faster where NUL bytes are rare.
-    raw = raw.replace(b"\0", b"") if sparse else raw.translate(None, b"\0")
-    return raw.decode("ascii")
-
-
-def _g17_lines(values) -> str:
-    """``"%.17g\\n" * n % tuple(values)``, byte for byte."""
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    return "".join(
-        _text([_numbers(x[i : i + _BLOCK], 17, b"\n")]) for i in range(0, x.size, _BLOCK)
-    )
-
-
 def _words(codes: np.ndarray, words, end: bytes) -> np.ndarray:
     """``words[code] + end`` for each of the integer codes, NUL-padded, as
     the rows of a uint8 array."""
@@ -278,10 +262,10 @@ def _words(codes: np.ndarray, words, end: bytes) -> np.ndarray:
     return np.take(table.view(np.uint8).reshape(table.size, -1), codes, axis=0)
 
 
-def _tsv(columns) -> str:
-    """Tab-separated lines, one per row of the equal-length ``columns``: a
-    float array prints as ``%.10g``, and a pair (codes, words) as
-    ``words[code]``."""
+def _lines(columns, digits: int):
+    """The rows of the equal-length ``columns`` as tab-separated lines, one
+    string per ``_BLOCK`` rows: a float array prints as ``%.<digits>g``,
+    and a pair (codes, words) as ``words[code]``."""
     ends = [b"\t"] * (len(columns) - 1) + [b"\n"]
     # Floats are formatted block by block, words looked up at once.
     arrays = [
@@ -289,10 +273,14 @@ def _tsv(columns) -> str:
         else np.ascontiguousarray(column, dtype=np.float64)
         for column, end in zip(columns, ends)
     ]
-    return "".join(
-        _text([
-            _numbers(a[i : i + _BLOCK], 10, end) if a.dtype == np.float64 else a[i : i + _BLOCK]
+    for i in range(0, len(arrays[0]), _BLOCK):
+        cells = [
+            _numbers(a[i : i + _BLOCK], digits, end) if a.dtype == np.float64 else a[i : i + _BLOCK]
             for a, end in zip(arrays, ends)
-        ], sparse=False)
-        for i in range(0, len(arrays[0]), _BLOCK)
-    )
+        ]
+        raw = (np.concatenate(cells, axis=1) if len(cells) > 1 else cells[0]).tobytes()
+        # replace() copies the text between NUL bytes, translate() tests
+        # every byte: the first is the faster where NUL bytes are rare, as
+        # in the cells of 17-digit text.
+        raw = raw.replace(b"\0", b"") if digits == 17 else raw.translate(None, b"\0")
+        yield raw.decode("ascii")

@@ -391,7 +391,8 @@ class TestTetradTest:
             regime_hint=np.where(rng.uniform(size=m) < 0.3, "near_singular", "regular"),
             degenerate=degenerate,
         )
-        assert_same_lines(cli_module._tetrad_rows(rec), fstring_rows(rec))
+        text = "".join(cli_module._lines(cli_module._tetrad_columns(rec), 10))
+        assert_same_lines(text, fstring_rows(rec))
 
     def test_single_tetrad_line(self, data_csv, capsys):
         assert run(["tetrad-test", "--data", str(data_csv), "--indices", "0,1,2,3"]) == 0
@@ -476,6 +477,29 @@ class TestVerify:
         assert captured.out == ""
         assert f"error: {option} must be comma-separated" in captured.err
         assert f"got {value!r}\n" in captured.err
+
+
+def test_every_table_is_one_call_of_the_one_writer(tetrad_files, data_csv, monkeypatch, capsys):
+    # A second renderer of numeric rows would bypass the recording stub.
+    writer, calls = cli_module._lines, []
+
+    def recording(columns, digits):
+        calls.append(digits)
+        return writer(columns, digits)
+
+    monkeypatch.setattr(cli_module, "_lines", recording)
+    poly, mat = tetrad_files
+    for argv, digits in [
+        (["sample", "--poly", str(poly), "--sigma", str(mat), "--n", "100"], 17),
+        (["cdf", "tetrad", "--grid", "-1:1:0.5"], 12),
+        (["quantile", "tetrad", "--probs", "0.1,0.5"], 12),
+        (["moments", "--sigma", "1.0", "--phi", "0,0.7", "--m", "1,2"], 12),
+        (["tetrad-test", "--data", str(data_csv), "--all"], 10),
+    ]:
+        calls.clear()
+        assert run(argv) == 0
+        assert calls == [digits], argv[0]
+        assert capsys.readouterr().out
 
 
 # Each request is exabytes in size or leaves the float range (a denominator

@@ -1,4 +1,4 @@
-"""The numpy ``%.17g`` and ``%.10g`` formatters against Python's own."""
+"""The numpy ``%.17g``, ``%.12g`` and ``%.10g`` table writer against Python's own."""
 
 from decimal import Decimal
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singwald import textout
-from singwald.textout import _g17_lines, _tsv
+from singwald.textout import _lines
 
-DIGITS = [17, 10]
+DIGITS = [17, 12, 10]
 
 
 def python_lines(values, digits: int = 17) -> str:
@@ -19,9 +19,8 @@ def python_lines(values, digits: int = 17) -> str:
 
 
 def numpy_lines(values, digits: int = 17) -> str:
-    """The lines of ``wald sample`` at 17 digits, and a one-column TSV at 10."""
-    values = np.asarray(values, dtype=float)
-    return _g17_lines(values) if digits == 17 else _tsv([values])
+    """A one-column table: the lines of ``wald sample`` at 17 digits."""
+    return "".join(_lines([np.asarray(values, dtype=float)], digits))
 
 
 def assert_same_text(values, digits: int = 17):
@@ -105,6 +104,10 @@ def test_random_bit_patterns_at_ten_digits():
     assert_same_text(random_finite_bit_patterns(), 10)
 
 
+def test_random_bit_patterns_at_twelve_digits():
+    assert_same_text(random_finite_bit_patterns(), 12)
+
+
 def test_signed_zeros_subnormal_and_largest():
     for digits in DIGITS:
         assert_same_text(
@@ -128,10 +131,14 @@ def test_powers_of_ten_and_two_and_their_neighbours():
 
 
 def test_notation_switch_points():
-    # %.17g turns scientific below 1e-4 and from 1e17 on, %.10g from 1e10
+    # %.17g turns scientific below 1e-4 and from 1e17 on, %.12g from 1e12
+    # and %.10g from 1e10
     assert_same_text(signed(neighbours([1e-4, 1e17, 1e16, 0.001], ulps=3)))
+    assert_same_text(signed(neighbours([1e-4, 1e-5, 1e12, 1e11, 0.001], ulps=3)), 12)
     assert_same_text(signed(neighbours([1e-4, 1e-5, 1e10, 1e9, 0.001], ulps=3)), 10)
-    # %.10g rounds these up across the switch
+    # %.12g and %.10g round these up across the switch
+    assert python_lines([9.9999999999996e-05, 999999999999.5], 12) == "0.0001\n1e+12\n"
+    assert_same_text(signed(neighbours([9.999999999995e-05, 999999999999.5, 0.9999999999995], ulps=3)), 12)
     assert python_lines([9.9999999995e-05, 1e-05, 9999999999.5], 10) == "0.0001\n1e-05\n1e+10\n"
     assert_same_text(signed(neighbours([9.9999999995e-05, 9999999999.5, 0.99999999995], ulps=3)), 10)
 
@@ -143,9 +150,10 @@ def test_rounding_that_carries_to_a_power_of_ten():
     # none sits at a notation switch point
     assert -4 not in carries and 17 not in carries
     assert_same_text(signed(list(carries.values())))
-    # at 10 digits, the doubles around the rounding boundary below 10^j
-    below = powers_of_ten()[1:-1] * (1.0 - 5e-11)
-    assert_same_text(signed(neighbours(below, ulps=2)), 10)
+    # at 12 and 10 digits, the doubles around the rounding boundary below 10^j
+    for digits in (12, 10):
+        below = powers_of_ten()[1:-1] * (1.0 - 5.0 * 10.0 ** -(digits + 1))
+        assert_same_text(signed(neighbours(below, ulps=2)), digits)
 
 
 def test_exact_ties_round_half_to_even():
@@ -161,6 +169,10 @@ def test_exact_ties_round_half_to_even():
 def test_ten_digit_integer_ties():
     assert python_lines([12345678905.0, 12345678915.0], 10) == "1.23456789e+10\n1.234567892e+10\n"
     assert_same_text(signed(neighbours([12345678905.0, 12345678915.0])), 10)
+    assert python_lines([1234567890125.0, 1234567890135.0], 12) == (
+        "1.23456789012e+12\n1.23456789014e+12\n"
+    )
+    assert_same_text(signed(neighbours([1234567890125.0, 1234567890135.0])), 12)
 
 
 def test_python_formats_only_ties_and_not_a_wald_sample():
@@ -176,11 +188,17 @@ def test_python_formats_only_ties_and_not_a_wald_sample():
 @pytest.mark.parametrize("size", [0, 1, 8191, 8193, textout._BLOCK - 1, textout._BLOCK + 1])
 def test_block_edges(size):
     values = np.sort(np.random.default_rng(size).exponential(1.0, size))
-    assert _g17_lines(values) == python_lines(values)
-    assert _tsv([-values]) == python_lines(-values, 10)
+    for digits in DIGITS:
+        blocks = list(_lines([-values], digits))
+        assert len(blocks) == -(-size // textout._BLOCK)
+        assert "".join(blocks) == python_lines(-values, digits)
+    assert numpy_lines(values) == python_lines(values)
 
 
 def test_tsv_columns():
     gamma = np.array([-0.0, 1.5e-300, np.nan, 2.5])
-    text = _tsv([(np.array([0, 7, 12, 3]), range(13)), gamma, (np.array([1, 0, 1, 2]), ("a", "bcd", "e"))])
+    text = "".join(_lines(
+        [(np.array([0, 7, 12, 3]), range(13)), gamma, (np.array([1, 0, 1, 2]), ("a", "bcd", "e"))], 10
+    ))
     assert text == "0\t-0\tbcd\n7\t1.5e-300\ta\n12\tnan\tbcd\n3\t2.5\te\n"
+    assert "".join(_lines([gamma, -gamma], 12)) == "-0\t0\n1.5e-300\t-1.5e-300\nnan\tnan\n2.5\t-2.5\n"
