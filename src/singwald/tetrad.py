@@ -232,12 +232,14 @@ def _looks_like_header(row: list[str]) -> bool:
 
 
 def load_data_csv(path) -> DataMatrix:
-    """Read a CSV data matrix; a non-numeric first row is taken as a header."""
+    """Read a CSV data matrix; a non-numeric first row is taken as a header.
+    ``#`` starts a comment, and rows keep the numbers of their lines."""
     path = str(path)
     rows: list[list[float]] = []
     width = None
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        lines = (line.split("#", 1)[0] for line in fh)
+        for lineno, row in enumerate(csv.reader(lines), start=1):
             if not row or all(not tok.strip() for tok in row):
                 continue
             row = [tok.strip() for tok in row]

@@ -616,6 +616,24 @@ class TestCsvLoading:
         assert data.n == 6
         assert data.values[:, 3].tolist() == [i + 0.5 for i in range(6)]
 
+    def test_comment_before_the_header(self, tmp_path):
+        rows = [",".join(str(float(i * j)) for j in range(5)) for i in range(6)]
+        data = self.load(tmp_path, "# one-factor data\na,b,c,d,e\n" + "\n".join(rows) + "\n")
+        assert data.n == 6 and data.p == 5
+        assert data.values[1].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_comment_between_rows_and_after_a_row(self, tmp_path):
+        rows = [f"{i},2,3,{i}.5,1" for i in range(6)]
+        rows[2] += "  # a trailing note, with a comma"
+        data = self.load(tmp_path, "\n".join(rows[:3] + ["# a note"] + rows[3:]) + "\n")
+        assert data.n == 6
+        assert data.values[:, 3].tolist() == [i + 0.5 for i in range(6)]
+
+    def test_ragged_row_after_a_comment_keeps_its_line_number(self, tmp_path):
+        text = "# header comment\n1,2,3,4\n# note\n\n1,2,3 # short row\n"
+        with pytest.raises(ParseError, match=r"data\.csv:5: row has 3 fields, expected 4"):
+            self.load(tmp_path, text)
+
     def test_data_matrix_rejection_names_the_path(self, tmp_path):
         # a well-formed file of 3 columns parses, and DataMatrix rejects it
         path = tmp_path / "narrow.csv"
