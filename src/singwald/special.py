@@ -158,25 +158,6 @@ _CLOSED_FORM_DF_MAX = 400
 _TINY = 5e-324
 
 
-def _erfcx_block(z, out, u, h):
-    """erfcx(z) into ``out`` for one block of z >= 0; ``u`` and ``h`` are
-    scratch of the same size, and ``out`` may be ``z``."""
-    a = _ERFCX_POWER
-    np.add(z, 2.0, out=out)
-    np.divide(2.0, out, out=out)  # t
-    np.multiply(out, 2.0, out=u)
-    u -= 1.0
-    np.multiply(u, a[-1], out=h)
-    h += a[-2]
-    for ak in a[-3:0:-1]:
-        h *= u
-        h += ak
-    h *= u
-    h += _ERFCX_A0
-    np.exp(h, out=h)
-    out *= h
-
-
 def _blockwise(kernel, x):
     """``kernel(x_block)`` over ``_BLOCK``-point blocks of x, so that the
     kernels' temporaries stay in cache; a float for a 0-d x."""
@@ -189,8 +170,21 @@ def _blockwise(kernel, x):
 
 
 def _erfcx_kernel(z):
-    out = np.empty_like(z)
-    _erfcx_block(z, out, *np.empty((2, *z.shape)))
+    """erfcx(z) for an array of z >= 0."""
+    a = _ERFCX_POWER
+    out = np.add(z, 2.0, out=np.empty_like(z))
+    np.divide(2.0, out, out=out)  # t
+    u = out * 2.0
+    u -= 1.0
+    h = u * a[-1]
+    h += a[-2]
+    for ak in a[-3:0:-1]:
+        h *= u
+        h += ak
+    h *= u
+    h += _ERFCX_A0
+    np.exp(h, out=h)
+    out *= h
     return out
 
 
