@@ -281,7 +281,7 @@ class TestSample:
         assert capsys.readouterr().out == a
 
     def test_text_is_percent_17g_of_the_sample(self, tetrad_files, tmp_path, capsys):
-        # 300,000 draws span two sampler batches and five write chunks.
+        # 300,000 draws span two sampler batches and 19 write blocks.
         poly, mat = tetrad_files
         n, seed = 300_000, 5
         emp = sample_wald(
