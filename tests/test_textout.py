@@ -152,7 +152,7 @@ def test_rounding_that_carries_to_a_power_of_ten():
     assert_same_text(signed(list(carries.values())))
     # at 12 and 10 digits, the doubles around the rounding boundary below 10^j
     for digits in (12, 10):
-        below = powers_of_ten()[1:-1] * (1.0 - 5.0 * 10.0 ** -(digits + 1))
+        below = powers_of_ten()[1:-1] * (1.0 - float(f"5e-{digits + 1}"))
         assert_same_text(signed(neighbours(below, ulps=2)), digits)
 
 
