@@ -24,6 +24,7 @@ from . import SUITES, __version__, _importer
 # a command loads only the modules it runs.
 __getattr__ = _importer(globals(), {
     "classify": ("classify",),
+    "errors": ("ParseError",),
     "gaussian": ("load_matrix", "validate_covariance"),
     "laws": ("parse_law",),
     "poly": ("load_polynomial",),
@@ -207,6 +208,16 @@ def _write_table(out, header: str, columns, digits: int) -> None:
         out.write(block)
 
 
+def _covariance(path: str):
+    """The validated covariance of the matrix file ``path``; a matrix that
+    validation rejects is named like a file that does not parse."""
+    matrix = _cli.load_matrix(path)
+    try:
+        return _cli.validate_covariance(matrix)
+    except ValueError as exc:
+        raise _cli.ParseError(str(exc), path) from exc
+
+
 def _open_out(path: str):
     if path == "-":
         return sys.stdout, False
@@ -235,7 +246,7 @@ def run(argv=None) -> int:
 def _dispatch(args, seed: int, threads: int, out) -> int:
     if args.command == "sample":
         poly = _cli.load_polynomial(args.poly)
-        sigma = _cli.validate_covariance(_cli.load_matrix(args.sigma))
+        sigma = _covariance(args.sigma)
         cfg = _cli.WaldSampleConfig(n=args.n, seed=seed, threads=threads)
         _write_table(out, "", [_cli.sample_wald(poly, sigma, cfg).values], 17)
         return 0
@@ -261,7 +272,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
 
     if args.command == "classify":
         poly = _cli.load_polynomial(args.quad)
-        sigma = _cli.validate_covariance(_cli.load_matrix(args.sigma))
+        sigma = _covariance(args.sigma)
         result = _cli.classify(poly.to_quadratic_form(), sigma)
         out.write(f"form: {poly}\n")
         out.write(result.describe() + "\n")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, content_lines, read_input
 from .poly import QuadraticForm
 
 __all__ = [
@@ -131,22 +131,16 @@ def eigenvalues_of_product(a: QuadraticForm, sigma: CovarianceMatrix) -> np.ndar
 
 
 def parse_matrix(text: str, path: str = "<input>") -> np.ndarray:
-    """Parse the matrix text format: a line with k, then k rows; `#` comments."""
+    """Parse the matrix text format: a content line with k, then k rows."""
     rows: list[list[float]] = []
     k = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if k is None:
             try:
                 k = int(line)
             except ValueError:
-                raise ParseError(
-                    f"expected the dimension k on the first line, got {line!r}",
-                    path,
-                    lineno,
-                ) from None
+                raise ParseError(f"expected the dimension k on the first line, got {line!r}",
+                                 path, lineno) from None
             if k < 1:
                 raise ParseError(f"dimension must be positive, got {k}", path, lineno)
             continue
@@ -155,9 +149,7 @@ def parse_matrix(text: str, path: str = "<input>") -> np.ndarray:
         except ValueError:
             raise ParseError(f"bad matrix row {line!r}", path, lineno) from None
         if len(row) != k:
-            raise ParseError(
-                f"row has {len(row)} entries, expected {k}", path, lineno
-            )
+            raise ParseError(f"row has {len(row)} entries, expected {k}", path, lineno)
         rows.append(row)
         if len(rows) > k:
             raise ParseError(f"more than {k} rows", path, lineno)
@@ -169,5 +161,4 @@ def parse_matrix(text: str, path: str = "<input>") -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_matrix(fh.read(), path=str(path))
+    return parse_matrix(read_input(path), path=str(path))

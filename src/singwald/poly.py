@@ -16,12 +16,12 @@ fractional power.
 
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, content_lines, read_input
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -137,27 +137,30 @@ def _row_quadratic(g: np.ndarray, sigma: np.ndarray, over=None) -> np.ndarray:
     return out
 
 
-def _canonical_terms(terms) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """Merge duplicate exponent vectors, drop zeros, sort deterministically."""
-    acc: dict[tuple[int, ...], float] = {}
-    for coeff, exps in terms:
-        exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in term {exps}")
-        acc[exps] = acc.get(exps, 0.0) + float(coeff)
-    merged = [(c, e) for e, c in acc.items() if c != 0.0]
-    merged.sort(key=lambda t: t[1], reverse=True)
-    return tuple(merged)
+def _check_term(coeff: float, exps: tuple[int, ...], first: tuple[int, ...]) -> None:
+    """The rule for one term of a polynomial whose first term has the
+    exponent vector ``first``: a finite coefficient, as many exponents as
+    ``first``, none negative, and the degree of ``first``."""
+    if not math.isfinite(coeff):
+        raise ValueError(f"coefficient {coeff} is not finite")
+    if len(exps) != len(first):
+        raise ValueError(f"term has {len(exps)} exponents, expected {len(first)}")
+    for e in exps:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+    if sum(exps) != sum(first):
+        raise ValueError(f"not homogeneous: term degree {sum(exps)}, expected {sum(first)}")
 
 
 @dataclass(frozen=True)
 class HomogeneousPolynomial:
     """Sparse homogeneous polynomial with integer exponents.
 
-    terms: tuple of (coefficient, exponent vector) pairs.  Construction
-        canonicalizes them (merged, zero coefficients dropped, deterministic
-        order) and requires at least one term, one exponent count, one total
-        degree >= 1 and no negative exponent.
+    terms: tuple of (coefficient, exponent vector) pairs.  Every given
+        term, a zero coefficient included, must pass the term rule against
+        the first; construction then canonicalizes them (merged, zero
+        coefficients dropped, deterministic order) and requires a nonzero
+        term and a degree >= 1.
 
     The number of variables ``k`` and the degree ``d`` are read from the
     terms.
@@ -168,17 +171,19 @@ class HomogeneousPolynomial:
     _gradient: _MonomialSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = _canonical_terms(self.terms)
+        terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in self.terms]
+        # Canonical form: duplicate exponent vectors merged, zeros dropped,
+        # exponent vectors in descending order.
+        acc: dict[tuple[int, ...], float] = {}
+        for coeff, exps in terms:
+            _check_term(coeff, exps, terms[0][1])
+            acc[exps] = acc.get(exps, 0.0) + coeff
+        canon = tuple(sorted(((c, e) for e, c in acc.items() if c != 0.0), reverse=True,
+                             key=lambda t: t[1]))
         if not canon:
             raise ValueError("zero polynomial: at least one nonzero term required")
         k = len(canon[0][1])
-        for _, exps in canon:
-            if len(exps) != k:
-                raise ValueError(f"term has {len(exps)} exponents, expected {k}")
-        degrees = {sum(exps) for _, exps in canon}
-        if len(degrees) != 1:
-            raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
-        if degrees.pop() < 1:
+        if sum(canon[0][1]) < 1:
             raise ValueError("degree must be at least 1")
         object.__setattr__(self, "terms", canon)
         # f = sum_t c_t x^e_t, so df/dx_j = sum_t c_t e_tj x^(e_t - u_j).
@@ -322,8 +327,8 @@ def _poly_pow(p: dict, e: int, k: int) -> dict:
 
 @dataclass(frozen=True)
 class MonomialForm:
-    """Power product ``x1^a1 * ... * xk^ak`` with strictly positive real
-    exponents.
+    """Power product ``x1^a1 * ... * xk^ak`` with finite, strictly positive
+    real exponents.
 
     The associated Wald ratio is computed through the reciprocal identity
 
@@ -339,8 +344,8 @@ class MonomialForm:
         exps = tuple(float(a) for a in self.exponents)
         if not exps:
             raise ValueError("at least one exponent required")
-        if any(a <= 0 for a in exps):
-            raise ValueError("all exponents must be strictly positive")
+        if not all(0 < a < math.inf for a in exps):
+            raise ValueError("all exponents must be finite and strictly positive")
         object.__setattr__(self, "exponents", exps)
 
     @property
@@ -366,6 +371,8 @@ class QuadraticForm:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix contains non-finite entries")
         scale = np.abs(a).max()
         if scale == 0.0:
             raise ValueError("zero quadratic form")
@@ -395,30 +402,19 @@ class QuadraticForm:
         return HomogeneousPolynomial.from_terms(terms)
 
 
-_TOKEN = re.compile(r"\S+")
-
-
 def parse_polynomial(text: str, path: str = "<input>") -> HomogeneousPolynomial:
     """Parse the one-term-per-line polynomial format.
 
-    Each non-comment line is ``coeff e1 e2 ... ek``; `#` starts a comment.
-    The dimension is inferred from the first term's exponent count and the
-    common degree is validated.
+    Each content line is ``coeff e1 e2 ... ek``.  Every term passes the
+    constructor's term rule against the first term, so the dimension and
+    degree are the first term's; a fault names its line.
     """
     terms: list[tuple[float, tuple[int, ...]]] = []
-    k = None
-    degree = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = _TOKEN.findall(line)
+    for lineno, line in content_lines(text):
+        tokens = line.split()
         if len(tokens) < 2:
-            raise ParseError(
-                "expected a coefficient followed by at least one exponent",
-                path,
-                lineno,
-            )
+            raise ParseError("expected a coefficient followed by at least one exponent",
+                             path, lineno)
         try:
             coeff = float(tokens[0])
         except ValueError:
@@ -426,27 +422,15 @@ def parse_polynomial(text: str, path: str = "<input>") -> HomogeneousPolynomial:
         exps = []
         for tok in tokens[1:]:
             try:
-                e = int(tok)
+                exps.append(int(tok))
             except ValueError:
                 raise ParseError(f"bad exponent {tok!r}", path, lineno) from None
-            if e < 0:
-                raise ParseError(f"negative exponent {e}", path, lineno)
-            exps.append(e)
-        if k is None:
-            k = len(exps)
-        elif len(exps) != k:
-            raise ParseError(
-                f"term has {len(exps)} exponents, expected {k}", path, lineno
-            )
-        if degree is None:
-            degree = sum(exps)
-        elif sum(exps) != degree:
-            raise ParseError(
-                f"term degree {sum(exps)} breaks homogeneity (degree {degree})",
-                path,
-                lineno,
-            )
-        terms.append((coeff, tuple(exps)))
+        term = (coeff, tuple(exps))
+        try:
+            _check_term(*term, terms[0][1] if terms else term[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), path, lineno) from None
+        terms.append(term)
     if not terms:
         raise ParseError("no terms found", path)
     try:
@@ -456,5 +440,4 @@ def parse_polynomial(text: str, path: str = "<input>") -> HomogeneousPolynomial:
 
 
 def load_polynomial(path) -> HomogeneousPolynomial:
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_polynomial(fh.read(), path=str(path))
+    return parse_polynomial(read_input(path), path=str(path))

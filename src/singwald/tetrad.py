@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, content_lines, read_input
 # tetrad_singular_cdf is unused here but stays importable from this module,
 # where bench/tracer.py wraps it by name.
 from .special import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
@@ -222,38 +222,26 @@ def all_tetrads(p: int):
         yield TetradIndex(*row)
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    for tok in row:
-        try:
-            float(tok)
-        except ValueError:
-            return True
-    return False
-
-
 def load_data_csv(path) -> DataMatrix:
-    """Read a CSV data matrix; a non-numeric first row is taken as a header.
-    ``#`` starts a comment, and rows keep the numbers of their lines."""
+    """Read a CSV data matrix; a first row that is not all numbers is the
+    header, and a row of empty fields is skipped.  Faults name their line."""
     path = str(path)
     rows: list[list[float]] = []
     width = None
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        lines = (line.split("#", 1)[0] for line in fh)
-        for lineno, row in enumerate(csv.reader(lines), start=1):
-            if not row or all(not tok.strip() for tok in row):
-                continue
-            row = [tok.strip() for tok in row]
-            if width is None:
-                width = len(row)
-                if _looks_like_header(row):
-                    continue
-            if len(row) != width:
-                raise ParseError(
-                    f"row has {len(row)} fields, expected {width}", path, lineno
-                )
-            try:
-                rows.append([float(tok) for tok in row])
-            except ValueError as exc:
+    lines = list(content_lines(read_input(path)))
+    for (lineno, _), row in zip(lines, csv.reader(line for _, line in lines)):
+        row = [tok.strip() for tok in row]
+        if not any(row):
+            continue
+        first = width is None
+        if first:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"row has {len(row)} fields, expected {width}", path, lineno)
+        try:
+            rows.append([float(tok) for tok in row])
+        except ValueError as exc:
+            if not first:
                 raise ParseError(f"bad numeric field: {exc}", path, lineno) from None
     if not rows:
         raise ParseError("no data rows found", path)

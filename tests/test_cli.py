@@ -9,7 +9,8 @@ import pytest
 
 import singwald
 from singwald import cli as cli_module
-from singwald.cli import _TETRAD_HEADER, build_parser, run
+from singwald.cli import _TETRAD_HEADER, _covariance, build_parser, run
+from singwald.errors import ParseError
 from singwald.gaussian import load_matrix, validate_covariance
 from singwald.poly import load_polynomial
 from singwald.sampler import WaldSampleConfig, sample_wald
@@ -242,6 +243,52 @@ class TestClassify:
         assert run(["classify", "--quad", str(bad), "--sigma", str(mat)]) == 2
         err = capsys.readouterr().err
         assert "bad.poly:2" in err
+
+
+# A covariance that parses but fails validation is named like a file that
+# does not parse, by sample and classify alike.
+_REJECTED_COVARIANCES = {
+    "asymmetric": ("2\n1 0.1\n0 1\n", "matrix is asymmetric: max |m - m^T| = 0.1"),
+    "not-psd": ("2\n1 2\n2 1\n", "matrix is not positive semidefinite: eigenvalue -1"),
+    "non-finite": ("2\n1 nan\nnan 1\n", "covariance contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message", _REJECTED_COVARIANCES.values(), ids=_REJECTED_COVARIANCES.keys()
+)
+def test_covariance_rejection_names_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        _covariance(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_covariance_of_a_valid_file_is_the_validated_matrix(tetrad_files):
+    _, mat = tetrad_files
+    cov = _covariance(str(mat))
+    np.testing.assert_array_equal(cov.sigma, validate_covariance(load_matrix(mat)).sigma)
+
+
+@pytest.mark.parametrize("command", ["sample", "classify"])
+@pytest.mark.parametrize("kind, text, message", [
+    ("mat", "2\n1 0.1\n0 1\n", ": matrix is asymmetric: max |m - m^T| = 0.1"),
+    ("mat", "2\n1 2\n2 1\n", ": matrix is not positive semidefinite: eigenvalue -1"),
+    ("poly", "nan 1 1\n", ":1: coefficient nan is not finite"),
+], ids=["asymmetric-sigma", "not-psd-sigma", "nan-coefficient"])
+def test_commands_name_the_rejected_file(command, kind, text, message, tmp_path, tetrad_files,
+                                         capsys):
+    poly, mat = tetrad_files
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text)
+    poly, mat = (bad, mat) if kind == "poly" else (poly, bad)
+    argv = {"sample": ["sample", "--poly", str(poly), "--sigma", str(mat), "--n", "10"],
+            "classify": ["classify", "--quad", str(poly), "--sigma", str(mat)]}[command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {bad}{message}" in captured.err.splitlines()
 
 
 class TestSample:

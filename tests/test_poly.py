@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,6 +173,11 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="must be square"):
             QuadraticForm(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticForm(np.array([[1.0, 0.0], [0.0, bad]]))
+
     def test_form_value_matches_polynomial(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
@@ -220,6 +227,48 @@ class TestConstruction:
         for make in ENTRY_POINTS:
             with pytest.raises(ValueError, match="negative exponent"):
                 make([(1.0, (3, -1))])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        for make in ENTRY_POINTS:
+            with pytest.raises(ValueError, match=f"^coefficient {bad} is not finite$"):
+                make([(1.0, (1, 1)), (bad, (2, 0))])
+
+
+# Term lists the parser reads as text and the constructor takes as given.
+_AGREEMENT_CASES = {
+    "tetrad": [(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))],
+    "merged": [(1.0, (1, 1)), (2.0, (1, 1))],
+    "zero-first-term": [(0.0, (1, 1)), (2.0, (0, 2))],
+    "cancels-to-zero": [(1.0, (1, 1)), (-1.0, (1, 1))],
+    "constant": [(1.0, (0, 0))],
+    "inhomogeneous": [(1.0, (1, 0)), (1.0, (1, 1))],
+    "mixed-counts": [(1.0, (1, 1)), (1.0, (2, 0, 0))],
+    "negative-exponent": [(1.0, (3, -1))],
+    "zero-term-of-wrong-length": [(1.0, (2, 0)), (0.0, (1, 1, 1))],
+    "zero-term-of-wrong-degree": [(1.0, (2, 0)), (0.0, (1, 0))],
+    "zero-term-with-negative-exponent": [(1.0, (2, 0)), (0.0, (3, -1))],
+    "inhomogeneous-terms-that-cancel": [(1.0, (2, 0)), (1.0, (1, 0)), (-1.0, (1, 0))],
+    "nan-coefficient": [(math.nan, (1, 1))],
+    "inf-coefficient": [(1.0, (2, 0)), (math.inf, (1, 1))],
+}
+
+
+def _outcome(make):
+    """The terms ``make()`` builds, or its error message without the
+    ``path:line`` prefix of a parse error."""
+    try:
+        return make().terms
+    except ValueError as exc:
+        return re.sub(r"^t\.poly(:\d+)?: ", "", str(exc))
+
+
+@pytest.mark.parametrize("terms", _AGREEMENT_CASES.values(), ids=_AGREEMENT_CASES.keys())
+def test_parser_and_constructor_agree(terms):
+    # one term rule: both accept with equal terms, or both give one message
+    text = "".join(f"{c!r} {' '.join(map(str, e))}\n" for c, e in terms)
+    parsed = _outcome(lambda: parse_polynomial(text, "t.poly"))
+    assert parsed == _outcome(lambda: HomogeneousPolynomial.from_terms(terms))
 
 
 # Random homogeneous polynomials for the property checks.
@@ -359,6 +408,11 @@ class TestMonomialForm:
         with pytest.raises(ValueError):
             MonomialForm(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MonomialForm((1.0, bad))
+
     def test_degree(self):
         assert MonomialForm((0.5, 1.5, 2.0)).degree == 4.0
 
@@ -475,6 +529,15 @@ class TestTextFormat:
     def test_bad_term_names_the_path(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_polynomial(text, "x.poly")
+
+    @pytest.mark.parametrize("text, message", [
+        ("nan 1 1\n", r"^c\.poly:1: coefficient nan is not finite$"),
+        ("1 2 0\ninf 1 1\n", r"^c\.poly:2: coefficient inf is not finite$"),
+        ("# overflows\n1e400 1 1\n", r"^c\.poly:2: coefficient inf is not finite$"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_coefficient_names_its_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_polynomial(text, "c.poly")
 
     def test_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "bom.poly"
