@@ -9,7 +9,8 @@ when f is a power product with real exponents, with X = BZ for the
 covariance's own square root B.  Work is split into batches of ``_BATCH``
 draws, each with its own Philox stream and its own slice of one result
 buffer, so output is deterministic in ``(seed, n)`` no matter how many
-threads run the batches.
+threads run the batches.  A batch is drawn and evaluated in chunks of
+``poly._BLOCK`` rows, so its intermediates stay cache-sized.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, factor, make_generator
-from .poly import HomogeneousPolynomial, MonomialForm, _row_quadratic
+from .poly import _BLOCK, HomogeneousPolynomial, MonomialForm, _row_quadratic
 
 __all__ = [
     "WaldSampleConfig",
@@ -107,16 +108,26 @@ def sample_wald(
                     "the polynomial is degenerate on the support of Sigma"
                 )
             need = part.size - filled
-            x = rng.standard_normal((need, root.shape[1])) @ root.T
-            num, den = _wald_terms(f, smat, x)
-            good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
-            # Compact only a batch the guard touched: in practice none is.
-            if not good.all():
-                den = den[good]
-                num = num[good] if np.ndim(num) else num
-            np.divide(num, den, out=part[filled : filled + den.size])
+            # The round is drawn in chunks of _BLOCK rows from the same
+            # stream, the last chunk taking the rest once fewer than
+            # 2 * _BLOCK rows remain.  No chunk is shorter than _BLOCK rows
+            # or the round (a matmul over one or two rows rounds
+            # differently), chunk starts are multiples of _BLOCK like the
+            # polynomial kernels' blocks, and so the bytes are those of the
+            # whole round.
+            chunks = max(need // _BLOCK, 1)
+            for j in range(chunks):
+                rows = _BLOCK if j < chunks - 1 else need - j * _BLOCK
+                x = rng.standard_normal((rows, root.shape[1])) @ root.T
+                num, den = _wald_terms(f, smat, x)
+                good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
+                # Compact only a chunk the guard touched: in practice none is.
+                if not good.all():
+                    den = den[good]
+                    num = num[good] if np.ndim(num) else num
+                np.divide(num, den, out=part[filled : filled + den.size])
+                filled += den.size
             proposed += need
-            filled += den.size
         return proposed
 
     n_batches = -(-cfg.n // _BATCH)

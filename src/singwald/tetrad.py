@@ -229,7 +229,13 @@ def load_data_csv(path) -> DataMatrix:
     rows: list[list[float]] = []
     width = None
     lines = list(content_lines(read_input(path)))
-    for (lineno, _), row in zip(lines, csv.reader(line for _, line in lines)):
+    reader = csv.reader(line for _, line in lines)
+    consumed = 0
+    for row in reader:
+        # A quoted field may span lines: the record starts at the first
+        # content line the reader had not consumed before it.
+        lineno = lines[consumed][0]
+        consumed = reader.line_num
         row = [tok.strip() for tok in row]
         if not any(row):
             continue

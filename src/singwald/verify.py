@@ -395,9 +395,8 @@ def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
     """For c >= 0 the weighted angular product matches cos^2 of a uniform
     angle in distribution; for c < 0 it must not."""
     psi = make_generator(seed, 0).uniform(0.0, 2.0 * np.pi, n)
-    s = (1.0 + c) ** 2 * np.cos(psi) ** 2 * np.sin(psi) ** 2 / (
-        np.cos(psi) ** 2 + c * c * np.sin(psi) ** 2
-    )
+    cos2, sin2 = np.cos(psi) ** 2, np.sin(psi) ** 2
+    s = (1.0 + c) ** 2 * cos2 * sin2 / (cos2 + c * c * sin2)
     # cos^2 of a uniform angle has the arcsine law (2/pi) * arcsin(sqrt(s))
     gap = ks_distance(
         EmpiricalDistribution.from_samples(s),

@@ -710,3 +710,114 @@ def test_classify_names_the_function_whatever_loaded_first():
             "assert callable(classify) and singwald.classify is classify; "
             "import singwald.classify as c; assert c is classify")
     assert "singwald.classify" in _modules_after(code, "singwald")
+
+
+# The process exit of ``wald``: main() flushes and ends the process with
+# os._exit.  stdout is left block-buffered, as for any file or pipe, so the
+# final flush carries the last bytes.
+_PROCESS_ENV = {
+    **{k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "WALD_SEED")},
+    "PYTHONPATH": str(Path(singwald.__file__).parents[1]),
+}
+
+
+def _wald_process(*argv, **kwargs) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "singwald.cli", *map(str, argv)],
+                            env=_PROCESS_ENV, **kwargs)
+
+
+def _wald(*argv) -> subprocess.CompletedProcess:
+    """``python -m singwald.cli ARGV`` in a fresh process."""
+    with _wald_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err.decode())
+
+
+def _error_lines(stderr: str) -> list[str]:
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    return [line for line in stderr.splitlines() if line.startswith("error: ")]
+
+
+_PROCESS_COMMANDS = [
+    ("sample", "--poly", "{poly}", "--sigma", "{mat}", "--n", "30000"),
+    ("tetrad-test", "--data", "{csv}", "--all"),
+    ("verify", "--suite", "conjectures", "--n", "2000"),
+    ("cdf", "tetrad", "--grid", "0:3:0.25"),
+]
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("argv", _PROCESS_COMMANDS, ids=_command_id)
+    def test_stdout_bytes_equal_an_in_process_run(self, argv, tetrad_files, data_csv,
+                                                  capsys):
+        poly, mat = tetrad_files
+        argv = ["--seed", "5", "--threads", "2",
+                *(tok.format(poly=poly, mat=mat, csv=data_csv) for tok in argv)]
+        assert run(argv) == 0
+        want = capsys.readouterr().out.encode()
+        proc = _wald(*argv)
+        assert proc.returncode == 0
+        assert proc.stdout == want
+        assert _error_lines(proc.stderr) == []
+
+    def test_out_file_is_complete(self, tetrad_files, tmp_path, capsys):
+        poly, mat = tetrad_files
+        argv = ["sample", "--poly", str(poly), "--sigma", str(mat), "--n", "100000", "--seed", "6"]
+        assert run(argv) == 0
+        want = capsys.readouterr().out.encode()
+        target = tmp_path / "w.txt"
+        proc = _wald(*argv, "--out", target)
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        assert target.read_bytes() == want
+
+    @pytest.mark.parametrize("argv, code", [
+        (("cdf", "tetrad", "--grid", "0:1:0.5"), 0),
+        (("cdf", "no-such-law", "--grid", "0:1:0.5"), 2),
+        (("tetrad-test", "--data", "missing.csv", "--all"), 2),
+    ], ids=["ok", "bad-law", "missing-file"])
+    def test_exit_codes(self, argv, code):
+        proc = _wald(*argv)
+        assert proc.returncode == code
+        assert len(_error_lines(proc.stderr)) == (1 if code == 2 else 0)
+
+    @pytest.mark.parametrize("argv", [("no-such-command",), ("cdf", "tetrad", "--frobnicate")])
+    def test_usage_errors_exit_two_through_argparse(self, argv):
+        proc = _wald(*argv)
+        assert proc.returncode == 2
+        assert "usage: wald" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_failed_theorem_row_exits_one(self):
+        code = ("import sys; import singwald.cli as cli; from singwald.verify import "
+                "VerificationResult; cli.run_suite = lambda *a, **k: "
+                "[VerificationResult('demo', 'theorem', 1.0, 0.5, 10, 1)]; "
+                "sys.argv[1:] = ['verify']; cli.main()")
+        proc = subprocess.run([sys.executable, "-c", code], env=_PROCESS_ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("name\ttier\tstatistic")
+        assert "FAILED theorem-tier check: demo" in proc.stderr
+
+    def test_pipe_closed_mid_output(self, tetrad_files):
+        # wald sample ... | head -c 100: the reader leaves while a write blocks
+        poly, mat = tetrad_files
+        with _wald_process("sample", "--poly", poly, "--sigma", mat, "--n", "200000",
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.wait(timeout=120)
+        assert proc.returncode == 2
+        assert len(_error_lines(err)) == 1
+
+    def test_pipe_closed_before_the_final_flush(self):
+        # the whole table fits the stdout buffer, so only main's flush writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with _wald_process("cdf", "tetrad", "--grid", "0:1:0.5", stdout=write_end,
+                               stderr=subprocess.PIPE) as proc:
+                err = proc.communicate(timeout=120)[1].decode()
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert _error_lines(err) == ["error: [Errno 32] Broken pipe"]

@@ -4,7 +4,7 @@ from test_laws import ALL_CDFS
 
 from singwald.errors import DegenerateSamplingError
 from singwald import sampler
-from singwald.gaussian import factor, validate_covariance
+from singwald.gaussian import factor, make_generator, validate_covariance
 from singwald.laws import (
     EmpiricalDistribution,
     FoldedBetaProduct,
@@ -155,6 +155,56 @@ class TestSampleWald:
             WaldSampleConfig(n=2 * 10**5, seed=12),
         )
         assert ks_distance(emp, ScaledChiSquare(0.25, 1)) < 3.0 / np.sqrt(emp.n)
+
+
+SIGMA4 = np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4))
+SIGMA3 = [[1.0, 0.4, -0.2], [0.4, 2.0, 0.3], [-0.2, 0.3, 0.5]]
+
+
+def whole_round_sample(f, sigma, n: int, seed: int) -> np.ndarray:
+    """The sorted sample with each batch drawn and evaluated in one piece
+    from its own stream: the bytes the chunked batches must keep."""
+    root = factor(sigma)
+    parts = []
+    for i in range(-(-n // sampler._BATCH)):
+        rows = min(sampler._BATCH, n - i * sampler._BATCH)
+        x = make_generator(seed, i).standard_normal((rows, root.shape[1])) @ root.T
+        num, den = sampler._wald_terms(f, sigma.sigma, x)
+        assert (den >= sampler._DENOMINATOR_GUARD).all()  # no redraw round
+        parts.append(num / den)
+    return np.sort(np.concatenate(parts))
+
+
+class TestStreamedBatches:
+    # Sizes around the chunk and batch edges: 16385 and 16386 would leave a
+    # one- or two-row last chunk without the tail rule, 32769 is two chunks
+    # and a row, 278529 a full batch and a 2^14 + 1 row second batch.
+    @pytest.mark.parametrize("n", [100, 16385, 16386, 32769, 278529, 500000])
+    @pytest.mark.parametrize("form", ["quartic", "monomial"])
+    def test_bytes_equal_the_whole_round(self, form, n, quartic):
+        if form == "quartic":
+            f, sigma = quartic, validate_covariance(SIGMA4)
+        else:
+            f, sigma = MonomialForm((1.0, 2.0, 0.5)), validate_covariance(SIGMA3)
+        want = whole_round_sample(f, sigma, n, seed=17).tobytes()
+        for threads in (1, 2):
+            got = sample_wald(f, sigma, WaldSampleConfig(n=n, seed=17, threads=threads))
+            assert got.values.tobytes() == want, threads
+
+    def test_peak_is_the_result_and_a_few_chunks(self, quartic):
+        # Whole 2^18-row batches peaked 22 MB above the 8 MB result; chunks
+        # of 2^14 rows peak about 7 MB above it, most of that the polynomial
+        # kernel's own per-block tables.
+        import tracemalloc
+
+        sigma = validate_covariance(SIGMA4)
+        tracemalloc.start()
+        try:
+            emp = sample_wald(quartic, sigma, WaldSampleConfig(n=1 << 20, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < emp.values.nbytes + 12 * 2**20
 
 
 class TestPathwiseInvariance:

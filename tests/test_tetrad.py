@@ -634,6 +634,15 @@ class TestCsvLoading:
         with pytest.raises(ParseError, match=r"data\.csv:5: row has 3 fields, expected 4"):
             self.load(tmp_path, text)
 
+    def test_quoted_field_over_two_lines_keeps_later_line_numbers(self, tmp_path):
+        # the header's second field spans lines 1-2, so the short row is on line 7
+        rows = [f"{i},2,3,{i}.5" for i in range(4)]
+        text = 'a,"b\nc",d,e\n' + "\n".join(rows) + "\n13,14,15\n"
+        with pytest.raises(ParseError, match=r"data\.csv:7: row has 3 fields, expected 4"):
+            self.load(tmp_path, text)
+        data = self.load(tmp_path, 'a,"b\nc",d,e\n' + "\n".join(rows) + "\n13,14,15,16\n")
+        assert data.n == 5 and data.values[4].tolist() == [13.0, 14.0, 15.0, 16.0]
+
     def test_data_matrix_rejection_names_the_path(self, tmp_path):
         # a well-formed file of 3 columns parses, and DataMatrix rejects it
         path = tmp_path / "narrow.csv"
