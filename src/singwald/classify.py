@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, eigenvalues_of_product, make_generator
+from .gaussian import CovarianceMatrix, _chunks, eigenvalues_of_product, make_generator
 from .laws import (
     EmpiricalDistribution,
     FoldedBetaProduct,
@@ -145,17 +145,20 @@ def sample_canonical(lams, n: int, seed: int) -> EmpiricalDistribution:
 
     The spectrum is normalized by its largest magnitude first; the ratio is
     scale invariant, and the normalization keeps sign flips and power-of-two
-    rescalings bitwise reproducible.
+    rescalings bitwise reproducible.  The normals are drawn and reduced in
+    the row chunks of ``gaussian._chunks``.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or np.all(lams == 0.0):
         raise ValueError("spectrum must contain a nonzero eigenvalue")
     lams = lams / np.abs(lams).max()
+    lams2 = lams**2
     rng = make_generator(seed)
-    z2 = rng.standard_normal((n, lams.size)) ** 2
-    num = (z2 @ lams) ** 2
-    den = 4.0 * (z2 @ lams**2)
-    return EmpiricalDistribution.from_samples(num / den)
+    out = np.empty(n)
+    for start, stop in _chunks(n):
+        z2 = rng.standard_normal((stop - start, lams.size)) ** 2
+        np.divide((z2 @ lams) ** 2, 4.0 * (z2 @ lams2), out=out[start:stop])
+    return EmpiricalDistribution.from_samples(out)
 
 
 def k_alpha(alpha: float) -> int:

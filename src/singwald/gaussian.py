@@ -9,6 +9,11 @@ variates come from numpy's ziggurat implementation.  Identical
 one build of the package; distinct stream indices give statistically
 independent streams, which is how concurrent batches stay deterministic
 regardless of scheduling.
+
+A draw of n rows is taken in the row chunks of :func:`_chunks`, one after
+the other from its stream, and reduced chunk by chunk, so no n-sized
+intermediate is held.  Every chunk-wise draw in the package yields the
+bytes of the same draw taken whole.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, content_lines, read_input
-from .poly import QuadraticForm
+from .poly import _BLOCK, QuadraticForm
 
 __all__ = [
     "CovarianceMatrix",
@@ -42,6 +47,22 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by ``(seed, stream)``."""
     mask = (1 << 64) - 1
     return np.random.Generator(np.random.Philox(key=[seed & mask, stream & mask]))
+
+
+def _chunks(n: int):
+    """``(start, stop)`` of each row chunk of a draw of n rows: ``_BLOCK``
+    rows each, the last taking the rest once fewer than ``2 * _BLOCK`` rows
+    remain, and one chunk for n below that.
+
+    No chunk is shorter than ``_BLOCK`` rows or the whole draw (a matmul
+    over one or two rows rounds differently), and chunk starts are
+    multiples of ``_BLOCK`` like the blocks of the polynomial kernels, so a
+    draw taken and reduced in these chunks keeps the bytes of the whole.
+    """
+    last = max(n // _BLOCK, 1) - 1
+    for j in range(last):
+        yield j * _BLOCK, (j + 1) * _BLOCK
+    yield last * _BLOCK, n
 
 
 @dataclass(frozen=True)

@@ -282,9 +282,16 @@ class FoldedBetaProduct(LimitLaw):
         return _angle_cdf(t, _fb_rule(self.k1, self.k2), self.k1 + self.k2)
 
     def _draw(self, rng, n):
+        # every chi-square draw, then every Beta draw, as the stream has
+        # always been read; the arithmetic runs in place in their buffers
         r2 = rng.chisquare(self.k1 + self.k2, n)
         b = rng.beta(self.k1 / 2.0, self.k2 / 2.0, n)
-        return 0.25 * r2 * (2.0 * b - 1.0) ** 2
+        b *= 2.0
+        b -= 1.0
+        np.square(b, out=b)
+        r2 *= 0.25
+        r2 *= b
+        return r2
 
     def mean(self) -> float:
         a, b = self.k1 / 2.0, self.k2 / 2.0
@@ -339,7 +346,8 @@ def sample_stable(alpha: float, n: int, seed: int) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     z = make_generator(seed).standard_normal(n)
-    return alpha**2 / z**2
+    np.square(z, out=z)
+    return np.divide(alpha**2, z, out=z)
 
 
 # ---------------------------------------------------------------------------

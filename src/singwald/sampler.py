@@ -9,8 +9,8 @@ when f is a power product with real exponents, with X = BZ for the
 covariance's own square root B.  Work is split into batches of ``_BATCH``
 draws, each with its own Philox stream and its own slice of one result
 buffer, so output is deterministic in ``(seed, n)`` no matter how many
-threads run the batches.  A batch is drawn and evaluated in chunks of
-``poly._BLOCK`` rows, so its intermediates stay cache-sized.
+threads run the batches.  A batch is drawn and evaluated in the row chunks
+of ``gaussian._chunks``, so its intermediates stay cache-sized.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
-from .gaussian import CovarianceMatrix, factor, make_generator
-from .poly import _BLOCK, HomogeneousPolynomial, MonomialForm, _row_quadratic
+from .gaussian import CovarianceMatrix, _chunks, factor, make_generator
+from .poly import HomogeneousPolynomial, MonomialForm, _row_quadratic
 
 __all__ = [
     "WaldSampleConfig",
@@ -47,6 +47,9 @@ _BATCH = 1 << 18
 _KS_STRIDE = 64
 _KS_SPLIT = 8
 _KS_MARGIN = 1e-12
+# two_sample_ks merges the sorted samples in chunks of about this many draws
+# of each.
+_KS_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,17 +111,10 @@ def sample_wald(
                     "the polynomial is degenerate on the support of Sigma"
                 )
             need = part.size - filled
-            # The round is drawn in chunks of _BLOCK rows from the same
-            # stream, the last chunk taking the rest once fewer than
-            # 2 * _BLOCK rows remain.  No chunk is shorter than _BLOCK rows
-            # or the round (a matmul over one or two rows rounds
-            # differently), chunk starts are multiples of _BLOCK like the
-            # polynomial kernels' blocks, and so the bytes are those of the
-            # whole round.
-            chunks = max(need // _BLOCK, 1)
-            for j in range(chunks):
-                rows = _BLOCK if j < chunks - 1 else need - j * _BLOCK
-                x = rng.standard_normal((rows, root.shape[1])) @ root.T
+            # The round is drawn in the row chunks of gaussian._chunks from
+            # the same stream, which keeps the bytes of the whole round.
+            for start, stop in _chunks(need):
+                x = rng.standard_normal((stop - start, root.shape[1])) @ root.T
                 num, den = _wald_terms(f, smat, x)
                 good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
                 # Compact only a chunk the guard touched: in practice none is.
@@ -221,24 +217,32 @@ def _ks_every_point(x: np.ndarray, law) -> float:
 
 def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Exact two-sample KS statistic: the largest ``|F_a - F_b|`` over the
-    pooled draws, from one stable merge of the two sorted samples."""
-    pooled = np.concatenate([a.values, b.values])
-    order = np.argsort(pooled, kind="stable")
-    pooled = pooled[order]
-    # Both step CDFs are right-continuous: read them at the last draw of
-    # each run of equal values, at 0-based merged ranks ``ends``.
-    ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
-    # Drop or reuse each pooled-size array once read: at most four are
-    # alive at a time.
-    del pooled
-    ca = np.cumsum(order < a.n)[ends]
-    del order
-    cb = ends  # in place: F_b's count at merged rank r is r + 1 - F_a's
-    cb += 1
-    cb -= ca
-    gap = ca / a.n
-    gap -= cb / b.n
-    return float(np.abs(gap, out=gap).max())
+    pooled draws.
+
+    The two sorted samples are merged one chunk at a time.  A chunk ends at
+    the smaller of the two samples' values ``_KS_CHUNK`` draws ahead and
+    takes every copy of that value from both samples, so no run of equal
+    pooled values is split, and both step CDFs are read at the same count
+    pairs as in one merge of the whole samples.
+    """
+    x, y = a.values, b.values
+    i = j = 0
+    worst = 0.0
+    while i < a.n or j < b.n:
+        edge = min(v[min(k + _KS_CHUNK, v.size) - 1] for v, k in ((x, i), (y, j)) if k < v.size)
+        i_end, j_end = np.searchsorted(x, edge, "right"), np.searchsorted(y, edge, "right")
+        pooled = np.concatenate([x[i:i_end], y[j:j_end]])
+        order = np.argsort(pooled, kind="stable")
+        pooled = pooled[order]
+        # Both step CDFs are right-continuous: read them at the last draw of
+        # each run of equal values, at the chunk's 0-based merged ranks ``ends``.
+        ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+        ca = np.cumsum(order < i_end - i)[ends] + i
+        # F_b's count at merged rank r is r + 1 - F_a's
+        cb = ends + (i + j + 1) - ca
+        worst = max(worst, float(np.abs(ca / a.n - cb / b.n).max()))
+        i, j = i_end, j_end
+    return worst
 
 
 def dominance_check(lower, upper, grid) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import SUITES
 from .classify import classify, sample_canonical
-from .gaussian import factor, make_generator, validate_covariance
+from .gaussian import _chunks, factor, make_generator, validate_covariance
 from .laws import (
     EmpiricalDistribution,
     FoldedBetaProduct,
@@ -123,9 +123,26 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed * _GOLDEN + 0x1234567 + index * 0x2545F4914F6CDD1D) & _MASK
 
 
-def _mvn_draws(sigma: np.ndarray, n: int, seed: int, stream: int = 0) -> np.ndarray:
+def _mvn_chunks(sigma: np.ndarray, n: int, seed: int, stream: int = 0):
+    """n rows of N(0, sigma) from the Philox stream (seed, stream), one row
+    chunk of ``gaussian._chunks`` at a time; stacked, the chunks are the
+    bytes of the whole draw."""
     b = factor(validate_covariance(sigma))
-    return make_generator(seed, stream).standard_normal((n, b.shape[1])) @ b.T
+    rng = make_generator(seed, stream)
+    for start, stop in _chunks(n):
+        yield rng.standard_normal((stop - start, b.shape[1])) @ b.T
+
+
+def _finite(chunks, n: int) -> np.ndarray:
+    """The finite values of the 1-d ``chunks``, in order, in one buffer of
+    n values."""
+    out = np.empty(n)
+    filled = 0
+    for values in chunks:
+        values = values[np.isfinite(values)]
+        out[filled : filled + values.size] = values
+        filled += values.size
+    return out[:filled]
 
 
 def _weights(p) -> np.ndarray:
@@ -164,11 +181,15 @@ def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
     """Convex combination sum p_i * Y_i / X_i is standard Cauchy."""
     p = _weights(p)
     k = p.size
-    x = _mvn_draws(sigma, n, seed, stream=0)
-    y = _mvn_draws(sigma, n, seed, stream=1)
-    draws = (p[None, :] * y / x).sum(axis=1)
+    draws = _finite(
+        (
+            (p[None, :] * y / x).sum(axis=1)
+            for x, y in zip(_mvn_chunks(sigma, n, seed, 0), _mvn_chunks(sigma, n, seed, 1))
+        ),
+        n,
+    )
     stat = ks_distance(
-        EmpiricalDistribution.from_samples(draws[np.isfinite(draws)]),
+        EmpiricalDistribution.from_samples(draws),
         SimpleNamespace(cdf=lambda t: 0.5 + np.arctan(t) / np.pi),
     )
     return _ks_result(
@@ -218,8 +239,7 @@ def counterexample_negative_weights(
     ring = q_of(np.column_stack([np.cos(theta), np.sin(theta)]) @ b.T)
     mean, second = 2.0 * float(ring.mean()), 8.0 * float((ring**2).mean())
     rel_sd = math.sqrt(second - mean**2) / mean
-    q = q_of(_mvn_draws(sigma, n, seed))
-    q = q[np.isfinite(q)]
+    q = _finite(map(q_of, _mvn_chunks(sigma, n, seed)), n)
     expected = (1.0 + 2.0 * rho**2) / (1.0 - rho**2)
     results = [
         VerificationResult(
@@ -274,18 +294,16 @@ def _moment_integrand(psi, phi: float, sigma: float):
     return num / den
 
 
-def _angle_moment(sigma: float, phi: float, m: int) -> float:
-    """E of the m-th power of the angular ratio, by fixed Gauss-Legendre panels.
+def _angle_integrand(sigma: float, phi: float, m: int):
+    """Panel half-widths and the angular ratio at the nodes of a 32- and a
+    64-node Gauss-Legendre rule on each panel, with the rules' weights.
 
     As phi approaches pi/2 the ratio changes over a width of about
     ``sqrt(2 * floor / amp)`` around psi_star, which shrinks like
     ``cos^2(phi)``.  On top of 16 equal panels, edges sit at psi_star and at
     offsets 0.3, 0.1, 0.03, 0.01, 0.003, ... on either side, down past that
-    width.  Each panel takes a 32- and a 64-node rule; the sum of their
-    per-panel differences is the error estimate, and the 64-node value is
-    returned.  A denominator whose minimum underflows to zero or whose
-    maximum overflows, an integrand that overflows, or an error estimate
-    above ``1e-8 * max(1, |moment|)`` raises.
+    width.  A denominator whose minimum underflows to zero or whose maximum
+    overflows raises; m only names the moment order in the message.
     """
     where = f"sigma={sigma}, phi={phi}, m={m}"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,10 +331,26 @@ def _angle_moment(sigma: float, phi: float, m: int) -> float:
     mid = (panels[1:] + panels[:-1]) / 2.0
     half = (panels[1:] - panels[:-1]) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse, fine = (
-            half * ((_moment_integrand(mid[:, None] + half[:, None] * x, phi, sigma) ** m) @ w)
+        return half, [
+            (_moment_integrand(mid[:, None] + half[:, None] * x, phi, sigma), w)
             for x, w in (_leggauss(32), _leggauss(64))
-        )
+        ]
+
+
+def _angle_moment(sigma: float, phi: float, m: int, integrand=None) -> float:
+    """E of the m-th power of the angular ratio, by the fixed panels of
+    :func:`_angle_integrand`, whose values at (sigma, phi) serve every m
+    and may be passed in as ``integrand``.
+
+    The sum of the per-panel differences of the 32- and 64-node rules is
+    the error estimate, and the 64-node value is returned.  An integrand
+    that overflows, or an error estimate above ``1e-8 * max(1, |moment|)``,
+    raises.
+    """
+    where = f"sigma={sigma}, phi={phi}, m={m}"
+    half, rules = _angle_integrand(sigma, phi, m) if integrand is None else integrand
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, fine = (half * ((values**m) @ w) for values, w in rules)
     if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
         raise RuntimeError(
             f"moment quadrature at {where}: the integrand overflows the float range"
@@ -334,7 +368,8 @@ def moment_invariance_check(sigma_param: float, phis, ms) -> np.ndarray:
     """Table of angular moments E[T^m], one row per m and column per phi.
 
     The distribution of the angular ratio should not depend on phi, so each
-    row must be constant; callers assert the row spread.
+    row must be constant; callers assert the row spread.  The integrand is
+    evaluated once per phi, during the first row, for every m.
     """
     if sigma_param <= 0:
         raise ValueError("sigma_param must be positive")
@@ -345,9 +380,12 @@ def moment_invariance_check(sigma_param: float, phis, ms) -> np.ndarray:
     if any(m < 1 for m in ms):
         raise ValueError("moment orders must be positive integers")
     table = np.empty((len(ms), len(phis)))
+    integrands = [None] * len(phis)
     for r, m in enumerate(ms):
         for c, phi in enumerate(phis):
-            table[r, c] = _angle_moment(sigma_param, phi, m)
+            if integrands[c] is None:
+                integrands[c] = _angle_integrand(sigma_param, phi, m)
+            table[r, c] = _angle_moment(sigma_param, phi, m, integrands[c])
     return table
 
 
@@ -394,9 +432,12 @@ def _moment_invariance_results(n: int, seed: int) -> list[VerificationResult]:
 def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
     """For c >= 0 the weighted angular product matches cos^2 of a uniform
     angle in distribution; for c < 0 it must not."""
-    psi = make_generator(seed, 0).uniform(0.0, 2.0 * np.pi, n)
-    cos2, sin2 = np.cos(psi) ** 2, np.sin(psi) ** 2
-    s = (1.0 + c) ** 2 * cos2 * sin2 / (cos2 + c * c * sin2)
+    rng = make_generator(seed, 0)
+    s = np.empty(n)
+    for start, stop in _chunks(n):
+        psi = rng.uniform(0.0, 2.0 * np.pi, stop - start)
+        cos2, sin2 = np.cos(psi) ** 2, np.sin(psi) ** 2
+        s[start:stop] = (1.0 + c) ** 2 * cos2 * sin2 / (cos2 + c * c * sin2)
     # cos^2 of a uniform angle has the arcsine law (2/pi) * arcsin(sqrt(s))
     gap = ks_distance(
         EmpiricalDistribution.from_samples(s),
@@ -663,9 +704,8 @@ def _stable_ks(draws: np.ndarray, c: float) -> float:
 def _stable_results(n: int, seed: int) -> list[VerificationResult]:
     stat_law = _stable_ks(sample_stable(1.3, n, derive_seed(seed, 25)), 1.3)
     a, b = 0.7, 1.3
-    total = sample_stable(a, n, derive_seed(seed, 26)) + sample_stable(
-        b, n, derive_seed(seed, 27)
-    )
+    total = sample_stable(a, n, derive_seed(seed, 26))
+    total += sample_stable(b, n, derive_seed(seed, 27))
     return [
         _ks_result("stable-first-passage-law", "theorem", stat_law, n, seed),
         # Index-half parameters add under convolution.

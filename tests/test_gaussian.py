@@ -11,7 +11,12 @@ from singwald.gaussian import (
     validate_covariance,
 )
 from singwald.poly import QuadraticForm
-from singwald.verify import _mvn_draws
+from singwald.verify import _mvn_chunks
+
+
+def mvn_draws(sigma, n, seed, stream=0):
+    """verify's chunk-wise N(0, sigma) draws, stacked into one (n, k) array."""
+    return np.concatenate(list(_mvn_chunks(sigma, n, seed, stream)))
 
 
 class TestValidateCovariance:
@@ -79,31 +84,31 @@ class TestFactor:
 
 class TestSampling:
     def test_moments_identity(self):
-        x = _mvn_draws(np.eye(2), 10**6, 7)
+        x = mvn_draws(np.eye(2), 10**6, 7)
         assert np.abs(x.mean(axis=0)).max() < 0.005
         assert np.abs(x.var(axis=0) - 1.0).max() < 0.01
 
     def test_correlation(self):
-        x = _mvn_draws(np.array([[1.0, 0.9], [0.9, 1.0]]), 10**6, 8)
+        x = mvn_draws(np.array([[1.0, 0.9], [0.9, 1.0]]), 10**6, 8)
         assert abs(np.corrcoef(x.T)[0, 1] - 0.9) < 0.005
 
     def test_bitwise_determinism(self):
-        a = _mvn_draws(np.eye(3), 5000, 123)
-        b = _mvn_draws(np.eye(3), 5000, 123)
+        a = mvn_draws(np.eye(3), 5000, 123)
+        b = mvn_draws(np.eye(3), 5000, 123)
         assert a.tobytes() == b.tobytes()
 
     def test_disjoint_seeds_uncorrelated(self):
         n = 200_000
-        a = _mvn_draws(np.eye(1), n, 1)[:, 0]
-        b = _mvn_draws(np.eye(1), n, 2)[:, 0]
+        a = mvn_draws(np.eye(1), n, 1)[:, 0]
+        b = mvn_draws(np.eye(1), n, 2)[:, 0]
         assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
 
     def test_stream_index_changes_draws(self):
-        a = _mvn_draws(np.eye(1), 100, 5, stream=0)
-        assert not np.array_equal(a, _mvn_draws(np.eye(1), 100, 5, stream=1))
+        a = mvn_draws(np.eye(1), 100, 5, stream=0)
+        assert not np.array_equal(a, mvn_draws(np.eye(1), 100, 5, stream=1))
 
     def test_rank_deficient_stays_on_support(self):
-        x = _mvn_draws(np.array([[1.0, 1.0], [1.0, 1.0]]), 1000, 3)
+        x = mvn_draws(np.array([[1.0, 1.0], [1.0, 1.0]]), 1000, 3)
         np.testing.assert_allclose(x[:, 0], x[:, 1], rtol=1e-12)
 
     def test_make_generator_matches_philox_key(self):

@@ -418,7 +418,56 @@ def searchsorted_two_sample_ks(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
+def whole_merge_two_sample_ks(a, b) -> float:
+    """The oracle of the chunked merge: one stable merge of the whole
+    samples, both step CDFs read at the last draw of each run of equal
+    pooled values."""
+    pooled = np.concatenate([a.values, b.values])
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    ca = np.cumsum(order < a.n)[ends]
+    cb = ends + 1 - ca
+    return float(np.abs(ca / a.n - cb / b.n).max())
+
+
+def tied_across_the_chunk_edge(shift: float) -> np.ndarray:
+    """A sample whose run of 1.5s covers draws 16300-16499, across the
+    first chunk edge at draw 2^14 - 1."""
+    return np.concatenate([
+        np.linspace(0.0, 1.0, 16300) + shift, np.full(200, 1.5), np.linspace(2.0, 3.0, 16000)
+    ])
+
+
 class TestTwoSampleKs:
+    def both_ways(self, a, b):
+        ea, eb = (EmpiricalDistribution.from_samples(np.array(v)) for v in (a, b))
+        assert two_sample_ks(ea, eb) == whole_merge_two_sample_ks(ea, eb)
+        assert two_sample_ks(eb, ea) == whole_merge_two_sample_ks(eb, ea)
+
+    def test_equals_the_whole_merge_on_rounded_ties(self):
+        rng = np.random.default_rng(35)
+        for na, nb in ((10**5, 10**5), (10**5, 16385), (2, 40000)):
+            self.both_ways(np.round(rng.standard_normal(na), 1),
+                           np.round(1.1 * rng.standard_normal(nb), 1))
+
+    def test_equals_the_whole_merge_on_ties_across_the_chunk_edge(self):
+        a = tied_across_the_chunk_edge(0.0)
+        self.both_ways(a, tied_across_the_chunk_edge(0.05))
+        self.both_ways(a, np.concatenate([np.full(3 * sampler._KS_CHUNK, 1.5), [0.2, 2.5]]))
+        self.both_ways(a, a[::7])
+
+    def test_equals_the_whole_merge_on_disjoint_supports(self):
+        rng = np.random.default_rng(36)
+        for na, nb in ((10**5, 10**5), (16385, 2), (2, 2)):
+            self.both_ways(rng.standard_normal(na), 100.0 + rng.standard_normal(nb))
+
+    @pytest.mark.parametrize("na", [2, 16383, 16384, 16385, 10**5])
+    def test_equals_the_whole_merge_at_chunk_edge_sizes(self, na):
+        rng = np.random.default_rng(na)
+        for nb in (2, 16383, 16384, 16385, 10**5):
+            self.both_ways(rng.standard_normal(na), 1.2 * rng.standard_normal(nb) + 0.1)
+
     def test_equals_searchsorted_form(self):
         rng = np.random.default_rng(32)
         for trial in range(60):

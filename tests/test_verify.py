@@ -305,6 +305,21 @@ class TestSuiteRunner:
             assert all(name.startswith(claims) for name in names), (claims, names)
             assert all(any(name.startswith(c) for name in names) for c in claims), (claims, names)
 
+    @pytest.mark.parametrize("entry", _REGISTRY, ids=lambda entry: entry[0][0])
+    def test_registry_entry_peaks_under_five_n_arrays(self, entry):
+        # Every whole-n draw is streamed in row chunks, so at n = 1e5 no
+        # entry holds more than five n-arrays (4 MB) and 1 MB besides.
+        import tracemalloc
+
+        n = 10**5
+        tracemalloc.start()
+        try:
+            entry[2](n, 77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n + 2**20, peak
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("lemmas", n=1000, seed=1)
