@@ -282,8 +282,8 @@ class FoldedBetaProduct(LimitLaw):
         return _angle_cdf(t, _fb_rule(self.k1, self.k2), self.k1 + self.k2)
 
     def _draw(self, rng, n):
-        # every chi-square draw, then every Beta draw, as the stream has
-        # always been read; the arithmetic runs in place in their buffers
+        # every chi-square draw, then every Beta draw, from the stream; the
+        # arithmetic runs in place in their two buffers
         r2 = rng.chisquare(self.k1 + self.k2, n)
         b = rng.beta(self.k1 / 2.0, self.k2 / 2.0, n)
         b *= 2.0

@@ -337,10 +337,9 @@ def _angle_integrand(sigma: float, phi: float, m: int):
         ]
 
 
-def _angle_moment(sigma: float, phi: float, m: int, integrand=None) -> float:
-    """E of the m-th power of the angular ratio, by the fixed panels of
-    :func:`_angle_integrand`, whose values at (sigma, phi) serve every m
-    and may be passed in as ``integrand``.
+def _angle_moment(sigma: float, phi: float, m: int, integrand) -> float:
+    """E of the m-th power of the angular ratio from ``integrand``, the
+    values of :func:`_angle_integrand` at (sigma, phi), which serve every m.
 
     The sum of the per-panel differences of the 32- and 64-node rules is
     the error estimate, and the 64-node value is returned.  An integrand
@@ -348,7 +347,7 @@ def _angle_moment(sigma: float, phi: float, m: int, integrand=None) -> float:
     raises.
     """
     where = f"sigma={sigma}, phi={phi}, m={m}"
-    half, rules = _angle_integrand(sigma, phi, m) if integrand is None else integrand
+    half, rules = integrand
     with np.errstate(over="ignore", invalid="ignore"):
         coarse, fine = (half * ((values**m) @ w) for values, w in rules)
     if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
@@ -414,7 +413,7 @@ def _moment_invariance_results(n: int, seed: int) -> list[VerificationResult]:
     rho = float(np.sin(phi))
     cov = validate_covariance(np.array([[1.0, rho], [rho, 1.0]]))
     emp = sample_wald(m, cov, WaldSampleConfig(n=n, seed=seed))
-    mean_quad = (sig**2 / 2.0) * _angle_moment(sig, phi, 1)
+    mean_quad = (sig**2 / 2.0) * _angle_moment(sig, phi, 1, _angle_integrand(sig, phi, 1))
     rel = abs(emp.mean() / mean_quad - 1.0)
     results.append(
         VerificationResult(
