@@ -32,7 +32,8 @@ The branch zoo
 
 with P the regularized lower incomplete gamma function.  This module builds
 their node rules, cached per law parameter.  The mix2 rule (``_mix2_rule``,
-k = 2) is a midpoint rule in a rescaled polar angle; the test suite pins it
+k = 2) is a midpoint rule in a rescaled polar angle, keyed by the weight
+ratio w_lo/w_hi alone and scaled by w_hi in ``cdf``; the test suite pins it
 within 1e-12 of a 30-digit angle integral for weight ratios down to 1e-8.
 Below a ratio of 1e-16 the smaller component is dropped, within
 (2/pi)*sqrt(ratio).  The folded-Beta rule (``_fb_rule``, k = k1 + k2) takes
@@ -183,28 +184,30 @@ _MIX2_RATIO_MIN = 1e-16
 
 
 @functools.lru_cache(maxsize=64)
-def _mix2_rule(w1: float, w2: float):
-    """The angle rule (r_j, w_j) for w1 >= w2 > 0.
+def _mix2_rule(ratio: float):
+    """The angle rule (r_j, w_j) of Z1^2 + ratio*Z2^2 for 0 < ratio <= 1.
 
-    In polar coordinates, 1 - F(t) = (2/pi) * int_0^{pi/2}
-    exp(-t / (2*(w1*cos^2(theta) + w2*sin^2(theta)))) dtheta.  With
-    a = sqrt(w1), b = sqrt(w2) and tan(theta) = sqrt(a/b) * tan(phi) this is
+    The law of w1*Z1^2 + w2*Z2^2 is w_hi times that of Z1^2 + ratio*Z2^2,
+    ratio = w_lo/w_hi, so one rule per ratio serves every scale: the law's
+    rates are r_j / w_hi.  In polar coordinates, 1 - F(t) = (2/pi) *
+    int_0^{pi/2} exp(-t / (2*(cos^2(theta) + ratio*sin^2(theta)))) dtheta.
+    With b = sqrt(ratio) and tan(theta) = tan(phi) / sqrt(b) this is
 
-        (2/pi) * int_0^{pi/2} exp(-t * r(phi)) * sqrt(a*b) / (b*C + a*S) dphi,
-        r(phi) = (b*C + a*S) / (2*a*b*(a*C + b*S)),  C = cos^2(phi), S = sin^2(phi),
+        (2/pi) * int_0^{pi/2} exp(-t * r(phi)) * sqrt(b) / (b*C + S) dphi,
+        r(phi) = (b*C + S) / (2*b*(C + b*S)),  C = cos^2(phi), S = sin^2(phi),
 
     whose integrand is periodic and analytic in a strip of half-width about
-    rho^(1/4), rho = w2/w1.  The midpoint rule in phi then converges
-    geometrically; N = max(16, ceil(8 * rho^(-1/4))) nodes keep the error
-    below 1e-12.  The weights w_j are the normalised Jacobian and the rates
-    are r_j = r(phi_j), for :func:`_angle_cdf` at df = 2.
+    ratio^(1/4).  The midpoint rule in phi then converges geometrically;
+    N = max(16, ceil(8 * ratio^(-1/4))) nodes keep the error below 1e-12.
+    The weights w_j are the normalised Jacobian and the rates are
+    r_j = r(phi_j), for :func:`_angle_cdf` at df = 2.
     """
-    a, b = np.sqrt(w1), np.sqrt(w2)
-    n = max(16, math.ceil(8.0 * (w2 / w1) ** -0.25))
+    b = math.sqrt(ratio)
+    n = max(16, math.ceil(8.0 * ratio**-0.25))
     phi = (np.arange(n) + 0.5) * (np.pi / (2 * n))
     cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
-    den = b * cos2 + a * sin2
-    rate = den / (2.0 * a * b * (a * cos2 + b * sin2))
+    den = b * cos2 + sin2
+    rate = den / (2.0 * b * (cos2 + b * sin2))
     return _node_rule(rate, 1.0 / (den * np.sum(1.0 / den)))
 
 
@@ -221,9 +224,10 @@ class TwoChiSquareMix(LimitLaw):
 
     def cdf(self, t):
         hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
-        if lo < _MIX2_RATIO_MIN * hi:
+        if lo / hi < _MIX2_RATIO_MIN:
             return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
-        return _angle_cdf(t, _mix2_rule(hi, lo), 2)
+        # the rule's rates scaled to this law: a copy of N nodes, not of t
+        return _angle_cdf(t, _mix2_rule(lo / hi) / [[hi], [1.0]], 2)
 
     def _draw(self, rng, n):
         z = rng.standard_normal((n, 2))

@@ -23,7 +23,7 @@ import numpy as np
 from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, _chunks, factor, make_generator
-from .poly import HomogeneousPolynomial, MonomialForm, _row_quadratic
+from .poly import _BLOCK, HomogeneousPolynomial, MonomialForm, _row_quadratic
 
 __all__ = [
     "WaldSampleConfig",
@@ -47,9 +47,6 @@ _BATCH = 1 << 18
 _KS_STRIDE = 64
 _KS_SPLIT = 8
 _KS_MARGIN = 1e-12
-# two_sample_ks merges the sorted samples in chunks of about this many draws
-# of each.
-_KS_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     pooled draws.
 
     The two sorted samples are merged one chunk at a time.  A chunk ends at
-    the smaller of the two samples' values ``_KS_CHUNK`` draws ahead and
+    the smaller of the two samples' values ``_BLOCK`` draws ahead and
     takes every copy of that value from both samples, so no run of equal
     pooled values is split, and both step CDFs are read at the same count
     pairs as in one merge of the whole samples.
@@ -229,7 +226,7 @@ def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     i = j = 0
     worst = 0.0
     while i < a.n or j < b.n:
-        edge = min(v[min(k + _KS_CHUNK, v.size) - 1] for v, k in ((x, i), (y, j)) if k < v.size)
+        edge = min(v[min(k + _BLOCK, v.size) - 1] for v, k in ((x, i), (y, j)) if k < v.size)
         i_end, j_end = np.searchsorted(x, edge, "right"), np.searchsorted(y, edge, "right")
         pooled = np.concatenate([x[i:i_end], y[j:j_end]])
         order = np.argsort(pooled, kind="stable")

@@ -10,8 +10,9 @@ at a = df/2 for integer df, and each has a closed form in exp and erfc:
     Q(m + 1/2, x) = erfc(sqrt(x)) + exp(-x) * sum_{k<m} x^(k+1/2) / Gamma(k + 3/2).
 
 The module computes four things: erfcx, P and Q, the mixtures of P over
-an angle rule, and the root that inverts them.  Every kernel runs through
-one block loop, ``_blockwise``, over tiles of ``_BLOCK`` points.
+an angle rule, and the root that inverts them.  Every distribution function
+runs its kernel through one block loop, ``_blockwise``, over tiles of
+``_BLOCK`` points, which also turns a 0-d argument into a float.
 
 erfcx
     erfcx(z) = exp(z^2) * erfc(z) for z >= 0 is t * exp(C(u)) with
@@ -55,11 +56,12 @@ Roots
 Distribution functions
     ``chi2_cdf`` and ``chi2_sf`` are P and Q at (df/2, x/2) for every df.
     ``tetrad_singular_cdf`` takes its normal tail 1 - Phi(2 sqrt(t)) as
-    Q(1/2, 2t)/2, and ``tetrad_singular_sf`` is written in erfcx.  These
-    four are the public names: the laws of ``singwald.laws`` are built on
-    them and on the angle rules, and ``singwald.tetrad`` takes its p-values
-    from them without loading the laws.  Every other name is private to the
-    package.
+    Q(1/2, 2t)/2, and ``tetrad_singular_sf`` is written in erfcx; both are
+    tiles of ``_tetrad_kernel``.  An angle rule carries a law's scale in its
+    rates (``laws`` divides the mix2 rates by w_hi).  These four are the
+    public names: the laws of ``singwald.laws`` are built on them and on the
+    angle rules, and ``singwald.tetrad`` takes its p-values from them
+    without loading the laws.  Every other name is private to the package.
 """
 
 from __future__ import annotations
@@ -186,11 +188,6 @@ def _erfcx_kernel(z):
     np.exp(h, out=h)
     out *= h
     return out
-
-
-def _erfcx(z):
-    """exp(z^2) * erfc(z) for z >= 0."""
-    return _blockwise(_erfcx_kernel, z)
 
 
 def _positive_int(value, name: str = "df") -> int:
@@ -389,24 +386,25 @@ def _angle_cdf(t, rule, df: int):
     return _blockwise(functools.partial(_angle_kernel, rule, df), t)
 
 
+def _tetrad_kernel(upper: bool, t):
+    tp = np.where(t > 0, t, 0.0)
+    if upper:
+        root = np.sqrt(2.0 * tp)
+        return np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * _erfcx_kernel(root))
+    upper_tail = 0.5 * _gamma_kernel(1, True, 2.0 * tp)  # 1 - Phi(2 sqrt t)
+    return -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
+
+
 def tetrad_singular_cdf(t):
     """Distribution function of ``R^2*U^2/4`` in closed form."""
-    t = np.asarray(t, dtype=float)
-    tp = np.where(t > 0, t, 0.0)
-    upper_tail = 0.5 * _upper_gamma(1, 2.0 * tp)  # 1 - Phi(2 sqrt t)
-    out = -np.expm1(-2.0 * tp) + np.sqrt(2.0 * np.pi * tp) * upper_tail
-    return float(out) if out.ndim == 0 else out
+    return _blockwise(functools.partial(_tetrad_kernel, False), t)
 
 
 def tetrad_singular_sf(t):
     """Survival function ``1 - F(t)`` of ``R^2*U^2/4``, written as
     ``exp(-2t) * (1 - sqrt(2*pi*t)/2 * erfcx(sqrt(2t)))`` so that it keeps
     full relative accuracy in the tail, where ``1 - F`` cancels."""
-    t = np.asarray(t, dtype=float)
-    tp = np.where(t > 0, t, 0.0)
-    root = np.sqrt(2.0 * tp)
-    out = np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * _erfcx(root))
-    return float(out) if out.ndim == 0 else out
+    return _blockwise(functools.partial(_tetrad_kernel, True), t)
 
 
 def _root(side, target: float, x: float, upper: bool = False, log_density=None) -> float:

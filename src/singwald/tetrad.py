@@ -152,7 +152,6 @@ class TetradWald:
     t_stat: np.ndarray
     p_regular: np.ndarray
     p_singular: np.ndarray
-    gradient_norm: np.ndarray
     regime_hint: np.ndarray
     degenerate: np.ndarray
 
@@ -184,7 +183,6 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
         t_stat=t_stat,
         p_regular=p_regular,
         p_singular=p_singular,
-        gradient_norm=np.sqrt(grad_sq),
         regime_hint=np.where(grad_sq < threshold, "near_singular", "regular"),
         degenerate=~((denom > 0.0) & np.isfinite(denom)),
     )

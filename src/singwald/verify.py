@@ -145,6 +145,16 @@ def _finite(chunks, n: int) -> np.ndarray:
     return out[:filled]
 
 
+def _ks_draws(draws: np.ndarray, cdf) -> float:
+    """One-sample KS distance of the draws, whose buffer it sorts in place,
+    to the distribution function ``cdf``."""
+    return ks_distance(EmpiricalDistribution.from_samples(draws), SimpleNamespace(cdf=cdf))
+
+
+# The tetrad form x1*x4 - x2*x3.
+_TETRAD_FORM = HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])
+
+
 def _weights(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
@@ -188,10 +198,7 @@ def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
         ),
         n,
     )
-    stat = ks_distance(
-        EmpiricalDistribution.from_samples(draws),
-        SimpleNamespace(cdf=lambda t: 0.5 + np.arctan(t) / np.pi),
-    )
+    stat = _ks_draws(draws, lambda t: 0.5 + np.arctan(t) / np.pi)
     return _ks_result(
         "weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence",
         "theorem" if k <= 2 else "conjecture",
@@ -261,8 +268,7 @@ def counterexample_negative_weights(
     ]
     if rho == 0.8:
         # the gap row passes when the distance exceeds 0.01: its statistic is negated
-        emp = EmpiricalDistribution.from_samples(q)
-        gap = ks_distance(emp, ScaledChiSquare(scale=1.0, df=1))
+        gap = _ks_draws(q, ScaledChiSquare(scale=1.0, df=1).cdf)
         results.append(_gap_result("negative-weight-law-gap", gap, n, seed))
     return results
 
@@ -413,7 +419,7 @@ def _moment_invariance_results(n: int, seed: int) -> list[VerificationResult]:
     rho = float(np.sin(phi))
     cov = validate_covariance(np.array([[1.0, rho], [rho, 1.0]]))
     emp = sample_wald(m, cov, WaldSampleConfig(n=n, seed=seed))
-    mean_quad = (sig**2 / 2.0) * _angle_moment(sig, phi, 1, _angle_integrand(sig, phi, 1))
+    mean_quad = (sig**2 / 2.0) * moment_invariance_check(sig, [phi], [1])[0, 0]
     rel = abs(emp.mean() / mean_quad - 1.0)
     results.append(
         VerificationResult(
@@ -438,10 +444,7 @@ def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
         cos2, sin2 = np.cos(psi) ** 2, np.sin(psi) ** 2
         s[start:stop] = (1.0 + c) ** 2 * cos2 * sin2 / (cos2 + c * c * sin2)
     # cos^2 of a uniform angle has the arcsine law (2/pi) * arcsin(sqrt(s))
-    gap = ks_distance(
-        EmpiricalDistribution.from_samples(s),
-        SimpleNamespace(cdf=lambda t: 2.0 / np.pi * np.arcsin(np.sqrt(np.clip(t, 0.0, 1.0)))),
-    )
+    gap = _ks_draws(s, lambda t: 2.0 / np.pi * np.arcsin(np.sqrt(np.clip(t, 0.0, 1.0))))
     if c >= 0:
         return _ks_result(f"trig-equidistribution-c{c:g}", "theorem", gap, n, seed)
     # the gap row passes when the distance exceeds 0.01: its statistic is negated
@@ -462,9 +465,7 @@ def verify_beta_representation(
 def verify_pathwise_invariance(n: int, seed: int) -> list[VerificationResult]:
     """Pathwise identities under coefficient scaling and invertible
     re-parameterization of the tetrad form."""
-    f = HomogeneousPolynomial.from_terms(
-        [(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))]
-    )
+    f = _TETRAD_FORM
     sigma = validate_covariance(
         np.array(
             [
@@ -521,9 +522,7 @@ def verify_tetrad_kronecker(n: int, seed: int) -> list[VerificationResult]:
     """Kronecker-structured covariances put the tetrad form on the
     equal-magnitude split spectrum, so the limit is the tetrad singular law
     for every block pair."""
-    f = HomogeneousPolynomial.from_terms(
-        [(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))]
-    )
+    f = _TETRAD_FORM
     a = f.to_quadratic_form()
     rng = make_generator(derive_seed(seed, 17), 0)
     n_pairs = 20
@@ -674,7 +673,6 @@ def verify_tetrad_convergence(
     """
     theta_true = np.asarray(theta_true, dtype=float)
     t_stats = _simulate_tetrad_stats(theta_true, n_data, replicates, derive_seed(seed, 23))
-    emp = EmpiricalDistribution.from_samples(t_stats)
     if np.any(theta_true[:2, 2:]):
         name, law = "tetrad-regular-convergence", ScaledChiSquare(1.0, 1)
     else:
@@ -685,30 +683,23 @@ def verify_tetrad_convergence(
     return VerificationResult(
         name=name,
         tier="theorem",
-        statistic=ks_distance(emp, law),
+        statistic=_ks_draws(t_stats, law.cdf),
         threshold=threshold,
         n_used=replicates,
         seed=seed,
     )
 
 
-def _stable_ks(draws: np.ndarray, c: float) -> float:
-    """KS distance of draws to the index-half stable law with parameter c."""
-    return ks_distance(
-        EmpiricalDistribution.from_samples(draws),
-        SimpleNamespace(cdf=lambda t: stable_cdf(c, t)),
-    )
-
-
 def _stable_results(n: int, seed: int) -> list[VerificationResult]:
-    stat_law = _stable_ks(sample_stable(1.3, n, derive_seed(seed, 25)), 1.3)
+    stat_law = _ks_draws(sample_stable(1.3, n, derive_seed(seed, 25)), lambda t: stable_cdf(1.3, t))
     a, b = 0.7, 1.3
     total = sample_stable(a, n, derive_seed(seed, 26))
     total += sample_stable(b, n, derive_seed(seed, 27))
+    # Index-half parameters add under convolution.
+    stat_sum = _ks_draws(total, lambda t: stable_cdf(a + b, t))
     return [
         _ks_result("stable-first-passage-law", "theorem", stat_law, n, seed),
-        # Index-half parameters add under convolution.
-        _ks_result("stable-convolution", "theorem", _stable_ks(total, a + b), n, seed),
+        _ks_result("stable-convolution", "theorem", stat_sum, n, seed),
     ]
 
 

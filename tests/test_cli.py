@@ -434,7 +434,7 @@ class TestTetradTest:
         degenerate[[7, 300]] = True
         rec = TetradWald(
             idx=rng.integers(0, 150, (m, 4)), gamma_hat=gamma, t_stat=t_stat,
-            p_regular=p_regular, p_singular=p_singular, gradient_norm=np.ones(m),
+            p_regular=p_regular, p_singular=p_singular,
             regime_hint=np.where(rng.uniform(size=m) < 0.3, "near_singular", "regular"),
             degenerate=degenerate,
         )
@@ -731,6 +731,20 @@ def _wald(*argv) -> subprocess.CompletedProcess:
     with _wald_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         out, err = proc.communicate(timeout=120)
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err.decode())
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_power_of_two_scaled_mix2_tables_raise_no_float_warning(k):
+    # weights near either end of the float range keep their law's shape
+    s = 2.0**k
+    spec = f"mix2:{s * 0.25!r}:{s * 0.2!r}"
+    for argv in (["cdf", spec, "--grid", f"0:{s * 40.0!r}:{s * 0.01!r}"],
+                 ["quantile", spec, "--probs", "1e-12,1e-9,1e-6,0.999999,0.999999999,0.999999999999"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "singwald.cli", *argv],
+            env=_PROCESS_ENV, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def _error_lines(stderr: str) -> list[str]:

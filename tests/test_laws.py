@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -310,6 +311,36 @@ class TestMix2AngleRule:
         # the 8 MB output plus a few 128 KB tile temporaries
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_power_of_two_weights_scale_the_cdf_exactly(self, k):
+        # the shape is the weight ratio alone and scaling by 2^k is exact,
+        # so the scaled law at 2^k t is the unscaled law at t, bit for bit
+        s, t = 2.0**k, 0.01 * np.arange(4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = TwoChiSquareMix(s * 0.25, s * 0.2).cdf(s * t)
+        np.testing.assert_array_equal(got, TwoChiSquareMix(0.25, 0.2).cdf(t))
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_power_of_two_weights_scale_the_quantiles(self, k):
+        s = 2.0**k
+        probs = list(0.005 * np.arange(1, 200)) + [1e-12, 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+        law, scaled = TwoChiSquareMix(0.25, 0.2), TwoChiSquareMix(s * 0.25, s * 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = np.array([scaled.quantile(p) for p in probs])
+        want = s * np.array([law.quantile(p) for p in probs])
+        assert np.abs(got / want - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("w", [1e300, 1e-300])
+    def test_equal_weights_at_the_ends_of_the_float_range(self, w):
+        # w*Z1^2 + w*Z2^2 is w * chi-square-2: F(t) = 1 - exp(-t / (2w))
+        t = w * np.arange(4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = TwoChiSquareMix(w, w).cdf(t)
+        np.testing.assert_allclose(got, -np.expm1(-np.arange(4.0) / 2.0), rtol=1e-14, atol=0.0)
+
     def test_tiny_ratio_takes_the_larger_weight(self):
         # below a ratio of 1e-16 the law is evaluated as chi-square-1 scaled
         # by the larger weight, within (2/pi)*sqrt(ratio) of the mixture
@@ -596,7 +627,7 @@ class TestSpecStrings:
 def test_angle_rules_are_cached_read_only_arrays():
     from singwald.laws import _fb_rule, _mix2_rule
 
-    for make in (lambda: _fb_rule(3, 1), lambda: _mix2_rule(0.25, 0.2)):
+    for make in (lambda: _fb_rule(3, 1), lambda: _mix2_rule(0.8)):
         rule = make()
         assert rule is make()
         assert rule.shape[0] == 2 and not rule.flags.writeable

@@ -454,7 +454,7 @@ class TestTwoSampleKs:
     def test_equals_the_whole_merge_on_ties_across_the_chunk_edge(self):
         a = tied_across_the_chunk_edge(0.0)
         self.both_ways(a, tied_across_the_chunk_edge(0.05))
-        self.both_ways(a, np.concatenate([np.full(3 * sampler._KS_CHUNK, 1.5), [0.2, 2.5]]))
+        self.both_ways(a, np.concatenate([np.full(3 * sampler._BLOCK, 1.5), [0.2, 2.5]]))
         self.both_ways(a, a[::7])
 
     def test_equals_the_whole_merge_on_disjoint_supports(self):

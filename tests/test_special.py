@@ -1,6 +1,7 @@
 """The numpy special-function kernels against 40-digit mpmath."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,7 +25,7 @@ def test_erfcx_against_mpmath():
     z = np.concatenate([np.linspace(0.0, 30.0, 601), np.geomspace(30.0, 1e300, 300)])
     with mpmath.workdps(40):
         want = [_erfcx_mp(v) for v in z]
-    assert _rel_err(special._erfcx(z), want) <= 1e-15
+    assert _rel_err(special._blockwise(special._erfcx_kernel, z), want) <= 1e-15
 
 
 def test_erf_against_mpmath():
@@ -49,11 +50,11 @@ def test_exact_square_passed_by_caller():
 
 
 def test_endpoints_are_exact():
-    assert special._erfcx(0.0) == 1.0
+    assert special._blockwise(special._erfcx_kernel, 0.0) == 1.0
     assert special._upper_gamma(1, 0.0) == 1.0
     assert special._lower_gamma(1, 0.0) == 0.0
     assert special.chi2_cdf(0.0, 1) == 0.0
-    assert special._erfcx(np.inf) == 0.0
+    assert special._blockwise(special._erfcx_kernel, np.inf) == 0.0
     assert special._upper_gamma(1, np.inf) == 0.0
     assert special._lower_gamma(1, np.inf) == 1.0
     assert special.chi2_cdf(np.inf, 1) == 1.0
@@ -178,3 +179,18 @@ def test_inverse_round_trip(df):
         assert root == 0.0
     with pytest.raises(ValueError):
         special._root(lambda v: special._lower_gamma(3, v), 0.0, a)
+
+
+@pytest.mark.parametrize("fn", [special.tetrad_singular_cdf, special.tetrad_singular_sf])
+def test_tetrad_closed_forms_are_blocked(fn):
+    # the tile loop holds the output and a few 128 KB tile temporaries, not
+    # several arrays the size of the input
+    t = np.linspace(0.0, 40.0, 10**6)
+    fn(t[:10])
+    tracemalloc.start()
+    try:
+        fn(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= t.nbytes + 2 * 2**20

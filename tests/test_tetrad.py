@@ -43,11 +43,10 @@ def tetrad_stat(theta, idx):
     return float(gamma), grad
 
 
-def assert_kernel_matches(theta, idx, gamma, grad):
-    """The batched kernel reproduces a tetrad value and gradient norm."""
+def assert_kernel_matches(theta, idx, gamma):
+    """The batched kernel reproduces a tetrad value."""
     res = tetrad_wald(theta, 100, [(idx.i, idx.j, idx.k, idx.l)])
     assert res.gamma_hat[0] == pytest.approx(gamma, abs=1e-14)
-    assert res.gradient_norm[0] == pytest.approx(np.linalg.norm(grad), abs=1e-14)
 
 
 def tetrad_pairs(idx):
@@ -174,7 +173,7 @@ class TestTetradStat:
         gamma, grad = tetrad_stat(theta, IDX)
         assert gamma == 1.0
         np.testing.assert_array_equal(grad, [1.0, 0.0, 0.0, 1.0])
-        assert_kernel_matches(theta, IDX, 1.0, grad)
+        assert_kernel_matches(theta, IDX, 1.0)
 
     def test_rank_one_pattern_vanishes_everywhere(self):
         # factor structure theta_ij = b_i b_j kills every tetrad
@@ -183,7 +182,7 @@ class TestTetradStat:
         for idx in all_tetrads(5):
             gamma, grad = tetrad_stat(theta, idx)
             assert gamma == pytest.approx(0.0, abs=1e-14)
-            assert_kernel_matches(theta, idx, 0.0, grad)
+            assert_kernel_matches(theta, idx, 0.0)
 
     def test_block_diagonal_is_doubly_singular(self):
         theta = np.eye(4)
@@ -192,7 +191,7 @@ class TestTetradStat:
         gamma, grad = tetrad_stat(theta, IDX)
         assert gamma == 0.0
         np.testing.assert_array_equal(grad, np.zeros(4))
-        assert_kernel_matches(theta, IDX, 0.0, grad)
+        assert_kernel_matches(theta, IDX, 0.0)
 
     def test_gradient_matches_polynomial(self):
         # same ordering as the quadratic form on (t_ik, t_il, t_jk, t_jl)
@@ -206,7 +205,7 @@ class TestTetradStat:
         coords = np.array([theta[0, 2], theta[0, 3], theta[1, 2], theta[1, 3]])
         assert gamma == pytest.approx(f.evaluate(coords))
         np.testing.assert_allclose(grad, f.gradient(coords))
-        assert_kernel_matches(theta, IDX, f.evaluate(coords), f.gradient(coords))
+        assert_kernel_matches(theta, IDX, f.evaluate(coords))
 
     def test_distinct_indices_required(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -370,7 +369,6 @@ class TestBatchedKernel:
                 for got, want in (
                     (res.gamma_hat[r, m], gamma),
                     (res.t_stat[r, m], t),
-                    (res.gradient_norm[r, m], np.sqrt(grad @ grad)),
                 ):
                     assert abs(got - want) <= 1e-13 * abs(want)
                 assert res.p_regular[r, m] == pytest.approx(chi2_sf(t, 1), rel=1e-12)
