@@ -226,8 +226,14 @@ class TwoChiSquareMix(LimitLaw):
         hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
         if lo / hi < _MIX2_RATIO_MIN:
             return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
+        rule = _mix2_rule(lo / hi)
+        if hi < 1.0 and rule[0].max() >= hi * np.finfo(float).max:
+            # the scaled rates would overflow (a tiny w_hi): scale t instead,
+            # where t / hi = inf is F = 1
+            with np.errstate(over="ignore"):
+                return _angle_cdf(np.asarray(t, dtype=float) / hi, rule, 2)
         # the rule's rates scaled to this law: a copy of N nodes, not of t
-        return _angle_cdf(t, _mix2_rule(lo / hi) / [[hi], [1.0]], 2)
+        return _angle_cdf(t, rule / [[hi], [1.0]], 2)
 
     def _draw(self, rng, n):
         z = rng.standard_normal((n, 2))

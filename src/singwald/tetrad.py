@@ -28,7 +28,7 @@ tetrads are flagged, not raised.  The calibration simulation in
 
 from __future__ import annotations
 
-import csv
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
@@ -222,11 +222,59 @@ def all_tetrads(p: int):
 
 def load_data_csv(path) -> DataMatrix:
     """Read a CSV data matrix; a first row that is not all numbers is the
-    header, and a row of empty fields is skipped.  Faults name their line."""
+    header, and a row of empty fields is skipped.  Faults name their line,
+    a non-finite value among them.
+
+    A file without a ``"`` is parsed in one array pass.  A quoted file, and
+    any file that pass rejects, is read record by record through the
+    ``csv`` module, which names the first fault and its line."""
     path = str(path)
+    text = read_input(path)
+    lines = list(content_lines(text))
+    values = None if '"' in text else _parse_unquoted(lines)
+    if values is None:
+        values = _parse_records(lines, path)
+    try:
+        return DataMatrix(values=values)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from exc
+
+
+def _parse_unquoted(lines):
+    """The data rows of quote-free content lines as one array, or None if
+    they hold a fault: a ragged or all-empty row, a token numpy does not
+    read (``1_0`` among them, which Python's ``float`` does), a non-finite
+    value, or no data row at all."""
+    for start, (_, line) in enumerate(lines):
+        head = [tok.strip() for tok in line.split(",")]
+        if any(head):
+            break
+    else:
+        return None
+    try:
+        for tok in head:
+            float(tok)
+    except ValueError:
+        start += 1  # the header
+    rows = [line for _, line in lines[start:]]
+    if not rows:
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), len(head)) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_records(lines, path) -> np.ndarray:
+    """The data rows of content lines, parsed record by record, so that a
+    quoted field may hold a comma or span lines; raises at the first fault."""
+    import csv
+
     rows: list[list[float]] = []
     width = None
-    lines = list(content_lines(read_input(path)))
     reader = csv.reader(line for _, line in lines)
     consumed = 0
     for row in reader:
@@ -243,13 +291,15 @@ def load_data_csv(path) -> DataMatrix:
         elif len(row) != width:
             raise ParseError(f"row has {len(row)} fields, expected {width}", path, lineno)
         try:
-            rows.append([float(tok) for tok in row])
+            values = [float(tok) for tok in row]
         except ValueError as exc:
             if not first:
                 raise ParseError(f"bad numeric field: {exc}", path, lineno) from None
+            continue
+        for tok, value in zip(row, values):
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite numeric field: {tok!r}", path, lineno)
+        rows.append(values)
     if not rows:
         raise ParseError("no data rows found", path)
-    try:
-        return DataMatrix(values=np.array(rows))
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return np.array(rows)

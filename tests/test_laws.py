@@ -341,6 +341,18 @@ class TestMix2AngleRule:
             got = TwoChiSquareMix(w, w).cdf(t)
         np.testing.assert_allclose(got, -np.expm1(-np.arange(4.0) / 2.0), rtol=1e-14, atol=0.0)
 
+    def test_tiny_larger_weight_with_a_small_ratio_scales_t(self):
+        # the largest rate over w_hi overflows here, so cdf scales t instead:
+        # the law at t is the law of weights (1, ratio) at t / w_hi
+        law, t = TwoChiSquareMix(1e-300, 1e-315), 1e-300 * np.arange(0.0, 40.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = law.cdf(t)
+            median = law.quantile(0.5)
+        np.testing.assert_array_equal(got, TwoChiSquareMix(1.0, 1e-315 / 1e-300).cdf(t / 1e-300))
+        assert got[0] == 0.0 and np.all(np.diff(got) >= 0.0) and got[-1] <= 1.0
+        assert law.cdf(median) == pytest.approx(0.5, abs=1e-12)
+
     def test_tiny_ratio_takes_the_larger_weight(self):
         # below a ratio of 1e-16 the law is evaluated as chi-square-1 scaled
         # by the larger weight, within (2/pi)*sqrt(ratio) of the mixture

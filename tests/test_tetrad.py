@@ -1,12 +1,17 @@
+import ast
+import csv
+import math
+import re
 from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from singwald.classify import classify
 from singwald.cli import run
-from singwald.errors import ParseError
+from singwald.errors import ParseError, content_lines, read_input
 from singwald.gaussian import make_generator, validate_covariance
 from singwald.laws import (
     EmpiricalDistribution,
@@ -649,6 +654,143 @@ class TestCsvLoading:
             load_data_csv(path)
         assert str(info.value).startswith(f"{path}: ")
         assert "need at least 4 columns, got 3" in str(info.value)
+
+    def test_non_finite_value_names_its_line(self, tmp_path):
+        rows = ["1,2,3,4"] * 6
+        rows[2], rows[4] = "1,2,nan,4", "inf,2,3,4"
+        with pytest.raises(ParseError, match=r"data\.csv:4: non-finite numeric field: 'nan'$"):
+            self.load(tmp_path, "a,b,c,d\n" + "\n".join(rows) + "\n")
+
+    def test_non_finite_value_before_a_ragged_row_is_the_first_fault(self, tmp_path):
+        # faults are reported in file order, a non-finite value among them
+        text = "1,2,3,4\n1,2,3,1e999\n1,2,3\n"
+        with pytest.raises(ParseError, match=r"data\.csv:2: non-finite numeric field: '1e999'$"):
+            self.load(tmp_path, text)
+
+    def test_non_finite_value_in_a_quoted_file_names_its_line(self, tmp_path):
+        text = 'a,"b\nc",d,e\n' + "1,2,3,4\n" * 3 + '1,"-inf",3,4\n' + "1,2,3,4\n" * 2
+        with pytest.raises(ParseError, match=r"data\.csv:6: non-finite numeric field: '-inf'$"):
+            self.load(tmp_path, text)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", "\u00a03"])
+    def test_python_float_tokens_numpy_refuses_still_parse(self, tmp_path, token):
+        rows = [f"{i},2,3,{i}.5" for i in range(6)]
+        rows[3] = f"{token},2,3,3.5"
+        data = self.load(tmp_path, "\n".join(rows) + "\n")
+        assert data.values[3, 0] == float(token)
+        assert data.values[[0, 5], 3].tolist() == [0.5, 5.5]
+
+
+def _reference_load_data_csv(path) -> DataMatrix:
+    """The record-by-record reader that ``load_data_csv`` replaced, kept
+    verbatim as the reference for its values and its fault messages."""
+    path = str(path)
+    rows: list[list[float]] = []
+    width = None
+    lines = list(content_lines(read_input(path)))
+    reader = csv.reader(line for _, line in lines)
+    consumed = 0
+    for row in reader:
+        # A quoted field may span lines: the record starts at the first
+        # content line the reader had not consumed before it.
+        lineno = lines[consumed][0]
+        consumed = reader.line_num
+        row = [tok.strip() for tok in row]
+        if not any(row):
+            continue
+        first = width is None
+        if first:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"row has {len(row)} fields, expected {width}", path, lineno)
+        try:
+            rows.append([float(tok) for tok in row])
+        except ValueError as exc:
+            if not first:
+                raise ParseError(f"bad numeric field: {exc}", path, lineno) from None
+    if not rows:
+        raise ParseError("no data rows found", path)
+    try:
+        return DataMatrix(values=np.array(rows))
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from exc
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1e5", ".5", "-0", "+3.", "1E-3", "-0.0", "1e-400", "007"]),
+)
+_ODD = st.sampled_from([
+    "nan", "-inf", "Infinity", "+NaN", "1e999", "1_0", "\u0661\u0662", "\u00a02", "0x10",
+    "x", "", "a b", "1 2", '"1.5"', '"a,b"', '"2\n3"', '" 4 "', '"x"',
+])
+_BLANK = st.sampled_from(["", "   ", ",", ",,,", " , ,", "# a note", "\t# a note, with a comma"])
+_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+
+
+@st.composite
+def _csv_files(draw):
+    """The text of a CSV file that mixes the input format's features."""
+    width = draw(st.integers(3, 5))
+    odd_percent = draw(st.sampled_from([0, 0, 0, 2, 10, 40]))
+    lines = [draw(_BLANK) for _ in range(draw(st.integers(0, 2)))]
+    header = draw(st.sampled_from([None, "names", "one name"]))
+    if header is not None:
+        names = [f"x{j}" for j in range(width)]
+        if header == "one name":
+            names = ["1.5"] * (width - 1) + [" y "]
+        lines.append(",".join(names))
+    for _ in range(draw(st.integers(0, 12))):
+        n_fields = width if draw(st.integers(0, 39)) else draw(st.integers(1, 7))
+        fields = [
+            draw(_PAD) + draw(_ODD if draw(st.integers(0, 99)) < odd_percent else _NUMBER)
+            + draw(_PAD)
+            for _ in range(n_fields)
+        ]
+        line = ",".join(fields)
+        if not draw(st.integers(0, 9)):
+            line += draw(st.sampled_from([" # a note, with a comma", "#"]))
+        lines.append(line)
+        if not draw(st.integers(0, 7)):
+            lines.append(draw(_BLANK))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n,,\n"]))
+
+
+def _outcome(load, path):
+    try:
+        return load(path).values
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_csv_files(), bom=st.booleans())
+def test_load_data_csv_matches_the_record_reader(tmp_path_factory, text, bom):
+    path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+    path.write_text(text, encoding="utf-8-sig" if bom else "utf-8")
+    want = _outcome(_reference_load_data_csv, path)
+    got = _outcome(load_data_csv, path)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        event("a data matrix")
+        return
+    if got == want:
+        assert not got.endswith(": data contains non-finite entries")
+        event("the same fault")
+        return
+    event("a non-finite value named first")
+    # the one declared change: a non-finite value is a fault of its line,
+    # reported before any fault the reference found later in the file or
+    # without a line (its own non-finite message among them)
+    loc = re.escape(str(path))
+    blamed = re.fullmatch(rf"{loc}:(\d+): non-finite numeric field: (.*)", got)
+    assert blamed, (got, want)
+    assert not math.isfinite(float(ast.literal_eval(blamed[1 + 1])))
+    ref_line = re.match(rf"{loc}:(\d+): ", want)
+    assert ref_line is None or int(ref_line[1]) > int(blamed[1]), (got, want)
 
 
 def test_all_tetrads_enumeration():
