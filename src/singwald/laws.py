@@ -33,8 +33,9 @@ The branch zoo
 with P the regularized lower incomplete gamma function.  This module builds
 their node rules, cached per law parameter.  The mix2 rule (``_mix2_rule``,
 k = 2) is a midpoint rule in a rescaled polar angle, keyed by the weight
-ratio w_lo/w_hi alone and scaled by w_hi in ``cdf``; the test suite pins it
-within 1e-12 of a 30-digit angle integral for weight ratios down to 1e-8.
+ratio w_lo/w_hi alone and scaled by w_hi in ``cdf`` (its rates, or t where
+a tiny w_hi would overflow the rates); the test suite pins it within 1e-12
+of a 30-digit angle integral for weight ratios down to 1e-8.
 Below a ratio of 1e-16 the smaller component is dropped, within
 (2/pi)*sqrt(ratio).  The folded-Beta rule (``_fb_rule``, k = k1 + k2) takes
 Gauss-Legendre panels in the Beta angle, graded toward the angle where the

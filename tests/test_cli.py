@@ -691,7 +691,6 @@ def test_each_command_loads_only_what_it_runs(argv, unused, command_inputs):
     assert not {f"singwald.{name}" for name in unused} & set(loaded)
 
 
-
 def test_tetrad_scan_reads_an_unquoted_csv_without_the_csv_module(tmp_path):
     # the one-pass parse serves the benchmark's file; a quoted field still
     # goes through the csv module
@@ -700,6 +699,7 @@ def test_tetrad_scan_reads_an_unquoted_csv_without_the_csv_module(tmp_path):
     assert _modules_after(_RUN_ARGV, "csv", *argv) == []
     path.write_text(path.read_text().replace("x1,", '"x1",', 1))
     assert _modules_after(_RUN_ARGV, "csv", *argv) == ["csv"]
+
 
 def test_importing_the_cli_loads_no_other_module():
     assert _modules_after("import singwald.cli", "singwald") == ["singwald", "singwald.cli"]
@@ -757,7 +757,6 @@ def test_power_of_two_scaled_mix2_tables_raise_no_float_warning(k):
         assert proc.returncode == 0, proc.stderr
 
 
-
 def test_tiny_weights_with_a_small_ratio_print_the_mix2_law():
     spec = "mix2:1e-300:1e-315"
     proc = subprocess.run(
@@ -775,6 +774,7 @@ def test_tiny_weights_with_a_small_ratio_print_the_mix2_law():
         env=_PROCESS_ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
 
 def _error_lines(stderr: str) -> list[str]:
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
