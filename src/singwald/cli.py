@@ -259,9 +259,9 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
 
     if args.command == "quantile":
         law = _cli.parse_law(args.law)
-        if args.probs:
+        if args.probs is not None:
             probs = _parse_list("--probs", args.probs)
-        elif args.grid:
+        elif args.grid is not None:
             probs = list(_parse_grid(args.grid))
         else:
             raise ValueError("provide --probs or --grid")

@@ -39,7 +39,9 @@ of a 30-digit angle integral for weight ratios down to 1e-8.
 Below a ratio of 1e-16 the smaller component is dropped, within
 (2/pi)*sqrt(ratio).  The folded-Beta rule (``_fb_rule``, k = k1 + k2) takes
 Gauss-Legendre panels in the Beta angle, graded toward the angle where the
-rate diverges; agreement with adaptive quadrature is pinned below 1e-9.
+rate diverges; the test suite pins it within 2e-9 of adaptive quadrature for
+k1 + k2 <= 8.  Its error grows with k: about 1e-5 at k1 = k2 = 50 and 2e-3
+at 201:200.
 
 Every distribution function is evaluated in ``singwald.special``, which
 also holds the root finder: the mixtures by its ``_angle_cdf`` over a rule
@@ -153,13 +155,15 @@ class ScaledChiSquare(LimitLaw):
         object.__setattr__(self, "df", _positive_int(self.df))
 
     def cdf(self, t):
-        return chi2_cdf(np.asarray(t, dtype=float) / self.scale, self.df)
+        with np.errstate(over="ignore"):  # t / scale = inf is F = 1
+            return chi2_cdf(np.asarray(t, dtype=float) / self.scale, self.df)
 
     def _draw(self, rng, n):
         return self.scale * rng.chisquare(self.df, n)
 
     def sf(self, t):
-        return chi2_sf(np.asarray(t, dtype=float) / self.scale, self.df)
+        with np.errstate(over="ignore"):  # t / scale = inf is sf = 0
+            return chi2_sf(np.asarray(t, dtype=float) / self.scale, self.df)
 
     def _log_pdf(self, t):
         a, x = self.df / 2.0, t / (2.0 * self.scale)
@@ -226,7 +230,8 @@ class TwoChiSquareMix(LimitLaw):
     def cdf(self, t):
         hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
         if lo / hi < _MIX2_RATIO_MIN:
-            return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
+            with np.errstate(over="ignore"):  # t / hi = inf is F = 1
+                return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
         rule = _mix2_rule(lo / hi)
         if hi < 1.0 and rule[0].max() >= hi * np.finfo(float).max:
             # the scaled rates would overflow (a tiny w_hi): scale t instead,

@@ -12,3 +12,9 @@ def quartic():
     f = HomogeneousPolynomial.from_terms([(1.0, (1, 1, 1, 1))]).compose_linear(b)
     assert len(f.terms) == 35
     return f
+
+
+@pytest.fixture
+def tetrad_form():
+    """The tetrad polynomial x1*x4 - x2*x3."""
+    return HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])

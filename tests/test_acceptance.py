@@ -20,7 +20,7 @@ from singwald.laws import (
     TetradSingular,
     tetrad_singular_cdf,
 )
-from singwald.poly import HomogeneousPolynomial, MonomialForm, QuadraticForm
+from singwald.poly import MonomialForm, QuadraticForm
 from singwald.sampler import WaldSampleConfig, ks_distance, sample_wald
 from singwald.verify import (
     _finite,
@@ -45,10 +45,6 @@ def _report(num: int, desc: str, passed: bool, detail: str = "") -> None:
 
 def _cov2(rho: float):
     return validate_covariance([[1.0, rho], [rho, 1.0]])
-
-
-def tetrad_poly():
-    return HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])
 
 
 def test_criterion_1_monomial_laws():
@@ -122,9 +118,9 @@ def test_criterion_2_bivariate_quadratic_classification():
     )
 
 
-def test_criterion_3_tetrad_law():
+def test_criterion_3_tetrad_law(tetrad_form):
     rng = np.random.default_rng(SEED + 1)
-    a = tetrad_poly().to_quadratic_form()
+    a = tetrad_form.to_quadratic_form()
     mismatches = 0
     for _ in range(100):
         v = rng.uniform(0.3, 3.0, 4)

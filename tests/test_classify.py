@@ -13,7 +13,7 @@ from singwald.laws import (
     TetradSingular,
     TwoChiSquareMix,
 )
-from singwald.poly import HomogeneousPolynomial, QuadraticForm
+from singwald.poly import QuadraticForm
 from singwald.sampler import WaldSampleConfig, ks_distance, sample_wald
 
 
@@ -308,9 +308,8 @@ def test_classify_machine_line_format():
     assert "upper=scaled-chisq:0.25:4" in line
 
 
-def test_classify_polynomial_entry_point():
+def test_classify_polynomial_entry_point(tetrad_form):
     # classify the tetrad form built from its polynomial, not the matrix
-    f = HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])
     s = np.array([[2.0, 0.4], [0.4, 1.0]])
-    cls = classify(f.to_quadratic_form(), validate_covariance(np.kron(s, s)))
+    cls = classify(tetrad_form.to_quadratic_form(), validate_covariance(np.kron(s, s)))
     assert cls.law == FoldedBetaProduct(2, 2)

@@ -583,8 +583,11 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
     # every node density of the folded-Beta rule underflows to 0
     (("cdf", "beta-fold:2000:2000", "--grid", "0:2000:500"), None, "node masses underflow"),
     (("quantile", "beta-fold:2000:2000", "--probs", "0.5"), None, "node masses underflow"),
+    # an empty option is given, not missing
+    (("quantile", "tetrad", "--probs", ""), None, "--probs must be comma-separated numbers, got ''"),
+    (("quantile", "tetrad", "--grid", ""), None, "grid must be start:stop:step"),
 ], ids=["grid", "wald-seed", "moment-order", "tetrad-index", "underflow-cdf",
-        "underflow-quantile"])
+        "underflow-quantile", "empty-probs", "empty-grid"])
 def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv, monkeypatch,
                                                 capsys):
     if wald_seed is None:
@@ -758,22 +761,22 @@ def test_power_of_two_scaled_mix2_tables_raise_no_float_warning(k):
 
 
 def test_tiny_weights_with_a_small_ratio_print_the_mix2_law():
-    spec = "mix2:1e-300:1e-315"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "singwald.cli",
-         "cdf", spec, "--grid", "0:3e-300:1e-300"],
-        env=_PROCESS_ENV, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[1:] == [
-        "0\t0", "1e-300\t0.682689492137", "2e-300\t0.84270079295", "3e-300\t0.916735483336",
-    ]
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "singwald.cli",
-         "quantile", spec, "--probs", "0.5"],
-        env=_PROCESS_ENV, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # a t that overflows t / scale to inf is F = 1, for the scaled chi-square
+    # law and for the chi-square-1 fallback of a mix2 ratio below 1e-16
+    at_inf = ["0\t0", "10000000000\t1", "20000000000\t1"]
+    for argv, rows in [
+        (("cdf", "mix2:1e-300:1e-315", "--grid", "0:3e-300:1e-300"),
+         ["0\t0", "1e-300\t0.682689492137", "2e-300\t0.84270079295", "3e-300\t0.916735483336"]),
+        (("quantile", "mix2:1e-300:1e-315", "--probs", "0.5"), None),
+        (("cdf", "scaled-chisq:1e-300:1", "--grid", "0:2e10:1e10"), at_inf),
+        (("cdf", "mix2:1e-300:1e-320", "--grid", "0:2e10:1e10"), at_inf),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "singwald.cli", *argv],
+            env=_PROCESS_ENV, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert rows is None or proc.stdout.splitlines()[1:] == rows, argv
 
 
 def _error_lines(stderr: str) -> list[str]:

@@ -151,6 +151,14 @@ class TestScaledChiSquare:
         emp = ScaledChiSquare(0.25, 1).sample(10**6, 31)
         assert emp.mean() == pytest.approx(0.25, abs=0.005)
 
+    def test_t_over_a_tiny_scale_overflows_to_the_tail(self):
+        # t / scale = inf is F = 1 and sf = 0, without a float warning
+        law = ScaledChiSquare(1e-300, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert law.sf(1e10) == 0.0
+            assert law.cdf(1e10) == 1.0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ScaledChiSquare(0.0, 1)

@@ -26,13 +26,9 @@ def format_polynomial(f: HomogeneousPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tetrad_poly():
-    return HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])
-
-
 class TestEvaluate:
-    def test_tetrad_at_1234(self):
-        assert tetrad_poly().evaluate([1.0, 2.0, 3.0, 4.0]) == -2.0
+    def test_tetrad_at_1234(self, tetrad_form):
+        assert tetrad_form.evaluate([1.0, 2.0, 3.0, 4.0]) == -2.0
 
     def test_zero_factor(self):
         f = HomogeneousPolynomial.from_terms([(1.0, (1, 1))])
@@ -42,14 +38,13 @@ class TestEvaluate:
         f = HomogeneousPolynomial.from_terms([(1.0, (2, 0)), (1.0, (0, 2))])
         assert f.evaluate([3.0, 4.0]) == 25.0
 
-    def test_batch_rows(self):
-        f = tetrad_poly()
+    def test_batch_rows(self, tetrad_form):
         pts = np.array([[1.0, 2, 3, 4], [1, 0, 0, 1], [0, 0, 0, 0]])
-        np.testing.assert_allclose(f.evaluate(pts), [-2.0, 1.0, 0.0])
+        np.testing.assert_allclose(tetrad_form.evaluate(pts), [-2.0, 1.0, 0.0])
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, tetrad_form):
         with pytest.raises(ValueError, match="dimension"):
-            tetrad_poly().evaluate([1.0, 2.0])
+            tetrad_form.evaluate([1.0, 2.0])
 
 
 class TestGradient:
@@ -57,21 +52,20 @@ class TestGradient:
         f = HomogeneousPolynomial.from_terms([(1.0, (1, 1))])
         np.testing.assert_allclose(f.gradient([2.0, 7.0]), [7.0, 2.0])
 
-    def test_tetrad_gradient_pattern(self):
+    def test_tetrad_gradient_pattern(self, tetrad_form):
         # variables ordered as the four cross covariances (13, 14, 23, 24)
-        f = tetrad_poly()
         t13, t14, t23, t24 = 0.3, -1.2, 0.8, 2.0
         np.testing.assert_allclose(
-            f.gradient([t13, t14, t23, t24]), [t24, -t23, -t14, t13]
+            tetrad_form.gradient([t13, t14, t23, t24]), [t24, -t23, -t14, t13]
         )
 
     def test_power_rule(self):
         f = HomogeneousPolynomial.from_terms([(1.0, (2, 0)), (1.0, (0, 2))])
         np.testing.assert_allclose(f.gradient([1.0, 1.0]), [2.0, 2.0])
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, tetrad_form):
         with pytest.raises(ValueError, match="dimension"):
-            tetrad_poly().gradient([1.0])
+            tetrad_form.gradient([1.0])
 
 
 class TestScale:
@@ -84,12 +78,12 @@ class TestScale:
         g = f.scale(-1.0)
         assert g.evaluate([2.0, 1.0]) == -f.evaluate([2.0, 1.0]) == -3.0
 
-    def test_linearity_at_point(self):
-        assert tetrad_poly().scale(2.0).evaluate([1.0, 2, 3, 4]) == -4.0
+    def test_linearity_at_point(self, tetrad_form):
+        assert tetrad_form.scale(2.0).evaluate([1.0, 2, 3, 4]) == -4.0
 
-    def test_zero_rejected(self):
+    def test_zero_rejected(self, tetrad_form):
         with pytest.raises(ValueError, match="nonzero"):
-            tetrad_poly().scale(0.0)
+            tetrad_form.scale(0.0)
 
 
 class TestComposeLinear:
@@ -107,13 +101,13 @@ class TestComposeLinear:
         g = f.compose_linear([[2.0, 0.0], [0.0, 3.0]])
         assert g.terms == ((6.0, (1, 1)),)
 
-    def test_singular_rejected(self):
+    def test_singular_rejected(self, tetrad_form):
         with pytest.raises(ValueError, match="singular"):
-            tetrad_poly().compose_linear(np.ones((4, 4)))
+            tetrad_form.compose_linear(np.ones((4, 4)))
 
-    def test_wrong_shape_rejected(self):
+    def test_wrong_shape_rejected(self, tetrad_form):
         with pytest.raises(ValueError, match=r"matrix must be 4x4, got \(3, 3\)"):
-            tetrad_poly().compose_linear(np.eye(3))
+            tetrad_form.compose_linear(np.eye(3))
 
     def test_composition_matches_pointwise(self):
         # f(Bx) evaluated two ways at many points, and the chain rule
@@ -132,10 +126,10 @@ class TestComposeLinear:
 
 
 class TestQuadraticForm:
-    def test_tetrad_matrix_is_half_kronecker(self):
+    def test_tetrad_matrix_is_half_kronecker(self, tetrad_form):
         # x1*x4 - x2*x3 corresponds to half the +-1 Kronecker pattern, since
         # off-diagonal coefficients split across the symmetric pair.
-        a = tetrad_poly().to_quadratic_form()
+        a = tetrad_form.to_quadratic_form()
         m = np.kron([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_array_equal(a.a, 0.5 * m)
 
@@ -487,9 +481,9 @@ class TestRowQuadratic:
 
 
 class TestTextFormat:
-    def test_parse_with_comments(self):
+    def test_parse_with_comments(self, tetrad_form):
         f = parse_polynomial("# tetrad\n1 1 0 0 1\n-1 0 1 1 0  # second term\n")
-        assert f.terms == tetrad_poly().terms
+        assert f.terms == tetrad_form.terms
 
     def test_dimension_inferred(self):
         f = parse_polynomial("2.5 3 0\n")
@@ -539,8 +533,8 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=message):
             parse_polynomial(text, "c.poly")
 
-    def test_file_with_byte_order_mark(self, tmp_path):
+    def test_file_with_byte_order_mark(self, tmp_path, tetrad_form):
         path = tmp_path / "bom.poly"
         path.write_text("1 1 0 0 1\n-1 0 1 1 0\n", encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert load_polynomial(path).terms == tetrad_poly().terms
+        assert load_polynomial(path).terms == tetrad_form.terms

@@ -208,13 +208,12 @@ class TestStreamedBatches:
 
 
 class TestPathwiseInvariance:
-    def test_scale_power_of_two_bitwise(self):
-        f = HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])
+    def test_scale_power_of_two_bitwise(self, tetrad_form):
         sigma = validate_covariance(np.eye(4))
         cfg = WaldSampleConfig(n=2000, seed=13)
-        base = sample_wald(f, sigma, cfg)
+        base = sample_wald(tetrad_form, sigma, cfg)
         for c in (2.0, 0.5, -4.0):
-            scaled = sample_wald(f.scale(c), sigma, cfg)
+            scaled = sample_wald(tetrad_form.scale(c), sigma, cfg)
             assert np.array_equal(base.values, scaled.values), c
 
     def test_scale_general_close(self):
@@ -224,10 +223,9 @@ class TestPathwiseInvariance:
         scaled = sample_wald(f.scale(3.0), cov2(0.4), cfg)
         np.testing.assert_allclose(scaled.values, base.values, rtol=1e-12)
 
-    def test_linear_reparameterization_coupled(self):
+    def test_linear_reparameterization_coupled(self, tetrad_form):
         # with the coupled factor B^{-1} B_Sigma the transformed problem
         # reproduces the base draws to 1e-8 relative
-        f = HomogeneousPolynomial.from_terms([(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))])
         sigma = validate_covariance(
             np.array(
                 [
@@ -242,10 +240,10 @@ class TestPathwiseInvariance:
         b = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
         b_inv = np.linalg.inv(b)
         cfg = WaldSampleConfig(n=3000, seed=16)
-        base = sample_wald(f, sigma, cfg)
+        base = sample_wald(tetrad_form, sigma, cfg)
         coupled = b_inv @ factor(sigma)
         sigma_t = validate_covariance(b_inv @ sigma.sigma @ b_inv.T)
-        moved = sample_wald(f.compose_linear(b), sigma_t, cfg, sampler=coupled)
+        moved = sample_wald(tetrad_form.compose_linear(b), sigma_t, cfg, sampler=coupled)
         np.testing.assert_allclose(moved.values, base.values, rtol=1e-8)
 
 

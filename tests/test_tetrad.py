@@ -19,7 +19,6 @@ from singwald.laws import (
     chi2_sf,
     tetrad_singular_cdf,
 )
-from singwald.poly import HomogeneousPolynomial
 from singwald.sampler import two_sample_ks
 from singwald.tetrad import (
     DataMatrix,
@@ -198,19 +197,16 @@ class TestTetradStat:
         np.testing.assert_array_equal(grad, np.zeros(4))
         assert_kernel_matches(theta, IDX, 0.0)
 
-    def test_gradient_matches_polynomial(self):
+    def test_gradient_matches_polynomial(self, tetrad_form):
         # same ordering as the quadratic form on (t_ik, t_il, t_jk, t_jl)
-        f = HomogeneousPolynomial.from_terms(
-            [(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))]
-        )
         rng = np.random.default_rng(31)
         theta = rng.standard_normal((4, 4))
         theta = (theta + theta.T) / 2
         gamma, grad = tetrad_stat(theta, IDX)
         coords = np.array([theta[0, 2], theta[0, 3], theta[1, 2], theta[1, 3]])
-        assert gamma == pytest.approx(f.evaluate(coords))
-        np.testing.assert_allclose(grad, f.gradient(coords))
-        assert_kernel_matches(theta, IDX, f.evaluate(coords))
+        assert gamma == pytest.approx(tetrad_form.evaluate(coords))
+        np.testing.assert_allclose(grad, tetrad_form.gradient(coords))
+        assert_kernel_matches(theta, IDX, tetrad_form.evaluate(coords))
 
     def test_distinct_indices_required(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -520,12 +516,9 @@ class TestCalibration:
 
 
 class TestSingularLimitLaw:
-    def test_block_diagonal_classifies_as_tetrad_law(self):
+    def test_block_diagonal_classifies_as_tetrad_law(self, tetrad_form):
         # the limit of the Wald statistic at a block-diagonal truth is the
         # tetrad singular law for every positive definite block pair
-        f = HomogeneousPolynomial.from_terms(
-            [(1.0, (1, 0, 0, 1)), (-1.0, (0, 1, 1, 0))]
-        )
         rng = np.random.default_rng(41)
         for _ in range(10):
             v = rng.uniform(0.3, 3.0, 4)
@@ -538,7 +531,7 @@ class TestSingularLimitLaw:
             )
             theta = np.block([[b1, np.zeros((2, 2))], [np.zeros((2, 2)), b2]])
             sigma_c = asymptotic_v_normal(theta, tetrad_pairs(IDX))
-            cls = classify(f.to_quadratic_form(), validate_covariance(sigma_c))
+            cls = classify(tetrad_form.to_quadratic_form(), validate_covariance(sigma_c))
             assert cls.law == FoldedBetaProduct(2, 2)
 
     def test_cdf_dominance_of_singular_law(self):
