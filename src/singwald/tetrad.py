@@ -19,26 +19,28 @@ heuristic flags which regime the data resemble; the hint never changes the
 p-values.
 
 One batched kernel, :func:`tetrad_wald`, computes the statistic for m
-tetrads of one covariance or of a stack of covariances, with no Python loop
-over tetrads.  :func:`wald_tetrad_test` applies it to data: one empirical
-covariance serves one tetrad or every tetrad of a scan, and degenerate
-tetrads are flagged, not raised.  The calibration simulation in
+tetrads of one covariance or of a stack of covariances, in blocks of
+``_BLOCK`` tetrads with no Python loop within a block.
+:func:`wald_tetrad_test` applies it to data: one empirical covariance
+serves one tetrad or every tetrad of a scan, and degenerate tetrads are
+flagged, not raised.  The calibration simulation in
 ``singwald.verify`` calls the kernel on a stack of covariances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import ParseError, content_lines, read_input
 # tetrad_singular_cdf is unused here but stays importable from this module,
 # where bench/tracer.py wraps it by name.
-from .special import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
+from .special import _BLOCK, chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
 
 __all__ = [
     "DataMatrix",
@@ -118,7 +120,9 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
 
     ``pairs`` is a sequence of (a, b) or an integer array of shape
     (..., q, 2); ``theta`` may be a stack of shape (..., p, p).  The result
-    has shape (theta stack..., pairs stack..., q, q).
+    has shape (theta stack..., pairs stack..., q, q).  It is filled row by
+    row from gathers of the flattened theta, so besides the result it holds
+    one buffer of the result's size and three of a row's.
     """
     theta = np.asarray(theta, dtype=float)
     if np.abs(theta - np.swapaxes(theta, -1, -2)).max() > 1e-10 * max(
@@ -126,13 +130,38 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
     ):
         raise ValueError("theta must be symmetric")
     pairs = np.asarray(pairs, dtype=np.intp)
-    a, b = pairs[..., 0], pairs[..., 1]
-    a_row, b_row = a[..., :, None], b[..., :, None]
-    a_col, b_col = a[..., None, :], b[..., None, :]
-    return (
-        theta[..., a_row, a_col] * theta[..., b_row, b_col]
-        + theta[..., a_row, b_col] * theta[..., b_row, a_col]
-    )
+    p = theta.shape[-1]
+    if pairs.size and not -p <= pairs.min() <= pairs.max() < p:
+        raise IndexError(f"pair index out of range for p={p}")
+    if pairs.size and pairs.min() < 0:
+        pairs = pairs % p
+    # theta's p * p entries lead, so a gather copies whole runs over the
+    # theta stack.  Row r of the result is built in v[r] of a (q, q, pairs
+    # stack..., theta stack...) buffer, and the last copy puts it in result
+    # order.  The index and gather buffers are reused, because fresh
+    # temporaries of this size cost more in allocation than in arithmetic;
+    # the range check above makes mode="clip" exact.
+    stack = theta.shape[:-2]
+    flat = np.moveaxis(theta.reshape(stack + (p * p,)), -1, 0).copy()
+    a = np.moveaxis(pairs[..., 0], -1, 0).copy()
+    b = np.moveaxis(pairs[..., 1], -1, 0).copy()
+    q = pairs.shape[-2]
+    v = np.empty((q, q) + pairs.shape[:-2] + stack)
+    cell = np.empty(a.shape, dtype=np.intp)
+    cross, tmp = np.empty((2,) + v.shape[1:])
+    take = functools.partial(np.take, flat, axis=0, mode="clip")
+    for r in range(q):
+        a_row, b_row, row = a[r] * p, b[r] * p, v[r]
+        take(np.add(a_row, a, out=cell), out=row)  # theta_ac
+        take(np.add(b_row, b, out=cell), out=tmp)  # theta_bd
+        np.multiply(row, tmp, out=row)
+        take(np.add(a_row, b, out=cell), out=cross)  # theta_ad
+        take(np.add(b_row, a, out=cell), out=tmp)  # theta_bc
+        np.multiply(cross, tmp, out=cross)
+        np.add(row, cross, out=row)
+    n_pairs = pairs.ndim - 2
+    order = [*range(2 + n_pairs, v.ndim), *range(2, 2 + n_pairs), 0, 1]
+    return v.transpose(order).copy()
 
 
 # Positions in (i, j, k, l) of the pairs C = (ik, il, jk, jl).
@@ -159,32 +188,52 @@ class TetradWald:
 def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
     """Wald statistics of the tetrads ``idx`` (shape (..., 4), rows i, j, k, l)
     of a covariance ``theta`` of shape (p, p), or of a stack (..., p, p),
-    each estimated from n observations."""
+    each estimated from n observations.
+
+    The flattened tetrads run in blocks of ``_BLOCK``, each written into
+    the preallocated fields, so a scan holds its result and one block's
+    temporaries."""
     theta = np.asarray(theta, dtype=float)
     idx = np.asarray(idx, dtype=np.intp)
-    i, j, k, l = np.moveaxis(idx, -1, 0)
-    t_ik, t_il = theta[..., i, k], theta[..., i, l]
-    t_jk, t_jl = theta[..., j, k], theta[..., j, l]
-    gamma = t_ik * t_jl - t_il * t_jk
-    grad = np.stack([t_jl, -t_jk, -t_il, t_ik], axis=-1)
-    vmat = asymptotic_v_normal(theta, idx[..., _PAIR_POSITIONS])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = np.einsum("...i,...ij,...j->...", grad, vmat, grad)
-        t_stat = n * gamma**2 / denom
-        p_regular = chi2_sf(t_stat, 1)
-        p_singular = tetrad_singular_sf(t_stat)
-    grad_sq = np.einsum("...i,...i->...", grad, grad)
-    threshold = 4.0 * np.diagonal(vmat, axis1=-2, axis2=-1).max(axis=-1) * np.sqrt(
-        np.log(n) / n
-    )
+    rows = idx.reshape(-1, 4)
+    flat_shape = theta.shape[:-2] + rows.shape[:1]
+    gamma, t_stat, p_regular, p_singular = (np.empty(flat_shape) for _ in range(4))
+    regime_hint = np.empty(flat_shape, dtype="<U13")
+    degenerate = np.empty(flat_shape, dtype=bool)
+    scale = np.sqrt(np.log(n) / n)
+    for start in range(0, rows.shape[0], _BLOCK):
+        block = rows[start : start + _BLOCK]
+        out = (..., slice(start, start + _BLOCK))
+        i, j, k, l = block.T
+        t_ik, t_il = theta[..., i, k], theta[..., i, l]
+        t_jk, t_jl = theta[..., j, k], theta[..., j, l]
+        gamma[out] = t_ik * t_jl - t_il * t_jk
+        grad = np.stack([t_jl, -t_jk, -t_il, t_ik], axis=-1)
+        vmat = asymptotic_v_normal(theta, block[:, _PAIR_POSITIONS])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = np.einsum("...i,...ij,...j->...", grad, vmat, grad)
+            t_stat[out] = n * gamma[out] ** 2 / denom
+            p_regular[out] = chi2_sf(t_stat[out], 1)
+            p_singular[out] = tetrad_singular_sf(t_stat[out])
+        grad_sq = np.einsum("...i,...i->...", grad, grad)
+        # the largest of the four variances as a pairwise maximum: a max
+        # along the length-4 diagonal axis steps through it row by row
+        var = np.diagonal(vmat, axis1=-2, axis2=-1)
+        var_max = np.maximum(
+            np.maximum(var[..., 0], var[..., 1]), np.maximum(var[..., 2], var[..., 3])
+        )
+        threshold = 4.0 * var_max * scale
+        regime_hint[out] = np.where(grad_sq < threshold, "near_singular", "regular")
+        degenerate[out] = ~((denom > 0.0) & np.isfinite(denom))
+    shape = theta.shape[:-2] + idx.shape[:-1]
     return TetradWald(
         idx=idx,
-        gamma_hat=gamma,
-        t_stat=t_stat,
-        p_regular=p_regular,
-        p_singular=p_singular,
-        regime_hint=np.where(grad_sq < threshold, "near_singular", "regular"),
-        degenerate=~((denom > 0.0) & np.isfinite(denom)),
+        gamma_hat=gamma.reshape(shape),
+        t_stat=t_stat.reshape(shape),
+        p_regular=p_regular.reshape(shape),
+        p_singular=p_singular.reshape(shape),
+        regime_hint=regime_hint.reshape(shape),
+        degenerate=degenerate.reshape(shape),
     )
 
 
@@ -198,8 +247,8 @@ def wald_tetrad_test(data: DataMatrix, idx) -> TetradWald:
     """
     idx = np.asarray(idx, dtype=np.intp)
     rows = idx.reshape(-1, 4)
-    outside = rows[((rows < 0) | (rows >= data.p)).any(axis=1)]
-    if outside.size:
+    if rows.size and not 0 <= rows.min() <= rows.max() < data.p:
+        outside = rows[((rows < 0) | (rows >= data.p)).any(axis=1)]
         raise ValueError(
             f"tetrad indices {tuple(outside[0].tolist())} out of range for "
             f"p={data.p} columns"
@@ -210,10 +259,13 @@ def wald_tetrad_test(data: DataMatrix, idx) -> TetradWald:
 def tetrad_index_array(p: int) -> np.ndarray:
     """Every tetrad on p columns as rows (i, j, k, l): each 4-subset in its
     3 pairings (ab|cd), (ac|bd), (ad|bc)."""
-    quads = np.array(list(combinations(range(p), 4)), dtype=np.intp).reshape(-1, 4)
+    quads = np.fromiter(
+        chain.from_iterable(combinations(range(p), 4)), dtype=np.intp, count=4 * math.comb(p, 4)
+    ).reshape(-1, 4)
     return quads[:, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]]].reshape(-1, 4)
 
 
+# No program path calls all_tetrads; bench/test_bench.py imports it by name.
 def all_tetrads(p: int):
     """Every tetrad index on p columns: each 4-subset in its 3 pairings."""
     for row in tetrad_index_array(p).tolist():

@@ -5,7 +5,8 @@
 - ``wald sample --n 500000`` on the benchmark's quartic and ``wald
   tetrad-test --all`` on the one-factor CSV of ``test_cli.one_factor_csv``
   (p = 20, n = 1000), both rebuilt the way ``bench/workloads.py`` writes
-  them, at seeds 1, 5 and 23;
+  them, at seeds 1, 5 and 23, and the scan at p = 24, seed 1, whose 31,878
+  tetrads cross a block boundary of the tetrad kernel;
 - ``wald verify --suite all --n 100000`` at seeds 1, 5 and 23.
 
 Each output runs in-process through ``cli.run`` with ``--threads``
@@ -87,6 +88,10 @@ for s in SEEDS:
     CASES[f"tetrad-test one_factor_csv({s}) --all"] = (
         lambda tmp, s=s: ["tetrad-test", "--data", str(one_factor_csv(tmp / "d.csv", s)), "--all"],
         (1,))
+# 31,878 tetrads: the scan crosses a block boundary of the kernel
+CASES["tetrad-test one_factor_csv(1, p=24) --all"] = (
+    lambda tmp: ["tetrad-test", "--data", str(one_factor_csv(tmp / "d.csv", 1, p=24)), "--all"],
+    (1,))
 CASES |= {label: (_words(label), (1, 2))
           for label in (f"--seed {s} verify --suite all --n 100000" for s in SEEDS)}
 

@@ -2,6 +2,7 @@ import ast
 import csv
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import mpmath
@@ -20,6 +21,7 @@ from singwald.laws import (
     tetrad_singular_cdf,
 )
 from singwald.sampler import two_sample_ks
+from singwald.special import _BLOCK
 from singwald.tetrad import (
     DataMatrix,
     TetradIndex,
@@ -250,6 +252,16 @@ class TestAsymptoticVariance:
         assert got.shape == (2, 2, 5, 5)
         np.testing.assert_array_equal(got[1, 0], v_loop(2.0 * theta, pairs))
         np.testing.assert_array_equal(got[0, 1], v_loop(theta, pairs[::-1]))
+        # verify's Bartlett stacks are symmetric only up to rounding, so each
+        # entry must gather theta[a, c], theta[b, d], theta[a, d], theta[b, c]
+        # as written, never a transposed twin
+        skew = _bartlett_scatter(theta, 40, 3, 4) / 40
+        skew = skew + 1e-13 * np.triu(np.ones((5, 5)), 1) * np.abs(skew).max()
+        assert not np.array_equal(skew, np.swapaxes(skew, -1, -2))
+        for q in (1, 4, 5):
+            got = asymptotic_v_normal(skew, pairs[:q])
+            for r in range(skew.shape[0]):
+                np.testing.assert_array_equal(got[r], v_loop(skew[r], pairs[:q]))
 
 
 class TestWaldTetradTest:
@@ -423,6 +435,28 @@ class TestBatchedKernel:
         assert valid == n_valid
         assert f"{45 - n_valid} of 45 tetrads are degenerate" in captured.err
         assert listed in captured.err
+
+    def test_scan_holds_its_record_and_one_block(self):
+        # p = 30: 82,215 tetrads, six blocks.  Building every tetrad's (4, 4)
+        # variance at once holds about 34 MB over the record here; one
+        # block's temporaries come to about 11 MB.
+        a = np.random.default_rng(30).standard_normal((30, 60))
+        theta = a @ a.T / 60
+        idx = tetrad_index_array(30)
+        tetrad_wald(theta, 1000, idx[:3])
+        tracemalloc.start()
+        try:
+            res = tetrad_wald(theta, 1000, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.t_stat.shape == (82215,)
+        record = sum(
+            getattr(res, name).nbytes
+            for name in ("gamma_hat", "t_stat", "p_regular", "p_singular",
+                         "regime_hint", "degenerate")
+        )
+        assert peak <= record + 1024 * _BLOCK, (peak / 2**20, record / 2**20)
 
     def test_index_array_order(self):
         for p in (4, 5, 7):
