@@ -17,6 +17,24 @@ import types
 
 __version__ = "0.1.0"
 
+# Rows, points or values per block of every blocked loop: the polynomial
+# kernel and the row quadratic form of ``poly``, the distribution functions
+# of ``special``, the tetrad kernel, the text of ``textout`` and the row
+# chunks of ``gaussian._chunks``.  Declared here, which every command
+# loads, so that ``special`` and ``textout`` load without ``poly``.
+# 2^14 keeps a block's temporaries in a 2 MB cache and amortises numpy's
+# per-call cost well enough that two sampler threads still scale: at 2^12
+# rows the threads serialised on the interpreter lock, and 2^16 rows saved
+# about a tenth at two threads for four times the temporaries, which are
+# then mapped and faulted in anew.  On 2^18 rows at one BLAS thread
+# (medians of 15 interleaved runs, 2-core Xeon) the row quadratic form
+# took 1.9 / 4.9 / 8.7 / 18.1 ms for k = 2 / 3 / 4 / 6 in blocks of 2^14,
+# against 2.3 / 5.0 / 8.7 / 17.8 ms at 2^13, 2.1 / 6.3 / 11.1 / 24.7 ms at
+# 2^16, and 13.4 / 20.0 / 27.1 / 46.5 ms for the einsum it replaces.  On a
+# sorted sample, text took 1.2 times the time per value of 2^14 in blocks
+# of 2^13 and 1.25 times in blocks of 2^15.
+_BLOCK = 1 << 14
+
 # suite name -> the verification tiers it runs.  Declared here, not in
 # ``verify``, so that the ``wald`` parser lists the suites without loading
 # the checks.

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _BLOCK
 from .errors import ParseError, content_lines, read_input
-from .poly import _BLOCK, QuadraticForm
+from .poly import QuadraticForm
 
 __all__ = [
     "CovarianceMatrix",

@@ -55,7 +55,8 @@ re-exported here, as is ``EmpiricalDistribution`` of
 ``tetrad_singular_sf`` for the scaled chi-square and tetrad laws.
 :meth:`LimitLaw.quantile` roots ``sf`` above the median and ``cdf`` below,
 starting from the law's mean, with Newton steps for the scaled chi-square
-law (whose log-density is closed form) and secant steps for the others.
+law (whose log-density is closed form) and secant steps for the others; a
+quantile past the largest float is an error that names p.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .empirical import EmpiricalDistribution
 from .gaussian import make_generator
 from .poly import MonomialForm
 from .special import (
+    _LARGEST,
     _angle_cdf,
     _node_rule,
     _positive_int,
@@ -132,12 +134,18 @@ class LimitLaw:
     def quantile(self, p: float) -> float:
         """Inverse CDF at p in (0, 1): roots sf(t) = 1 - p above the median,
         where 1 - p is exact and sf keeps its relative accuracy in the tail,
-        and cdf(t) = p below, from the law's mean."""
+        and cdf(t) = p below, from the law's mean.  A quantile past the
+        largest float is a ValueError that names p."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p:.12g}")
+        start = min(self.mean(), _LARGEST)
         if p > 0.5:
-            return _root(self.sf, 1.0 - p, self.mean(), True, self._log_pdf)
-        return _root(self.cdf, p, self.mean(), False, self._log_pdf)
+            q = _root(self.sf, 1.0 - p, start, True, self._log_pdf)
+        else:
+            q = _root(self.cdf, p, start, False, self._log_pdf)
+        if q == math.inf:
+            raise ValueError(f"the quantile at p={p:.12g} overflows the float range")
+        return q
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -166,7 +174,9 @@ class ScaledChiSquare(LimitLaw):
             return chi2_sf(np.asarray(t, dtype=float) / self.scale, self.df)
 
     def _log_pdf(self, t):
-        a, x = self.df / 2.0, t / (2.0 * self.scale)
+        # 2 * scale may overflow; x stays finite, and a log-density of -inf
+        # only turns the root finder's Newton step into a bracket step
+        a, x = self.df / 2.0, t / self.scale / 2.0
         return (a - 1.0) * math.log(x) - x - math.lgamma(a) - math.log(2.0 * self.scale)
 
     def mean(self) -> float:

@@ -3,10 +3,11 @@
 A homogeneous polynomial is kept as a sparse, canonical term list
 (coefficient plus integer exponent vector).  The constructor canonicalizes
 and validates the terms, which alone fix the number of variables and the
-degree, and compiles the polynomial once into two monomial sums, one for
-the value and one for the gradient (the distinct degree-(d-1) monomials
-with a k-column weight matrix); both run a row-blocked kernel of power
-tables, monomial products and one BLAS product per block.  Linear
+degree, and compiles the polynomial once into one monomial sum, the
+gradient's (the distinct degree-(d-1) monomials with a k-column weight
+matrix), a row-blocked kernel of power tables, monomial products and one
+BLAS product per block.  The value follows from the gradient by Euler's
+identity for a form of degree d, ``x . grad f(x) = d f(x)``.  Linear
 re-parameterization expands ``f(Bx)`` by multiplying out the substituted
 linear forms.  Real (possibly non-integer) exponents are confined to
 :class:`MonomialForm`, which only ever enters the sampling machinery
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _BLOCK
 from .errors import ParseError, content_lines, read_input
 
 __all__ = [
@@ -34,19 +36,6 @@ __all__ = [
 # Relative determinant floor below which a change of variables is rejected
 # as numerically singular.
 _DET_RTOL = 1e-12
-
-
-# Rows per block of the compiled kernel and of :func:`_row_quadratic`.
-# 2^14 rows keep the per-thread buffers of a 35-term quartic near 7 MB
-# while amortising numpy's per-call cost well enough that two sampler
-# threads still scale: at 2^12 rows the threads serialised on the
-# interpreter lock, and 2^16 rows saved about a tenth at two threads for
-# four times the temporaries.  On 2^18 rows at one BLAS thread (medians
-# of 15 interleaved runs, 2-core Xeon) the row quadratic form took 1.9 /
-# 4.9 / 8.7 / 18.1 ms for k = 2 / 3 / 4 / 6 in blocks of 2^14, against
-# 2.3 / 5.0 / 8.7 / 17.8 ms at 2^13, 2.1 / 6.3 / 11.1 / 24.7 ms at 2^16,
-# and 13.4 / 20.0 / 27.1 / 46.5 ms for the einsum it replaces.
-_BLOCK = 1 << 14
 
 
 class _MonomialSum:
@@ -104,6 +93,20 @@ class _MonomialSum:
                         np.multiply(dst, t[q], out=dst)
             np.matmul(m.T, self._weights, out=out[s : s + b])
         return out
+
+
+def _euler_value(x: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+    """f at the rows of the (n, k) array ``x`` from its gradient ``g`` there,
+    by Euler's identity for a form of degree d: ``f(x) = x . grad f(x) / d``.
+    The products ``x_j g_j`` are summed over the columns in order, then
+    divided once by d."""
+    out = np.multiply(x[:, 0], g[:, 0])
+    term = np.empty_like(out)
+    for j in range(1, x.shape[1]):
+        np.multiply(x[:, j], g[:, j], out=term)
+        np.add(out, term, out=out)
+    out /= d
+    return out
 
 
 def _row_quadratic(g: np.ndarray, sigma: np.ndarray, over=None) -> np.ndarray:
@@ -167,7 +170,6 @@ class HomogeneousPolynomial:
     """
 
     terms: tuple[tuple[float, tuple[int, ...]], ...]
-    _value: _MonomialSum = field(init=False, repr=False, compare=False)
     _gradient: _MonomialSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -189,15 +191,12 @@ class HomogeneousPolynomial:
         # f = sum_t c_t x^e_t, so df/dx_j = sum_t c_t e_tj x^(e_t - u_j).
         # The gradient table holds each distinct exponent g = e_t - u_j once,
         # with weight c_t e_tj in column j.
-        exps = np.array([e for _, e in canon], dtype=np.intp)
-        coeffs = np.array([c for c, _ in canon])
         grad_weights: dict[tuple[int, ...], np.ndarray] = {}
         for coeff, e in canon:
             for j, ej in enumerate(e):
                 if ej:
                     g = e[:j] + (ej - 1,) + e[j + 1 :]
                     grad_weights.setdefault(g, np.zeros(k))[j] = coeff * ej
-        object.__setattr__(self, "_value", _MonomialSum(exps, coeffs))
         object.__setattr__(
             self,
             "_gradient",
@@ -230,9 +229,9 @@ class HomogeneousPolynomial:
     def evaluate(self, x) -> float | np.ndarray:
         """Value of the polynomial at ``x`` (a k-vector or an (n, k) array)."""
         x = self._check_point(x)
-        if x.ndim == 1:
-            return float(self._value(x[None, :])[0])
-        return self._value(x)
+        rows = x[None, :] if x.ndim == 1 else x
+        value = _euler_value(rows, self._gradient(rows), self.d)
+        return float(value[0]) if x.ndim == 1 else value
 
     def gradient(self, x) -> np.ndarray:
         """Gradient at ``x``; shape (k,) for a vector, (n, k) for rows."""

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _BLOCK
 from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, _chunks, factor, make_generator
-from .poly import _BLOCK, HomogeneousPolynomial, MonomialForm, _row_quadratic
+from .poly import HomogeneousPolynomial, MonomialForm, _euler_value, _row_quadratic
 
 __all__ = [
     "WaldSampleConfig",
@@ -66,11 +67,13 @@ class WaldSampleConfig:
 
 def _wald_terms(f: HomogeneousPolynomial | MonomialForm, sigma: np.ndarray, x: np.ndarray):
     """Numerator and denominator of W at the rows of ``x``: f^2 and
-    grad^T Sigma grad for a polynomial, 1 and the reciprocal form
-    (a/x)^T Sigma (a/x) for a power product."""
+    grad^T Sigma grad for a polynomial, both from one gradient (f by
+    Euler's identity, as ``evaluate`` takes it), and 1 and the reciprocal
+    form (a/x)^T Sigma (a/x) for a power product."""
     if isinstance(f, MonomialForm):
         return 1.0, f.reciprocal_wald(x, sigma)
-    return np.square(f.evaluate(x)), _row_quadratic(f.gradient(x), sigma)
+    g = f.gradient(x)
+    return np.square(_euler_value(x, g, f.d)), _row_quadratic(g, sigma)
 
 
 def sample_wald(

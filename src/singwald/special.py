@@ -68,8 +68,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
+
+from . import _BLOCK
 
 _ERFCX_NODES = 80
 _ERFCX_DPS = 40
@@ -141,9 +144,6 @@ def _erfcx_anchor() -> float:
 
 _ERFCX_A0 = _erfcx_anchor()
 
-# Points per block: the kernels' temporaries then stay in cache.
-_BLOCK = 2**14
-
 # Up to this a, the lower series takes its prefactor x^a e^-x / Gamma(a + 1)
 # directly (x < a keeps x^a below 1e200); beyond it, in logs.
 _DIRECT_POWER_MAX = 100.0
@@ -156,8 +156,14 @@ _DIRECT_POWER_MAX = 100.0
 _X_CLAMP = 600.0
 _CLOSED_FORM_DF_MAX = 400
 
-# The smallest subnormal: the root finder's last candidate before 0.
+# The tetrad kernel clamps t here.  Both closed forms read exactly 1 and 0
+# from about t = 380 on, so the clamp moves no value.
+_TETRAD_T_MAX = 1e3
+
+# The smallest subnormal and the largest float: the root finder's last
+# candidates before 0 and inf.
 _TINY = 5e-324
+_LARGEST = sys.float_info.max
 
 
 def _blockwise(kernel, x):
@@ -388,6 +394,7 @@ def _angle_cdf(t, rule, df: int):
 
 def _tetrad_kernel(upper: bool, t):
     tp = np.where(t > 0, t, 0.0)
+    np.minimum(tp, _TETRAD_T_MAX, out=tp)  # 2t and its products stay finite
     if upper:
         root = np.sqrt(2.0 * tp)
         return np.exp(-2.0 * tp) * (1.0 - 0.5 * np.sqrt(np.pi) * root * _erfcx_kernel(root))
@@ -422,7 +429,7 @@ def _root(side, target: float, x: float, upper: bool = False, log_density=None) 
     bisects it geometrically once closed.  It stops when a step moves x by
     at most 2^-50 of itself, or when no float is left inside the bracket,
     where the end whose side is closer to target wins (0 for a root that
-    underflows).
+    underflows).  A root past the largest float is inf.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
@@ -458,7 +465,9 @@ def _root(side, target: float, x: float, upper: bool = False, log_density=None) 
             return new
         if not lo < new < hi:
             if hi == math.inf:
-                new = 2.0 * lo
+                if lo == _LARGEST:
+                    return math.inf
+                new = min(2.0 * lo, _LARGEST)
             elif lo == 0.0:
                 new = 0.5 * hi
             else:

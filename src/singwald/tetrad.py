@@ -37,10 +37,11 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from . import _BLOCK
 from .errors import ParseError, content_lines, read_input
 # tetrad_singular_cdf is unused here but stays importable from this module,
 # where bench/tracer.py wraps it by name.
-from .special import _BLOCK, chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
+from .special import chi2_sf, tetrad_singular_cdf, tetrad_singular_sf
 
 __all__ = [
     "DataMatrix",

@@ -32,11 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _BLOCK
+
 _U = np.uint64
-# Values per block.  On a sorted sample, 8,192 took 1.2 times and 32,768
-# 1.25 times the time per value of 16,384, whose temporaries stay in a
-# 2 MB cache; those of a 65,536-value block are mapped and faulted in anew.
-_BLOCK = 1 << 14
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant: splits a double in halves
 _TIE = 1e-9  # a rounding remainder this close to 1/2 may be an exact tie
 _TEN8 = _U(10**8)

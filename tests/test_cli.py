@@ -586,8 +586,14 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
     # an empty option is given, not missing
     (("quantile", "tetrad", "--probs", ""), None, "--probs must be comma-separated numbers, got ''"),
     (("quantile", "tetrad", "--grid", ""), None, "grid must be start:stop:step"),
+    # quantiles past the largest float
+    (("quantile", "scaled-chisq:1e308:1", "--probs", "0.999"), None,
+     "the quantile at p=0.999 overflows the float range"),
+    (("quantile", "mix2:1e-16:1.7e308", "--probs", "0.999999999999"), None,
+     "the quantile at p=0.999999999999 overflows the float range"),
 ], ids=["grid", "wald-seed", "moment-order", "tetrad-index", "underflow-cdf",
-        "underflow-quantile", "empty-probs", "empty-grid"])
+        "underflow-quantile", "empty-probs", "empty-grid", "overflow-quantile-chisq",
+        "overflow-quantile-mix2"])
 def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv, monkeypatch,
                                                 capsys):
     if wald_seed is None:
@@ -599,6 +605,13 @@ def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and cause in errors[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tetrad_cdf_is_one_up_to_the_largest_float(capsys):
+    assert run(["cdf", "tetrad", "--grid", "0:1.7e308:4.25e+307"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-5:]
+    assert [row.split("\t")[1] for row in rows] == ["0", "1", "1", "1", "1"]
 
 
 def test_parser_covers_all_subcommands():

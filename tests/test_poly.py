@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -369,6 +370,39 @@ def test_kernel_memory_is_blocked(quartic):
         tracemalloc.stop()
     assert value.shape == (1 << 18,) and grad.shape == (1 << 18, 4)
     assert peak < 32 * 2**20, peak / 2**20
+
+
+def _exact_value(f, row) -> Fraction:
+    """f at the float row x in exact arithmetic, from the float coefficients."""
+    x = [Fraction(v) for v in row]
+    return sum(Fraction(c) * math.prod(x[j] ** e for j, e in enumerate(exps) if e)
+               for c, exps in f.terms)
+
+
+_OCTIC_AND_LINEAR = {
+    "octic": HomogeneousPolynomial.from_terms([(1.0, (5, 3)), (-2.0, (2, 6)), (0.7, (8, 0))]),
+    "linear": HomogeneousPolynomial.from_terms(
+        [(1.5, (1, 0, 0)), (-2.25, (0, 1, 0)), (0.3, (0, 0, 1))]),
+}
+
+
+@pytest.mark.parametrize("name", ["quartic", "tetrad_form", "octic", "linear"])
+def test_evaluate_is_within_the_euler_bound_of_exact_arithmetic(name, request):
+    # f = x . grad f / d sums R gradient monomials, k products and one
+    # division, so |f^ - f| <= (R + d + k + 2) u sum_t |c_t m_t(x)|, u = 2^-53,
+    # at 150 random rows and at the 150 rows of a 2^16-row draw where f
+    # cancels most against that sum.
+    f = _OCTIC_AND_LINEAR.get(name) or request.getfixturevalue(name)
+    size = HomogeneousPolynomial(terms=tuple((abs(c), e) for c, e in f.terms))
+    rng = np.random.default_rng([31, 3])
+    draw = rng.standard_normal((1 << 16, f.k))
+    cancel = np.abs(loop_evaluate(f, draw)) / loop_evaluate(size, np.abs(draw))
+    x = np.concatenate([rng.standard_normal((150, f.k)), draw[np.argsort(cancel)[:150]]])
+    r = len({e[:j] + (e[j] - 1,) + e[j + 1:] for _, e in f.terms for j in range(f.k) if e[j]})
+    bound = (r + f.d + f.k + 2) * 2.0**-53 * loop_evaluate(size, np.abs(x))
+    value = f.evaluate(x)
+    error = np.array([abs(Fraction(v) - _exact_value(f, row)) for v, row in zip(value, x)])
+    assert np.all(error <= bound), float(np.max(error / bound))
 
 
 @given(polynomials(), st.integers(min_value=0, max_value=2**32 - 1))

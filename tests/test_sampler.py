@@ -161,6 +161,14 @@ SIGMA4 = np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4))
 SIGMA3 = [[1.0, 0.4, -0.2], [0.4, 2.0, 0.3], [-0.2, 0.3, 0.5]]
 
 
+def test_wald_numerator_is_the_square_of_evaluate(quartic):
+    # one formula for f: the sampler's numerator from its one gradient is
+    # bitwise the square of evaluate
+    x = np.random.default_rng(17).standard_normal((sampler._BLOCK + 5, 4))
+    num, _ = sampler._wald_terms(quartic, SIGMA4, x)
+    assert num.tobytes() == np.square(quartic.evaluate(x)).tobytes()
+
+
 def whole_round_sample(f, sigma, n: int, seed: int) -> np.ndarray:
     """The sorted sample with each batch drawn and evaluated in one piece
     from its own stream: the bytes the chunked batches must keep."""

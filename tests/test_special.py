@@ -194,3 +194,13 @@ def test_tetrad_closed_forms_are_blocked(fn):
     finally:
         tracemalloc.stop()
     assert peak <= t.nbytes + 2 * 2**20
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tetrad_closed_forms_saturate_at_huge_t():
+    # past t = 380 F is 1 and the sf 0 in floats; 2t must not overflow
+    t = np.array([500.0, 1e3, 1e300, 1e308, math.inf])
+    assert special.tetrad_singular_cdf(t).tolist() == [1.0] * 5
+    assert special.tetrad_singular_sf(t).tolist() == [0.0] * 5
+    assert special.tetrad_singular_cdf(math.inf) == 1.0
+    assert special.tetrad_singular_sf(math.inf) == 0.0
