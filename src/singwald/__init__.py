@@ -13,7 +13,9 @@ package, or one command of ``wald``, compiles only the modules it runs.
 
 import importlib
 import sys
+import threading
 import types
+from collections import deque
 
 __version__ = "0.1.0"
 
@@ -34,6 +36,132 @@ __version__ = "0.1.0"
 # sorted sample, text took 1.2 times the time per value of 2^14 in blocks
 # of 2^13 and 1.25 times in blocks of 2^15.
 _BLOCK = 1 << 14
+
+
+class _Record:
+    """Base of the package's immutable records, which behave as frozen
+    dataclasses without a class factory: ``dataclasses`` compiles each
+    record's methods by ``exec`` when its class is created, which every
+    fresh process paid again.
+
+    A record declares its fields as annotations, after those of a record
+    it derives from; a class attribute of a field's name is its default.
+    Fields named in ``_HIDDEN`` are left out of the repr.  The constructor
+    binds the fields by position and keyword and then calls
+    ``__post_init__``, which may set attributes through
+    ``object.__setattr__``; nothing else can.  Records are equal when their
+    types and fields are, and hash as the tuple of their fields.
+    """
+
+    _FIELDS: tuple = ()
+    _DEFAULTS: dict = {}
+    _HIDDEN: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__annotations__ if name not in cls._FIELDS]
+        cls._FIELDS = cls._FIELDS + tuple(own)
+        cls._DEFAULTS = {**cls._DEFAULTS, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields, defaults = cls._FIELDS, cls._DEFAULTS
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes at most {len(fields)} fields {fields}")
+        state = self.__dict__
+        state.update(zip(fields, args))
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in defaults:
+                state[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unknown or repeated fields {tuple(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._FIELDS if n not in self._HIDDEN)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class _ThreadPool:
+    """An ordered ``map`` over worker threads, in the call shape of
+    ``concurrent.futures.ThreadPoolExecutor``, whose import would load
+    ``logging`` and ``queue`` into every command that maps its work.
+
+    ``map`` hands the items out in order to ``max_workers`` threads, at
+    most one per item, and returns the results in item order.  After a
+    task raises, no further item starts; once the running ones finish, the
+    exception of the earliest failed item is raised in the caller.
+
+    ``sampler`` and ``verify`` import it as ``ThreadPoolExecutor`` and call
+    ``with ThreadPoolExecutor(max_workers=n) as pool: pool.map(...)``,
+    because ``bench/tracer.py`` swaps its traced pool in under that name.
+    """
+
+    def __init__(self, max_workers: int):
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+        self._workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items) -> list:
+        tasks = deque(enumerate(items))
+        results = [None] * len(tasks)
+        failures = []
+
+        def work():
+            # deque.popleft is atomic, so each item runs once
+            while True:
+                try:
+                    i, item = tasks.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = fn(item)
+                except BaseException as exc:
+                    failures.append((i, exc))
+                    tasks.clear()
+
+        threads = [threading.Thread(target=work) for _ in range(min(self._workers, len(tasks)))]
+        for thread in threads:
+            thread.start()
+        try:
+            for thread in threads:
+                thread.join()
+        finally:
+            tasks.clear()  # an interrupted caller starts no further item
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return results
+
 
 # suite name -> the verification tiers it runs.  Declared here, not in
 # ``verify``, so that the ``wald`` parser lists the suites without loading

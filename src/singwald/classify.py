@@ -24,10 +24,9 @@ report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _Record
 from .gaussian import CovarianceMatrix, _chunks, eigenvalues_of_product, make_generator
 from .laws import (
     EmpiricalDistribution,
@@ -51,8 +50,7 @@ _EQUAL_RTOL = 1e-8
 _ZERO_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QuadraticClassification:
+class QuadraticClassification(_Record):
     """Eigenvalues of A*Sigma plus the emitted law and envelope bounds.
 
     ``law`` is None when no closed form applies (Monte Carlo only).

@@ -2,23 +2,23 @@
 
 Its own module so that ``singwald.sampler``, which returns one, loads
 without the limit laws, and ``singwald.laws``, whose samplers return one,
-loads without the thread pool of the sampler.
+loads without the sampler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from . import _Record
 
 __all__ = ["EmpiricalDistribution"]
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(_Record):
     """Sorted Monte Carlo sample with step-CDF utilities."""
 
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
+    _HIDDEN = ("values",)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalDistribution":

@@ -18,11 +18,9 @@ bytes of the same draw taken whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import _BLOCK
+from . import _BLOCK, _Record
 from .errors import ParseError, content_lines, read_input
 from .poly import QuadraticForm
 
@@ -66,8 +64,7 @@ def _chunks(n: int):
     yield last * _BLOCK, n
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(_Record):
     """Symmetric positive-semidefinite matrix with positive diagonal, and
     its square root.
 
@@ -78,8 +75,9 @@ class CovarianceMatrix:
     support without any degenerate noise.
     """
 
-    sigma: np.ndarray = field(repr=False)
-    factor_b: np.ndarray = field(repr=False)
+    sigma: np.ndarray
+    factor_b: np.ndarray
+    _HIDDEN = ("sigma", "factor_b")
 
     @property
     def k(self) -> int:

@@ -63,10 +63,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .empirical import EmpiricalDistribution
 from .gaussian import make_generator
 from .poly import MonomialForm
@@ -104,7 +104,7 @@ __all__ = [
 # Limit laws.
 # ---------------------------------------------------------------------------
 
-class LimitLaw:
+class LimitLaw(_Record):
     """Common quantile / sampling plumbing for the concrete branches."""
 
     def cdf(self, t):
@@ -151,7 +151,6 @@ class LimitLaw:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class ScaledChiSquare(LimitLaw):
     scale: float
     df: int
@@ -226,7 +225,6 @@ def _mix2_rule(ratio: float):
     return _node_rule(rate, 1.0 / (den * np.sum(1.0 / den)))
 
 
-@dataclass(frozen=True)
 class TwoChiSquareMix(LimitLaw):
     w1: float
     w2: float
@@ -295,7 +293,6 @@ def _fb_rule(k1: int, k2: int):
     return _node_rule(2.0 / np.sin(2.0 * s) ** 2, p)
 
 
-@dataclass(frozen=True)
 class FoldedBetaProduct(LimitLaw):
     k1: int
     k2: int
@@ -329,7 +326,6 @@ class FoldedBetaProduct(LimitLaw):
         return f"beta-fold:{self.k1}:{self.k2}"
 
 
-@dataclass(frozen=True)
 class TetradSingular(LimitLaw):
     def cdf(self, t):
         return tetrad_singular_cdf(t)

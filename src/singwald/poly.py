@@ -18,11 +18,10 @@ fractional power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _BLOCK
+from . import _BLOCK, _Record
 from .errors import ParseError, content_lines, read_input
 
 __all__ = [
@@ -155,8 +154,7 @@ def _check_term(coeff: float, exps: tuple[int, ...], first: tuple[int, ...]) -> 
         raise ValueError(f"not homogeneous: term degree {sum(exps)}, expected {sum(first)}")
 
 
-@dataclass(frozen=True)
-class HomogeneousPolynomial:
+class HomogeneousPolynomial(_Record):
     """Sparse homogeneous polynomial with integer exponents.
 
     terms: tuple of (coefficient, exponent vector) pairs.  Every given
@@ -170,7 +168,6 @@ class HomogeneousPolynomial:
     """
 
     terms: tuple[tuple[float, tuple[int, ...]], ...]
-    _gradient: _MonomialSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in self.terms]
@@ -190,7 +187,8 @@ class HomogeneousPolynomial:
         object.__setattr__(self, "terms", canon)
         # f = sum_t c_t x^e_t, so df/dx_j = sum_t c_t e_tj x^(e_t - u_j).
         # The gradient table holds each distinct exponent g = e_t - u_j once,
-        # with weight c_t e_tj in column j.
+        # with weight c_t e_tj in column j.  It is read from the terms, so it
+        # is no field: it takes no part in construction, equality or repr.
         grad_weights: dict[tuple[int, ...], np.ndarray] = {}
         for coeff, e in canon:
             for j, ej in enumerate(e):
@@ -324,8 +322,7 @@ def _poly_pow(p: dict, e: int, k: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class MonomialForm:
+class MonomialForm(_Record):
     """Power product ``x1^a1 * ... * xk^ak`` with finite, strictly positive
     real exponents.
 
@@ -360,11 +357,11 @@ class MonomialForm:
         return _row_quadratic(np.asarray(x, dtype=float), sigma, np.asarray(self.exponents))
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(_Record):
     """Symmetric matrix A representing the quadratic form ``x^T A x``."""
 
-    a: np.ndarray = field(repr=False)
+    a: np.ndarray
+    _HIDDEN = ("a",)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)

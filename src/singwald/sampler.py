@@ -15,12 +15,10 @@ of ``gaussian._chunks``, so its intermediates stay cache-sized.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import _BLOCK
+from . import _BLOCK, _Record
+from . import _ThreadPool as ThreadPoolExecutor
 from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
 from .gaussian import CovarianceMatrix, _chunks, factor, make_generator
@@ -50,8 +48,7 @@ _KS_SPLIT = 8
 _KS_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class WaldSampleConfig:
+class WaldSampleConfig(_Record):
     """Sampling run parameters."""
 
     n: int

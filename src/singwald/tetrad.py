@@ -32,12 +32,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 
-from . import _BLOCK
+from . import _BLOCK, _Record
 from .errors import ParseError, content_lines, read_input
 # tetrad_singular_cdf is unused here but stays importable from this module,
 # where bench/tracer.py wraps it by name.
@@ -58,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DataMatrix:
+class DataMatrix(_Record):
     """n observations of p >= 4 jointly measured variables."""
 
     values: np.ndarray
@@ -169,8 +167,7 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
 _PAIR_POSITIONS = [[0, 2], [0, 3], [1, 2], [1, 3]]
 
 
-@dataclass(frozen=True)
-class TetradWald:
+class TetradWald(_Record):
     """Tetrad Wald results as arrays of shape (theta stack..., idx stack...).
 
     ``degenerate`` marks tetrads whose estimated variance ``grad^T V grad``

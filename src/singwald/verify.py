@@ -18,13 +18,12 @@ conjecture suites pin every row it yields, in order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import SUITES
+from . import SUITES, _Record
+from . import _ThreadPool as ThreadPoolExecutor
 from .classify import classify, sample_canonical
 from .gaussian import _chunks, factor, make_generator, validate_covariance
 from .laws import (
@@ -67,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(_Record):
     """One check outcome; passes exactly when statistic <= threshold."""
 
     name: str

@@ -621,13 +621,14 @@ def test_parser_covers_all_subcommands():
         assert name in text
 
 
-def _modules_after(code: str, package: str, *argv: str) -> list[str]:
-    """The modules of ``package`` loaded after running ``code`` in a fresh
-    interpreter."""
+def _modules_after(code: str, package: str | tuple[str, ...], *argv: str) -> list[str]:
+    """The modules of ``package``, or of each of a tuple of packages,
+    loaded after running ``code`` in a fresh interpreter."""
+    packages = (package,) if isinstance(package, str) else package
     env = dict(os.environ, PYTHONPATH=str(Path(singwald.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code + "; import sys; print('modules:', *sorted("
-         f"m for m in sys.modules if m.split('.')[0] == {package!r}))",
+         f"m for m in sys.modules if m.split('.')[0] in {packages!r}))",
          *argv],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
@@ -687,6 +688,18 @@ def test_no_wald_command_loads_a_scipy_module(argv, command_inputs):
         # 1 is a failed verify check at this small n; 2 would be an input error
         code = _RUN_ARGV
     assert _modules_after(code, "scipy", *argv) == []
+
+
+@pytest.mark.parametrize("argv", _NO_SCIPY_COMMANDS, ids=_command_id)
+def test_no_wald_command_loads_a_record_factory_or_a_pool_module(argv, command_inputs):
+    # records are plain classes and the thread pool runs on bare threads,
+    # so start-up pays for neither the dataclass factory nor the logging
+    # and queue modules that concurrent.futures imports
+    code = "import singwald.cli"
+    if argv:
+        argv = [a.format(**command_inputs) for a in argv]
+        code = _RUN_ARGV
+    assert _modules_after(code, ("dataclasses", "concurrent", "logging", "queue"), *argv) == []
 
 
 # command -> singwald modules it must not load

@@ -421,11 +421,12 @@ def test_scale_commutes_with_eval_and_gradient(f, point_seed):
 @given(polynomials(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_euler_identity(f, point_seed):
-    # <grad f(x), x> = d * f(x) for a homogeneous degree-d polynomial
+    # <grad f(x), x> = d * f(x) for a homogeneous degree-d polynomial, with
+    # f from the term loop: evaluate() is itself this row dot over d
     rng = np.random.default_rng(point_seed)
     x = rng.standard_normal((100, f.k))
     lhs = np.einsum("ij,ij->i", f.gradient(x), x)
-    rhs = f.d * f.evaluate(x)
+    rhs = f.d * loop_evaluate(f, x)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-9)
 
 
