@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_sub("quantile", help="tabulate limit-law quantiles")
     p.add_argument("law", help="law spec string")
-    p.add_argument("--grid", help="start:stop:step over probabilities")
-    p.add_argument("--probs", help="comma-separated probabilities")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--grid", help="start:stop:step over probabilities")
+    given.add_argument("--probs", help="comma-separated probabilities")
 
     p = add_sub("classify", help="limit law of a quadratic form under a covariance")
     p.add_argument("--quad", required=True, help="degree-2 polynomial file")
@@ -167,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_sub("tetrad-test", help="Wald tetrad test on CSV data")
     p.add_argument("--data", required=True, help="CSV file, optional header row")
-    p.add_argument("--indices", help="i,j,k,l zero-based column indices")
-    p.add_argument("--all", action="store_true", help="test every tetrad")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--indices", help="i,j,k,l zero-based column indices")
+    given.add_argument("--all", action="store_true", help="test every tetrad")
 
     p = add_sub("verify", help="run the numerical verification suite")
     p.add_argument("--suite", choices=tuple(SUITES), default="all")
@@ -261,10 +263,8 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         law = _cli.parse_law(args.law)
         if args.probs is not None:
             probs = _parse_list("--probs", args.probs)
-        elif args.grid is not None:
-            probs = list(_parse_grid(args.grid))
         else:
-            raise ValueError("provide --probs or --grid")
+            probs = list(_parse_grid(args.grid))
         # every quantile before the first write: a bad p leaves no half table
         quantiles = [law.quantile(p) for p in probs]
         _write_table(out, "p\tQ\n", [probs, quantiles], 12)
@@ -283,14 +283,12 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
         data = _cli.load_data_csv(args.data)
         if args.all:
             idx = _cli.tetrad_index_array(data.p)
-        elif args.indices:
+        else:
             try:
                 i, j, k, l = (int(tok) for tok in args.indices.split(","))
             except ValueError:
                 raise ValueError("--indices must be i,j,k,l") from None
             idx = [_cli.TetradIndex(i, j, k, l)]
-        else:
-            raise ValueError("provide --indices or --all")
         res = _cli.wald_tetrad_test(data, idx)
         bad = res.degenerate
         constant = _cli.zero_variance_columns(data) if bad.any() else []

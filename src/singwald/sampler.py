@@ -123,14 +123,8 @@ def sample_wald(
             proposed += need
         return proposed
 
-    n_batches = -(-cfg.n // _BATCH)
-    # One batch or one thread stays on the calling thread: a pool thread
-    # takes its own malloc arena, which costs peak memory for no speedup.
-    if cfg.threads > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            proposed = sum(pool.map(run_batch, range(n_batches)))
-    else:
-        proposed = sum(map(run_batch, range(n_batches)))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        proposed = sum(pool.map(run_batch, range(-(-cfg.n // _BATCH))))
     rejected = proposed - cfg.n
     if stats_out is not None:
         stats_out.update({"proposed": proposed, "rejected": rejected})

@@ -10,10 +10,22 @@ which vanishes under a one-factor model.  Its Wald statistic is
     T = n * gamma_hat^2 / (grad^T Sigma_C grad),
 
 where the gradient runs over the pair order C = (ik, il, jk, jl) and
-Sigma_C is the Gaussian fourth-moment covariance of the sample covariances
-restricted to C.  At a regular null point T is asymptotically chi-square-1;
-when all four cross covariances vanish the limit is the tetrad singular law
-(R^2*U^2/4), which is stochastically smaller, so the chi-square-1 cut stays
+Sigma_C, with entry theta_ac * theta_bd + theta_ad * theta_bc at pairs
+(a, b) and (c, d), is the Gaussian fourth-moment covariance of the sample
+covariances restricted to C.  Over (i, j) x (k, l) the gradient is the
+cofactor matrix G = [[theta_jl, -theta_jk], [-theta_il, theta_ik]] of
+A = Theta[(i, j), (k, l)], gamma = det A and G A^T = gamma I, so the
+theta_ad * theta_bc half of the denominator is tr((G A^T)^2) = 2 gamma^2:
+
+    grad^T Sigma_C grad = tr(G^T Theta_ij G Theta_kl) + 2 gamma^2,
+
+Theta_ij and Theta_kl being the diagonal blocks on (i, j) and (k, l).  The
+kernel takes it from the ten covariance entries on {i, j, k, l} and forms
+no Sigma_C.
+
+At a regular null point T is asymptotically chi-square-1; when all four
+cross covariances vanish the limit is the tetrad singular law (R^2*U^2/4),
+which is stochastically smaller, so the chi-square-1 cut stays
 conservative.  Both tail probabilities are always reported and a gradient
 heuristic flags which regime the data resemble; the hint never changes the
 p-values.
@@ -29,7 +41,6 @@ flagged, not raised.  The calibration simulation in
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from itertools import chain, combinations
@@ -119,9 +130,7 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
 
     ``pairs`` is a sequence of (a, b) or an integer array of shape
     (..., q, 2); ``theta`` may be a stack of shape (..., p, p).  The result
-    has shape (theta stack..., pairs stack..., q, q).  It is filled row by
-    row from gathers of the flattened theta, so besides the result it holds
-    one buffer of the result's size and three of a row's.
+    has shape (theta stack..., pairs stack..., q, q).
     """
     theta = np.asarray(theta, dtype=float)
     if np.abs(theta - np.swapaxes(theta, -1, -2)).max() > 1e-10 * max(
@@ -132,39 +141,9 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
     p = theta.shape[-1]
     if pairs.size and not -p <= pairs.min() <= pairs.max() < p:
         raise IndexError(f"pair index out of range for p={p}")
-    if pairs.size and pairs.min() < 0:
-        pairs = pairs % p
-    # theta's p * p entries lead, so a gather copies whole runs over the
-    # theta stack.  Row r of the result is built in v[r] of a (q, q, pairs
-    # stack..., theta stack...) buffer, and the last copy puts it in result
-    # order.  The index and gather buffers are reused, because fresh
-    # temporaries of this size cost more in allocation than in arithmetic;
-    # the range check above makes mode="clip" exact.
-    stack = theta.shape[:-2]
-    flat = np.moveaxis(theta.reshape(stack + (p * p,)), -1, 0).copy()
-    a = np.moveaxis(pairs[..., 0], -1, 0).copy()
-    b = np.moveaxis(pairs[..., 1], -1, 0).copy()
-    q = pairs.shape[-2]
-    v = np.empty((q, q) + pairs.shape[:-2] + stack)
-    cell = np.empty(a.shape, dtype=np.intp)
-    cross, tmp = np.empty((2,) + v.shape[1:])
-    take = functools.partial(np.take, flat, axis=0, mode="clip")
-    for r in range(q):
-        a_row, b_row, row = a[r] * p, b[r] * p, v[r]
-        take(np.add(a_row, a, out=cell), out=row)  # theta_ac
-        take(np.add(b_row, b, out=cell), out=tmp)  # theta_bd
-        np.multiply(row, tmp, out=row)
-        take(np.add(a_row, b, out=cell), out=cross)  # theta_ad
-        take(np.add(b_row, a, out=cell), out=tmp)  # theta_bc
-        np.multiply(cross, tmp, out=cross)
-        np.add(row, cross, out=row)
-    n_pairs = pairs.ndim - 2
-    order = [*range(2 + n_pairs, v.ndim), *range(2, 2 + n_pairs), 0, 1]
-    return v.transpose(order).copy()
-
-
-# Positions in (i, j, k, l) of the pairs C = (ik, il, jk, jl).
-_PAIR_POSITIONS = [[0, 2], [0, 3], [1, 2], [1, 3]]
+    a, b = pairs[..., :, None, 0], pairs[..., :, None, 1]
+    c, d = pairs[..., None, :, 0], pairs[..., None, :, 1]
+    return theta[..., a, c] * theta[..., b, d] + theta[..., a, d] * theta[..., b, c]
 
 
 class TetradWald(_Record):
@@ -205,20 +184,23 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
         i, j, k, l = block.T
         t_ik, t_il = theta[..., i, k], theta[..., i, l]
         t_jk, t_jl = theta[..., j, k], theta[..., j, l]
-        gamma[out] = t_ik * t_jl - t_il * t_jk
-        grad = np.stack([t_jl, -t_jk, -t_il, t_ik], axis=-1)
-        vmat = asymptotic_v_normal(theta, block[:, _PAIR_POSITIONS])
+        t_ii, t_jj, t_kk, t_ll = (theta[..., a, a] for a in (i, j, k, l))
+        t_ij, t_kl = theta[..., i, j], theta[..., k, l]
+        g = gamma[out] = t_ik * t_jl - t_il * t_jk
+        # H = G Theta_kl G^T, entry by entry
+        h_ii = t_kk * t_jl**2 - 2.0 * t_kl * t_jk * t_jl + t_ll * t_jk**2
+        h_jj = t_kk * t_il**2 - 2.0 * t_kl * t_il * t_ik + t_ll * t_ik**2
+        h_ij = t_kl * (t_jl * t_ik + t_jk * t_il) - t_kk * t_jl * t_il - t_ll * t_jk * t_ik
+        denom = t_ii * h_ii + 2.0 * t_ij * h_ij + t_jj * h_jj + 2.0 * g**2
         with np.errstate(divide="ignore", invalid="ignore"):
-            denom = np.einsum("...i,...ij,...j->...", grad, vmat, grad)
-            t_stat[out] = n * gamma[out] ** 2 / denom
+            t_stat[out] = n * g**2 / denom
             p_regular[out] = chi2_sf(t_stat[out], 1)
             p_singular[out] = tetrad_singular_sf(t_stat[out])
-        grad_sq = np.einsum("...i,...i->...", grad, grad)
-        # the largest of the four variances as a pairwise maximum: a max
-        # along the length-4 diagonal axis steps through it row by row
-        var = np.diagonal(vmat, axis1=-2, axis2=-1)
+        # |grad|^2 against the largest diagonal entry of Sigma_C
+        grad_sq = t_jl**2 + t_jk**2 + t_il**2 + t_ik**2
         var_max = np.maximum(
-            np.maximum(var[..., 0], var[..., 1]), np.maximum(var[..., 2], var[..., 3])
+            np.maximum(t_ii * t_kk + t_ik**2, t_ii * t_ll + t_il**2),
+            np.maximum(t_jj * t_kk + t_jk**2, t_jj * t_ll + t_jl**2),
         )
         threshold = 4.0 * var_max * scale
         regime_hint[out] = np.where(grad_sq < threshold, "near_singular", "regular")

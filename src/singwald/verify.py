@@ -374,6 +374,8 @@ def moment_invariance_check(sigma_param: float, phis, ms) -> np.ndarray:
     row must be constant; callers assert the row spread.  The integrand is
     evaluated once per phi, during the first row, for every m.
     """
+    if not math.isfinite(sigma_param):
+        raise ValueError(f"sigma_param must be finite, got {sigma_param}")
     if sigma_param <= 0:
         raise ValueError("sigma_param must be positive")
     phis = list(phis)

@@ -195,8 +195,20 @@ class TestQuantile:
         assert lines[1].split("\t")[0] == "1e-09"
         assert float(lines[1].split("\t")[1]) > 0.0
 
+    # argparse takes exactly one of --probs and --grid: a usage error, exit 2
     def test_needs_probs_or_grid(self, capsys):
-        assert run(["quantile", "tetrad"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["quantile", "tetrad"])
+        assert exc.value.code == 2
+        assert "one of the arguments --grid --probs is required" in capsys.readouterr().err
+
+    def test_refuses_probs_with_grid(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["quantile", "tetrad", "--grid", "0.1:0.9:0.1", "--probs", "0.5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --probs: not allowed with argument --grid" in captured.err
 
     @pytest.mark.parametrize("argv, bad", [
         (["--probs", "0.5,1.5,0.9"], "1.5"),
@@ -454,8 +466,21 @@ class TestTetradTest:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 3  # header plus three pairings of 4 columns
 
+    # argparse takes exactly one of --indices and --all: a usage error, exit 2
     def test_requires_selection(self, data_csv, capsys):
-        assert run(["tetrad-test", "--data", str(data_csv)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["tetrad-test", "--data", str(data_csv)])
+        assert exc.value.code == 2
+        assert "one of the arguments --indices --all is required" in capsys.readouterr().err
+
+    def test_refuses_indices_with_all(self, data_csv, capsys):
+        # both given once scanned every tetrad and dropped --indices
+        with pytest.raises(SystemExit) as exc:
+            run(["tetrad-test", "--data", str(data_csv), "--all", "--indices", "0,1,2,3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --indices: not allowed with argument --all" in captured.err
 
     def test_bad_indices(self, data_csv, capsys):
         assert run(["tetrad-test", "--data", str(data_csv), "--indices", "0,1,2"]) == 2
@@ -578,6 +603,8 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
     (("cdf", "tetrad", "--grid", "a:b:c"), None, "grid must be start:stop:step"),
     (("cdf", "tetrad", "--grid", "0:1:0.5"), "abc", "WALD_SEED must be an integer, got 'abc'"),
     (("moments", "--sigma", "1", "--m", "0"), None, "moment orders must be positive integers"),
+    (("moments", "--sigma", "nan"), None, "sigma_param must be finite, got nan"),
+    (("moments", "--sigma", "inf"), None, "sigma_param must be finite, got inf"),
     (("tetrad-test", "--data", "{csv}", "--indices=-1,0,1,2"), None,
      "tetrad indices must be nonnegative"),
     # every node density of the folded-Beta rule underflows to 0
@@ -591,9 +618,9 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
      "the quantile at p=0.999 overflows the float range"),
     (("quantile", "mix2:1e-16:1.7e308", "--probs", "0.999999999999"), None,
      "the quantile at p=0.999999999999 overflows the float range"),
-], ids=["grid", "wald-seed", "moment-order", "tetrad-index", "underflow-cdf",
-        "underflow-quantile", "empty-probs", "empty-grid", "overflow-quantile-chisq",
-        "overflow-quantile-mix2"])
+], ids=["grid", "wald-seed", "moment-order", "moment-sigma-nan", "moment-sigma-inf",
+        "tetrad-index", "underflow-cdf", "underflow-quantile", "empty-probs", "empty-grid",
+        "overflow-quantile-chisq", "overflow-quantile-mix2"])
 def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv, monkeypatch,
                                                 capsys):
     if wald_seed is None:

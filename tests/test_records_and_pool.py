@@ -80,6 +80,32 @@ def test_pool_runs_at_most_its_workers_and_one_thread_per_item():
     assert len(names) <= 2
 
 
+def test_one_worker_or_one_item_runs_on_the_calling_thread():
+    # a pool thread would take its own malloc arena for no speed-up
+    def task(i):
+        return threading.current_thread()
+
+    caller = threading.current_thread()
+    assert _ThreadPool(max_workers=1).map(task, range(4)) == [caller] * 4
+    assert _ThreadPool(max_workers=8).map(task, iter([0])) == [caller]
+
+
+def test_run_suite_at_one_thread_runs_each_entry_on_the_calling_thread(monkeypatch):
+    seen = []
+
+    def row(name):
+        def check(n, seed):
+            seen.append(threading.current_thread())
+            return [verify.VerificationResult(name, "theorem", 0.0, 1.0, n, seed)]
+        return check
+
+    registry = tuple(((name,), "theorem", row(name)) for name in "abc")
+    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    results = verify.run_suite("theorems", n=100, seed=1, threads=1)
+    assert [r.name for r in results] == ["a", "b", "c"]
+    assert seen == [threading.current_thread()] * 3
+
+
 def test_pool_runs_each_item_once_under_fast_thread_switches():
     # more workers than cores, switching threads every microsecond: an item
     # handed out twice or lost would show in the counts or the results
