@@ -24,6 +24,8 @@ report says so.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import _Record
@@ -35,7 +37,9 @@ from .laws import (
     ScaledChiSquare,
     TwoChiSquareMix,
 )
-from .poly import QuadraticForm
+
+if TYPE_CHECKING:
+    from .poly import QuadraticForm
 
 __all__ = [
     "QuadraticClassification",

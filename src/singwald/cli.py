@@ -65,7 +65,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     if step <= 0 or stop < start or not np.isfinite((stop - start) / step):
         raise ValueError(f"bad grid {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    try:
+        return start + step * np.arange(count)
+    except (ValueError, MemoryError):  # past numpy's size limit, or the memory
+        raise ValueError(f"grid {spec!r} has {count:.3g} points, too many to hold") from None
 
 
 def _parse_list(option: str, text: str, kind=float) -> list:
@@ -77,17 +80,17 @@ def _parse_list(option: str, text: str, kind=float) -> list:
         raise ValueError(f"{option} must be comma-separated {noun}, got {text!r}") from None
 
 
-def _join_grid_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--grid START:STOP:STEP`` as ``--grid=START:STOP:STEP``.
-
-    argparse reads a separate value that starts with '-' and is not a plain
-    number (``-1:1:0.5``, ``-inf:0:1``) as an option and stops with
-    "expected one argument"; the joined form is never ambiguous.
+def _join_list_values(argv: list[str]) -> list[str]:
+    """Rewrite ``OPTION VALUE`` as ``OPTION=VALUE`` for a list option whose
+    value starts with a single '-'.  argparse reads such a value that is not
+    a plain number (``-1:1:0.5``, ``-0.5,0.5``) as an option and stops with
+    "expected one argument"; the joined form reaches the value's own check.
     """
+    lists = ("--grid", "--probs", "--indices", "--phi", "--m")
     out = []
     for tok in argv:
-        if out and out[-1] == "--grid" and tok.startswith("-") and ":" in tok:
-            out[-1] = f"--grid={tok}"
+        if out and out[-1] in lists and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -228,7 +231,7 @@ def _open_out(path: str):
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     out, close = sys.stdout, False
     try:
         seed = args.seed if args.seed is not None else _default_seed()

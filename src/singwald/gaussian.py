@@ -3,12 +3,12 @@
 Randomness contract
 -------------------
 All samplers in this package derive their streams from the counter-based
-Philox-4x64 generator with a two-word key ``(seed, stream)``.  Normal
-variates come from numpy's ziggurat implementation.  Identical
-``(seed, stream, n)`` triples therefore reproduce draws bit for bit within
-one build of the package; distinct stream indices give statistically
-independent streams, which is how concurrent batches stay deterministic
-regardless of scheduling.
+Philox-4x64 generator with a two-word key ``(seed, stream)``, each mod
+2^64.  Normal variates come from numpy's ziggurat implementation.
+Identical ``(seed, stream, n)`` triples reproduce draws bit for bit within
+one build of the package; distinct keys give statistically independent
+streams, which is how concurrent batches stay deterministic regardless of
+scheduling.
 
 A draw of n rows is taken in the row chunks of :func:`_chunks`, one after
 the other from its stream, and reduced chunk by chunk, so no n-sized
@@ -18,11 +18,15 @@ bytes of the same draw taken whole.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import _BLOCK, _Record
 from .errors import ParseError, content_lines, read_input
-from .poly import QuadraticForm
+
+if TYPE_CHECKING:
+    from .poly import QuadraticForm
 
 __all__ = [
     "CovarianceMatrix",
@@ -43,9 +47,10 @@ _SYM_ATOL = 1e-10
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by ``(seed, stream)``."""
-    mask = (1 << 64) - 1
-    return np.random.Generator(np.random.Philox(key=[seed & mask, stream & mask]))
+    """Philox generator keyed by ``(seed, stream)``, each mod 2^64, as a
+    uint64 array: numpy reads a list word of 2^63 or more through float64."""
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _chunks(n: int):

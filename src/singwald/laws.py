@@ -63,13 +63,13 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _Record
 from .empirical import EmpiricalDistribution
 from .gaussian import make_generator
-from .poly import MonomialForm
 from .special import (
     _LARGEST,
     _angle_cdf,
@@ -81,6 +81,9 @@ from .special import (
     tetrad_singular_cdf,
     tetrad_singular_sf,
 )
+
+if TYPE_CHECKING:
+    from .poly import MonomialForm
 
 __all__ = [
     "EmpiricalDistribution",
@@ -148,17 +151,22 @@ class LimitLaw(_Record):
         return q
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """``_SPEC`` (unannotated, or it would be a field), then each field:
+        an integer as its digits, a float at 12 significant digits."""
+        values = (str(v) if isinstance(v, int) else f"{v:.12g}" for v in self._values())
+        return ":".join([self._SPEC, *values])
 
 
 class ScaledChiSquare(LimitLaw):
     scale: float
     df: int
+    _SPEC = "scaled-chisq"
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
+        # <= _LARGEST also bounds an integer scale, which may exceed any float
+        if not 0 < self.scale <= _LARGEST:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        # stored as an int, so that the spec string reads back through parse_law
+        # stored as an int, so that the spec string prints its digits
         object.__setattr__(self, "df", _positive_int(self.df))
 
     def cdf(self, t):
@@ -180,9 +188,6 @@ class ScaledChiSquare(LimitLaw):
 
     def mean(self) -> float:
         return self.scale * self.df
-
-    def spec_string(self) -> str:
-        return f"scaled-chisq:{self.scale:.12g}:{self.df}"
 
 
 # Gauss-Legendre rules, shared with the angular moments in verify.py.
@@ -228,11 +233,12 @@ def _mix2_rule(ratio: float):
 class TwoChiSquareMix(LimitLaw):
     w1: float
     w2: float
+    _SPEC = "mix2"
 
     def __post_init__(self):
-        if not 0 < self.w1 < math.inf:
+        if not 0 < self.w1 <= _LARGEST:
             raise ValueError(f"w1 must be positive and finite, got {self.w1}")
-        if not 0 <= self.w2 < math.inf:
+        if not 0 <= self.w2 <= _LARGEST:
             raise ValueError(f"w2 must be nonnegative and finite, got {self.w2}")
 
     def cdf(self, t):
@@ -255,9 +261,6 @@ class TwoChiSquareMix(LimitLaw):
 
     def mean(self) -> float:
         return self.w1 + self.w2
-
-    def spec_string(self) -> str:
-        return f"mix2:{self.w1:.12g}:{self.w2:.12g}"
 
 
 # Dyadic panels accumulating toward the angle where the folded-Beta factor
@@ -296,6 +299,7 @@ def _fb_rule(k1: int, k2: int):
 class FoldedBetaProduct(LimitLaw):
     k1: int
     k2: int
+    _SPEC = "beta-fold"
 
     def __post_init__(self):
         object.__setattr__(self, "k1", _positive_int(self.k1, "k1"))
@@ -322,11 +326,10 @@ class FoldedBetaProduct(LimitLaw):
         var = a * b / ((a + b) ** 2 * (a + b + 1.0))
         return 0.25 * (self.k1 + self.k2) * (4.0 * var + (2.0 * mu - 1.0) ** 2)
 
-    def spec_string(self) -> str:
-        return f"beta-fold:{self.k1}:{self.k2}"
-
 
 class TetradSingular(LimitLaw):
+    _SPEC = "tetrad"
+
     def cdf(self, t):
         return tetrad_singular_cdf(t)
 
@@ -338,9 +341,6 @@ class TetradSingular(LimitLaw):
 
     def mean(self) -> float:
         return 1.0 / 3.0
-
-    def spec_string(self) -> str:
-        return "tetrad"
 
 
 def monomial_law(m: MonomialForm) -> ScaledChiSquare:
@@ -376,23 +376,19 @@ def sample_stable(alpha: float, n: int, seed: int) -> np.ndarray:
 # Law spec strings, shared by the CLI and the classifier report.
 # ---------------------------------------------------------------------------
 
+# family name -> its law, in the order the parse error lists them
+_LAWS = {c._SPEC: c for c in (ScaledChiSquare, TwoChiSquareMix, FoldedBetaProduct, TetradSingular)}
+
+
 def parse_law(spec: str) -> LimitLaw:
-    """Parse ``scaled-chisq:S:DF``, ``mix2:W1:W2``, ``beta-fold:K1:K2``,
-    or ``tetrad``."""
-    parts = spec.strip().split(":")
-    name = parts[0]
-    try:
-        if name == "scaled-chisq" and len(parts) == 3:
-            return ScaledChiSquare(scale=float(parts[1]), df=int(parts[2]))
-        if name == "mix2" and len(parts) == 3:
-            return TwoChiSquareMix(w1=float(parts[1]), w2=float(parts[2]))
-        if name == "beta-fold" and len(parts) == 3:
-            return FoldedBetaProduct(k1=int(parts[1]), k2=int(parts[2]))
-        if name == "tetrad" and len(parts) == 1:
-            return TetradSingular()
+    """The law of a spec as :meth:`LimitLaw.spec_string` writes it, with one
+    value per field of the family; its constructor validates the values."""
+    name, *tokens = spec.strip().split(":")
+    law = _LAWS.get(name)
+    if law is None or len(tokens) != len(law._FIELDS):
+        forms = (":".join([c._SPEC, *map(str.upper, c._FIELDS)]) for c in _LAWS.values())
+        raise ValueError(f"bad law spec {spec!r}; expected {', '.join(forms)}")
+    try:  # an integer token is read exactly, never through a float
+        return law(*(int(t) if t.lstrip("+-").isdecimal() else float(t) for t in tokens))
     except ValueError as exc:
         raise ValueError(f"bad law spec {spec!r}: {exc}") from exc
-    raise ValueError(
-        f"bad law spec {spec!r}; expected scaled-chisq:S:DF, mix2:W1:W2, "
-        "beta-fold:K1:K2, or tetrad"
-    )

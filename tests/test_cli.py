@@ -147,6 +147,15 @@ class TestCdf:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("grid, count", [("0:1:1e-300", "1e+300"), ("0:1e9:1e-9", "1e+18")])
+    def test_oversized_grid_names_itself_and_its_point_count(self, grid, count, capsys):
+        # numpy's own errors ("Maximum allowed size exceeded", "Unable to
+        # allocate 6.94 EiB") name no grid
+        assert run(["cdf", "tetrad", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: grid {grid!r} has {count} points, too many to hold\n" in captured.err
+
     @pytest.mark.parametrize("grid, code", [("-1:1:0.5", 0), ("-inf:0:1", 2)])
     def test_negative_grid_start_parses_like_joined_form(self, grid, code, capsys):
         # argparse would take a separate "-1:1:0.5" for an option
@@ -634,6 +643,27 @@ def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv
     assert len(errors) == 1 and cause in errors[0]
 
 
+# A list value that starts with '-' is the option's value, as in the joined
+# form OPTION=VALUE, and reaches its own validator; argparse alone would
+# stop at "expected one argument".
+@pytest.mark.parametrize("argv, cause", [
+    (("quantile", "tetrad", "--probs", "-0.5,0.5"), "p must be in (0, 1), got -0.5"),
+    (("moments", "--sigma", "0.7", "--phi", "-0.1,0.2"), "phi values must lie in [0, pi/2)"),
+    (("moments", "--sigma", "0.7", "--m", "-1,2"), "moment orders must be positive integers"),
+    (("tetrad-test", "--data", "{csv}", "--indices", "-1,1,2,3"),
+     "tetrad indices must be nonnegative, got (-1, 1, 2, 3)"),
+], ids=["probs", "phi", "m", "indices"])
+def test_negative_list_value_reaches_its_validator(argv, cause, data_csv, capsys):
+    argv = [tok.format(csv=data_csv) for tok in argv]
+    results = []
+    for form in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+        results.append((run(form), *capsys.readouterr()))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [f"error: {cause}"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tetrad_cdf_is_one_up_to_the_largest_float(capsys):
     assert run(["cdf", "tetrad", "--grid", "0:1.7e308:4.25e+307"]) == 0
@@ -733,7 +763,7 @@ def test_no_wald_command_loads_a_record_factory_or_a_pool_module(argv, command_i
 _UNUSED_MODULES = [
     (_SAMPLE, {"verify", "classify", "tetrad", "laws", "special"}),
     (_TETRAD_SCAN, {"verify", "classify", "sampler", "laws", "gaussian", "poly"}),
-    *((argv, {"verify"}) for argv in _LAW_COMMANDS),
+    *((argv, {"verify", "poly"}) for argv in _LAW_COMMANDS),
 ]
 
 

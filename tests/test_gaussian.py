@@ -116,6 +116,21 @@ class TestSampling:
         ref = np.random.Generator(np.random.Philox(key=[42, 0]))
         assert np.array_equal(g.standard_normal(16), ref.standard_normal(16))
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_seed_mod_two_to_the_64_keys_its_own_stream(self):
+        # a key word of 2^63 or more must not pass through float64, which
+        # would round -1, -7 and 0 to one key and 2^63 + 1 onto 2^63
+        seeds = [0, -1, -7, 2**63, 2**63 + 1, 2**64 - 1]
+        firsts = {}
+        for seed in seeds:
+            g = make_generator(seed, stream=3)
+            key = g.bit_generator.state["state"]["key"]
+            assert [int(word) for word in key] == [seed % 2**64, 3]
+            firsts.setdefault(seed % 2**64, set()).add(g.standard_normal())
+        # -1 and 2^64 - 1 are one key; the five distinct keys draw apart
+        assert [len(draws) for draws in firsts.values()] == [1] * 5
+        assert len(set.union(*firsts.values())) == 5
+
 
 class TestEigenvaluesOfProduct:
     def test_two_by_two_hand_value(self):

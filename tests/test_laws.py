@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -632,6 +633,34 @@ class TestSpecStrings:
     def test_integral_float_parameters_round_trip(self, law, spec):
         assert law.spec_string() == spec
         assert parse_law(spec) == law
+
+    @pytest.mark.parametrize("law", [
+        *ALL_LAWS, ScaledChiSquare(0.25, 2), ScaledChiSquare(0.25, 3),
+        FoldedBetaProduct(2, 1), FoldedBetaProduct(1, 1),
+    ], ids=lambda l: l.spec_string())
+    def test_every_law_reads_back_from_its_spec(self, law):
+        assert parse_law(law.spec_string()) == law
+
+    @pytest.mark.parametrize("spec, law", [
+        ("scaled-chisq:0.25:2.0", ScaledChiSquare(0.25, 2)),
+        ("beta-fold:2.0:2", FoldedBetaProduct(2, 2)),
+        # an integer token is never rounded through a float
+        ("beta-fold:9007199254740993:+9007199254740995", FoldedBetaProduct(2**53 + 1, 2**53 + 3)),
+    ])
+    def test_integral_tokens_parse_exactly(self, spec, law):
+        got = parse_law(spec)
+        assert got == law and got._values() == law._values()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("beta-fold:2.5:2", "bad law spec 'beta-fold:2.5:2': k1 must be a positive integer, got 2.5"),
+        ("gauss", "bad law spec 'gauss'; expected scaled-chisq:SCALE:DF, mix2:W1:W2, "
+                  "beta-fold:K1:K2, tetrad"),
+        # an integer beyond the float range is no finite weight
+        (f"mix2:{10**400}:1", f"bad law spec 'mix2:{10**400}:1': w1 must be positive and finite"),
+    ], ids=["non-integral", "unknown-family", "huge-integer"])
+    def test_error_names_the_cause(self, spec, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_law(spec)
 
     @pytest.mark.parametrize("make, name", [
         (lambda: FoldedBetaProduct(1.5, 2), "k1"),
