@@ -53,6 +53,10 @@ __all__ = [
 _EQUAL_RTOL = 1e-8
 _ZERO_RTOL = 1e-10
 
+# The quarter chi-square-1 law: the limit for one eigenvalue or two of
+# opposite signs, and the lower envelope, proved or conjectured.
+_QUARTER_CHI1 = ScaledChiSquare(scale=0.25, df=1)
+
 
 class QuadraticClassification(_Record):
     """Eigenvalues of A*Sigma plus the emitted law and envelope bounds.
@@ -91,7 +95,7 @@ class QuadraticClassification(_Record):
             lines.append(f"stochastic lower bound: {self.lower_bound.spec_string()}")
         else:
             lines.append(
-                "stochastic lower bound: scaled-chisq:0.25:1 (conjectured only; "
+                f"stochastic lower bound: {_QUARTER_CHI1.spec_string()} (conjectured only; "
                 "mixed-sign spectrum with unequal magnitudes)"
             )
         lines.append(f"stochastic upper bound: {self.upper_bound.spec_string()}")
@@ -120,9 +124,9 @@ def classify(a: QuadraticForm, sigma: CovarianceMatrix) -> QuadraticClassificati
     equal_magnitude = (np.abs(lams).max() - np.abs(lams).min()) <= _EQUAL_RTOL * top
 
     law: LimitLaw | None
-    lower: LimitLaw | None = ScaledChiSquare(scale=0.25, df=1)
+    lower: LimitLaw | None = _QUARTER_CHI1
     if k_eff == 1 or (k_eff == 2 and not same_sign):
-        law = ScaledChiSquare(scale=0.25, df=1)
+        law = _QUARTER_CHI1
     elif k_eff == 2 and not equal_magnitude:
         w2 = lams[0] * lams[1] / (lams[0] + lams[1]) ** 2
         law = TwoChiSquareMix(w1=0.25, w2=float(w2))

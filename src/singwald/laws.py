@@ -36,12 +36,15 @@ k = 2) is a midpoint rule in a rescaled polar angle, keyed by the weight
 ratio w_lo/w_hi alone and scaled by w_hi in ``cdf`` (its rates, or t where
 a tiny w_hi would overflow the rates); the test suite pins it within 1e-12
 of a 30-digit angle integral for weight ratios down to 1e-8.
-Below a ratio of 1e-16 the smaller component is dropped, within
-(2/pi)*sqrt(ratio).  The folded-Beta rule (``_fb_rule``, k = k1 + k2) takes
-Gauss-Legendre panels in the Beta angle, graded toward the angle where the
-rate diverges; the test suite pins it within 2e-9 of adaptive quadrature for
-k1 + k2 <= 8.  Its error grows with k: about 1e-5 at k1 = k2 = 50 and 2e-3
-at 201:200.
+Below a ratio of 1e-16 the smaller component is dropped.  That moves F by
+at most (2/pi)*sqrt(ratio), an absolute bound: for t below about w_lo, F is
+itself that small and loses its relative accuracy (``mix2:1:1e-17`` at
+t = 1e-18 gives 7.979e-10 where the law is 1.562e-10; item 12 of
+ROADMAP.md owns the fix).  The folded-Beta rule (``_fb_rule``,
+k = k1 + k2) takes Gauss-Legendre panels in the Beta angle, graded toward
+the angle where the rate diverges; the test suite pins it within 2e-9 of
+adaptive quadrature for k1 + k2 <= 8.  Its error grows with k: about 1e-5
+at k1 = k2 = 50 and 2e-3 at 201:200.
 
 Every distribution function is evaluated in ``singwald.special``, which
 also holds the root finder: the mixtures by its ``_angle_cdf`` over a rule
@@ -198,7 +201,8 @@ def _leggauss(n: int):
 
 
 # Below this weight ratio the mix2 rule would need more than 8e4 nodes, and
-# the smaller component moves the CDF by at most (2/pi)*sqrt(ratio) <= 6.4e-9.
+# the smaller component moves the CDF by at most (2/pi)*sqrt(ratio) <= 6.4e-9,
+# an absolute bound.
 _MIX2_RATIO_MIN = 1e-16
 
 

@@ -744,149 +744,78 @@ def _bivariate_quadratic_results(n: int, seed: int) -> list[VerificationResult]:
     ]
 
 
-def _random_pd(rng: np.random.Generator, k: int) -> np.ndarray:
-    m = rng.standard_normal((k, k))
-    s = m @ m.T + 0.5 * np.eye(k)
-    d = 1.0 / np.sqrt(np.diag(s))
-    s = s * np.outer(d, d)
-    scale = np.sqrt(rng.uniform(0.5, 2.0, k))
-    return s * np.outer(scale, scale)
+def _random_pds(seed: int, index: int, *ks: int) -> list[np.ndarray]:
+    """Random covariances of the sizes ``ks``, drawn in turn from the stream
+    of ``derive_seed(seed, index)``: a Gaussian square plus I/2, scaled to
+    unit diagonal and then by variances uniform in [0.5, 2]."""
+    rng = make_generator(derive_seed(seed, index), 0)
+    out = []
+    for k in ks:
+        m = rng.standard_normal((k, k))
+        s = m @ m.T + 0.5 * np.eye(k)
+        d = 1.0 / np.sqrt(np.diag(s))
+        s = s * np.outer(d, d)
+        scale = np.sqrt(rng.uniform(0.5, 2.0, k))
+        out.append(s * np.outer(scale, scale))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Registry and suite runner.
 # ---------------------------------------------------------------------------
 
-def _check_monomials(n, seed):
-    return [
-        verify_monomial_theorem(
-            MonomialForm((1.0, 1.0)),
-            np.array([[1.0, 0.9], [0.9, 1.0]]),
-            n,
-            derive_seed(seed, 1),
-            name="product-monomial-law",
-        ),
-        verify_monomial_theorem(
-            MonomialForm((2.0, 3.0)),
-            np.array([[1.0, -0.6], [-0.6, 1.0]]),
-            n,
-            derive_seed(seed, 2),
-            name="bivariate-monomial-law",
-        ),
-        verify_monomial_theorem(
-            MonomialForm((1.0, 1.0)),
-            np.diag([2.0, 5.0]),
-            n,
-            derive_seed(seed, 3),
-            name="monomial-independence-law",
-        ),
-    ]
-
-
-def _check_cauchy(n, seed):
-    return [
-        verify_cauchy(
-            (0.3, 0.7), np.array([[1.0, 0.5], [0.5, 1.0]]), n, derive_seed(seed, 4)
-        )
-    ]
-
-
-def _check_monomial_evidence(n, seed):
-    rng = make_generator(derive_seed(seed, 5), 0)
-    return [
-        verify_conjecture_monomial(
-            MonomialForm((1.0, 1.0, 1.0)), _random_pd(rng, 3), n, derive_seed(seed, 6)
-        ),
-        verify_conjecture_monomial(
-            MonomialForm((0.5, 1.0, 2.0, 1.5)),
-            _random_pd(rng, 4),
-            n,
-            derive_seed(seed, 7),
-        ),
-    ]
-
-
-def _check_cauchy_evidence(n, seed):
-    rng = make_generator(derive_seed(seed, 8), 0)
-    return [
-        verify_cauchy(
-            (1 / 3, 1 / 3, 1 / 3), _random_pd(rng, 3), n, derive_seed(seed, 9)
-        )
-    ]
-
-
-def _check_reciprocal_theorem(n, seed):
-    return [
-        verify_reciprocal(
-            (0.5, 0.5), np.array([[1.0, 0.8], [0.8, 1.0]]), n, derive_seed(seed, 30)
-        )
-    ]
-
-
-def _check_reciprocal_evidence(n, seed):
-    rng = make_generator(derive_seed(seed, 10), 0)
-    return [
-        verify_reciprocal(
-            (0.2, 0.3, 0.5), _random_pd(rng, 3), n, derive_seed(seed, 31)
-        )
-    ]
-
-
-def _check_counterexample(n, seed):
-    out = []
-    for i, rho in enumerate((0.0, 0.5, 0.8)):
-        out.extend(counterexample_negative_weights(rho, n, derive_seed(seed, 32 + i)))
-    return out
-
-
-def _check_trig(n, seed):
-    return [
-        verify_trig_lemma(0.3, n, derive_seed(seed, 35)),
-        verify_trig_lemma(1.0, n, derive_seed(seed, 36)),
-        verify_trig_lemma(-0.5, n, derive_seed(seed, 37)),
-    ]
-
-
-def _check_beta_repr(n, seed):
-    return [
-        verify_beta_representation(2, 2, n, derive_seed(seed, 38)),
-        verify_beta_representation(1, 1, n, derive_seed(seed, 39)),
-        verify_beta_representation(3, 1, n, derive_seed(seed, 40)),
-    ]
-
-
-def _check_tetrad_convergence(n, seed):
-    replicates = int(min(5000, max(500, n // 200)))
-    theta = np.block(
-        [
-            [np.array([[1.0, 0.7], [0.7, 1.0]]), np.zeros((2, 2))],
-            [np.zeros((2, 2)), np.array([[1.0, -0.4], [-0.4, 1.0]])],
-        ]
-    )
-    regular = np.eye(4)
-    regular[0, 2] = regular[2, 0] = 0.5
-    return [
-        verify_tetrad_convergence(theta, 5000, replicates, derive_seed(seed, 41)),
-        verify_tetrad_convergence(regular, 5000, replicates, derive_seed(seed, 42)),
-    ]
-
+# The truths of the tetrad-convergence entry: block-diagonal, where the limit
+# is the tetrad singular law, and regular, where it is chi-square-1.
+_THETA_BLOCK = np.array(
+    [[1.0, 0.7, 0.0, 0.0], [0.7, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -0.4], [0.0, 0.0, -0.4, 1.0]]
+)
+_THETA_REGULAR = np.array(
+    [[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+)
 
 # (claims, tier, runner) in canonical report order; the claims are the
-# stems of the names of the rows the runner yields.
+# stems of the names of the rows the runner yields.  Each runner holds its
+# checks' inputs and derive_seed indices, and names the checks, so that it
+# looks them up as module globals each time it runs.
 _REGISTRY = (
     (
         ("product-monomial-law", "bivariate-monomial-law", "monomial-independence-law"),
         "theorem",
-        _check_monomials,
+        lambda n, s: [
+            verify_monomial_theorem(MonomialForm(p), sigma, n, derive_seed(s, i), name=name)
+            for name, p, sigma, i in (
+                ("product-monomial-law", (1.0, 1.0), [[1.0, 0.9], [0.9, 1.0]], 1),
+                ("bivariate-monomial-law", (2.0, 3.0), [[1.0, -0.6], [-0.6, 1.0]], 2),
+                ("monomial-independence-law", (1.0, 1.0), [[2.0, 0.0], [0.0, 5.0]], 3),
+            )
+        ],
     ),
-    (("weighted-cauchy-ratio",), "theorem", _check_cauchy),
+    (
+        ("weighted-cauchy-ratio",),
+        "theorem",
+        lambda n, s: [verify_cauchy((0.3, 0.7), [[1.0, 0.5], [0.5, 1.0]], n, derive_seed(s, 4))],
+    ),
     (
         ("scale-invariance-pathwise", "reparam-invariance-pathwise"),
         "theorem",
         lambda n, s: verify_pathwise_invariance(n, derive_seed(s, 43)),
     ),
-    (("folded-beta-representation",), "theorem", _check_beta_repr),
-    (("trig-equidistribution", "trig-negative-weight-gap"), "theorem", _check_trig),
+    (
+        ("folded-beta-representation",),
+        "theorem",
+        lambda n, s: [
+            verify_beta_representation(k1, k2, n, derive_seed(s, i))
+            for k1, k2, i in ((2, 2, 38), (1, 1, 39), (3, 1, 40))
+        ],
+    ),
+    (
+        ("trig-equidistribution", "trig-negative-weight-gap"),
+        "theorem",
+        lambda n, s: [
+            verify_trig_lemma(c, n, derive_seed(s, i))
+            for c, i in ((0.3, 35), (1.0, 36), (-0.5, 37))
+        ],
+    ),
     (
         ("bivariate-quadratic-split", "bivariate-quadratic-mixture"),
         "theorem",
@@ -911,7 +840,11 @@ _REGISTRY = (
     (
         ("tetrad-statistic-convergence", "tetrad-regular-convergence"),
         "theorem",
-        _check_tetrad_convergence,
+        lambda n, s: [
+            verify_tetrad_convergence(theta, 5000, int(min(5000, max(500, n // 200))),
+                                      derive_seed(s, i))
+            for theta, i in ((_THETA_BLOCK, 41), (_THETA_REGULAR, 42))
+        ],
     ),
     (
         ("stable-first-passage-law", "stable-convolution"),
@@ -926,12 +859,43 @@ _REGISTRY = (
     (
         ("negative-weight-mean", "negative-weight-exact-mean", "negative-weight-law-gap"),
         "theorem",
-        _check_counterexample,
+        lambda n, s: [
+            row
+            for i, rho in enumerate((0.0, 0.5, 0.8))
+            for row in counterexample_negative_weights(rho, n, derive_seed(s, 32 + i))
+        ],
     ),
-    (("reciprocal-form-law",), "theorem", _check_reciprocal_theorem),
-    (("monomial-law-evidence",), "conjecture", _check_monomial_evidence),
-    (("cauchy-ratio-evidence",), "conjecture", _check_cauchy_evidence),
-    (("reciprocal-form-evidence",), "conjecture", _check_reciprocal_evidence),
+    (
+        ("reciprocal-form-law",),
+        "theorem",
+        lambda n, s: [
+            verify_reciprocal((0.5, 0.5), [[1.0, 0.8], [0.8, 1.0]], n, derive_seed(s, 30))
+        ],
+    ),
+    (
+        ("monomial-law-evidence",),
+        "conjecture",
+        lambda n, s: [
+            verify_conjecture_monomial(MonomialForm(p), sigma, n, derive_seed(s, i))
+            for p, sigma, i in zip(
+                ((1.0, 1.0, 1.0), (0.5, 1.0, 2.0, 1.5)), _random_pds(s, 5, 3, 4), (6, 7)
+            )
+        ],
+    ),
+    (
+        ("cauchy-ratio-evidence",),
+        "conjecture",
+        lambda n, s: [
+            verify_cauchy((1 / 3, 1 / 3, 1 / 3), *_random_pds(s, 8, 3), n, derive_seed(s, 9))
+        ],
+    ),
+    (
+        ("reciprocal-form-evidence",),
+        "conjecture",
+        lambda n, s: [
+            verify_reciprocal((0.2, 0.3, 0.5), *_random_pds(s, 10, 3), n, derive_seed(s, 31))
+        ],
+    ),
 )
 
 

@@ -155,7 +155,10 @@ class TestClassifyHigherDimension:
         assert cls.lower_bound is None
         assert cls.upper_bound == ScaledChiSquare(0.25, 3)
         assert "law=monte-carlo" in cls.machine_line()
-        assert "conjectured" in cls.describe()
+        assert cls.describe().splitlines()[2] == (
+            "stochastic lower bound: scaled-chisq:0.25:1 "
+            "(conjectured only; mixed-sign spectrum with unequal magnitudes)"
+        )
 
     def test_one_signed_unequal_keeps_lower_bound(self):
         cls = classify(

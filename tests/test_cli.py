@@ -678,32 +678,60 @@ def test_parser_covers_all_subcommands():
         assert name in text
 
 
-def _modules_after(code: str, package: str | tuple[str, ...], *argv: str) -> list[str]:
-    """The modules of ``package``, or of each of a tuple of packages,
-    loaded after running ``code`` in a fresh interpreter."""
-    packages = (package,) if isinstance(package, str) else package
+def _loaded(code: str, *argv: str) -> list[str]:
+    """Every module loaded after running ``code`` in a fresh interpreter,
+    sorted."""
     env = dict(os.environ, PYTHONPATH=str(Path(singwald.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code + "; import sys; print('modules:', *sorted("
-         f"m for m in sys.modules if m.split('.')[0] in {packages!r}))",
+        [sys.executable, "-c", code + "; import sys; print('modules:', *sorted(sys.modules))",
          *argv],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return out.stdout.splitlines()[-1].split()[1:]
 
 
+def _in_packages(modules: list[str], package: str | tuple[str, ...]) -> list[str]:
+    """The modules of ``package``, or of each of a tuple of packages."""
+    packages = (package,) if isinstance(package, str) else package
+    return [m for m in modules if m.split(".")[0] in packages]
+
+
+def _modules_after(code: str, package: str | tuple[str, ...], *argv: str) -> list[str]:
+    """The modules of ``package`` loaded after running ``code`` in a fresh
+    interpreter."""
+    return _in_packages(_loaded(code, *argv), package)
+
+
 _RUN_ARGV = "import sys; from singwald.cli import run; assert run(sys.argv[1:]) in (0, 1)"
 
 
-@pytest.fixture
-def command_inputs(tetrad_files, tmp_path):
-    """Input files for every command in the module-loading checks."""
+@pytest.fixture(scope="module")
+def loaded_by(tmp_path_factory):
+    """The modules loaded by each command of the module-loading checks, by
+    argv: each distinct command runs once in a fresh interpreter, and its
+    full listing serves every test of this module.  ``()`` is the import of
+    the CLI alone."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     rng = np.random.default_rng(4)
     np.savetxt(tmp_path / "d.csv", rng.standard_normal((50, 5)), delimiter=",")
     (tmp_path / "q.poly").write_text("1 2 0\n0.5 0 2\n", encoding="utf-8")
     (tmp_path / "s.mat").write_text("2\n1 0.3\n0.3 1\n", encoding="utf-8")
-    poly, mat = tetrad_files
-    return {"poly": str(poly), "kron": str(mat), "dir": str(tmp_path)}
+    (tmp_path / "tetrad.poly").write_text(TETRAD_POLY)
+    (tmp_path / "kron.mat").write_text(KRON_MAT)
+    inputs = {"poly": str(tmp_path / "tetrad.poly"), "kron": str(tmp_path / "kron.mat"),
+              "dir": str(tmp_path)}
+    listings = {}
+
+    def modules(argv) -> list[str]:
+        if argv not in listings:
+            if argv:
+                # 1 is a failed verify check at this small n; 2 would be an input error
+                listings[argv] = _loaded(_RUN_ARGV, *(a.format(**inputs) for a in argv))
+            else:
+                listings[argv] = _loaded("import singwald.cli")
+        return listings[argv]
+
+    return modules
 
 
 def _law_commands(law):
@@ -737,26 +765,17 @@ def _command_id(argv) -> str:
 
 
 @pytest.mark.parametrize("argv", _NO_SCIPY_COMMANDS, ids=_command_id)
-def test_no_wald_command_loads_a_scipy_module(argv, command_inputs):
+def test_no_wald_command_loads_a_scipy_module(argv, loaded_by):
     # the special functions, quadrature rules and root finder are numpy code
-    code = "import singwald.cli"
-    if argv:
-        argv = [a.format(**command_inputs) for a in argv]
-        # 1 is a failed verify check at this small n; 2 would be an input error
-        code = _RUN_ARGV
-    assert _modules_after(code, "scipy", *argv) == []
+    assert _in_packages(loaded_by(argv), "scipy") == []
 
 
 @pytest.mark.parametrize("argv", _NO_SCIPY_COMMANDS, ids=_command_id)
-def test_no_wald_command_loads_a_record_factory_or_a_pool_module(argv, command_inputs):
+def test_no_wald_command_loads_a_record_factory_or_a_pool_module(argv, loaded_by):
     # records are plain classes and the thread pool runs on bare threads,
     # so start-up pays for neither the dataclass factory nor the logging
     # and queue modules that concurrent.futures imports
-    code = "import singwald.cli"
-    if argv:
-        argv = [a.format(**command_inputs) for a in argv]
-        code = _RUN_ARGV
-    assert _modules_after(code, ("dataclasses", "concurrent", "logging", "queue"), *argv) == []
+    assert _in_packages(loaded_by(argv), ("dataclasses", "concurrent", "logging", "queue")) == []
 
 
 # command -> singwald modules it must not load
@@ -770,9 +789,8 @@ _UNUSED_MODULES = [
 @pytest.mark.parametrize(
     "argv, unused", _UNUSED_MODULES, ids=[_command_id(argv) for argv, _ in _UNUSED_MODULES]
 )
-def test_each_command_loads_only_what_it_runs(argv, unused, command_inputs):
-    argv = [a.format(**command_inputs) for a in argv]
-    loaded = _modules_after(_RUN_ARGV, "singwald", *argv)
+def test_each_command_loads_only_what_it_runs(argv, unused, loaded_by):
+    loaded = _in_packages(loaded_by(argv), "singwald")
     assert "singwald.cli" in loaded
     assert not {f"singwald.{name}" for name in unused} & set(loaded)
 
@@ -787,8 +805,8 @@ def test_tetrad_scan_reads_an_unquoted_csv_without_the_csv_module(tmp_path):
     assert _modules_after(_RUN_ARGV, "csv", *argv) == ["csv"]
 
 
-def test_importing_the_cli_loads_no_other_module():
-    assert _modules_after("import singwald.cli", "singwald") == ["singwald", "singwald.cli"]
+def test_importing_the_cli_loads_no_other_module(loaded_by):
+    assert _in_packages(loaded_by(()), "singwald") == ["singwald", "singwald.cli"]
 
 
 @pytest.mark.parametrize(

@@ -299,11 +299,16 @@ class TestSuiteRunner:
 
     def test_registry_claims_are_the_row_stems(self):
         # every row of an entry starts with one of its claims, and every
-        # claim starts some row of its entry
+        # claim starts some row of its entry; rows of different entries
+        # never report the same seed, so no entry reuses another's index
+        seen = {}
         for claims, tier, runner in _REGISTRY:
-            names = [r.name for r in runner(2000, 76)]
+            rows = runner(2000, 76)
+            names = [r.name for r in rows]
             assert all(name.startswith(claims) for name in names), (claims, names)
             assert all(any(name.startswith(c) for name in names) for c in claims), (claims, names)
+            for seed in {r.seed for r in rows}:
+                assert seen.setdefault(seed, claims) == claims, (seed, seen[seed], claims)
 
     @pytest.mark.parametrize("entry", _REGISTRY, ids=lambda entry: entry[0][0])
     def test_registry_entry_peaks_under_five_n_arrays(self, entry):
