@@ -53,8 +53,10 @@ __all__ = [
 _EQUAL_RTOL = 1e-8
 _ZERO_RTOL = 1e-10
 
-# The quarter chi-square-1 law: the limit for one eigenvalue or two of
-# opposite signs, and the lower envelope, proved or conjectured.
+# The reference laws, each declared once: chi-square-1, the regular limit,
+# and its quarter, the limit for one eigenvalue or two of opposite signs and
+# the lower envelope, proved or conjectured.
+_CHI1 = ScaledChiSquare(scale=1.0, df=1)
 _QUARTER_CHI1 = ScaledChiSquare(scale=0.25, df=1)
 
 
@@ -181,7 +183,7 @@ def k_alpha(alpha: float) -> int:
         raise ValueError("alpha must be in (0, 0.5)")
     cap = max(alpha, 0.05)
     # c_alpha: (1 - alpha) quantile of chi-square-1
-    c_alpha = ScaledChiSquare(1.0, 1).quantile(1.0 - alpha)
+    c_alpha = _CHI1.quantile(1.0 - alpha)
     k = 0
     while ScaledChiSquare(0.25, k + 1).sf(c_alpha) <= cap:
         k += 1

@@ -43,7 +43,6 @@ __all__ = [
 RANK_RTOL = 1e-10
 # Most negative eigenvalue tolerated, as a fraction of the largest.
 _PSD_RTOL = 1e-8
-_SYM_ATOL = 1e-10
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -93,25 +92,33 @@ class CovarianceMatrix(_Record):
         return self.factor_b.shape[1]
 
 
+def _symmetric(m, what: str) -> np.ndarray:
+    """The exact, read-only ``(m + m^T)/2`` of a square, finite m whose
+    asymmetry max |m - m^T| is at most 1e-10 of max |m|, a rule free of scale
+    that Sigma and the form A share; a ValueError that names ``what`` if not."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} contains non-finite entries")
+    asym = np.abs(m - m.T).max()
+    if asym > 1e-10 * np.abs(m).max():
+        raise ValueError(f"matrix is asymmetric: max |m - m^T| = {asym:g}")
+    sym = (m + m.T) / 2.0
+    sym.flags.writeable = False
+    return sym
+
+
 def validate_covariance(m) -> CovarianceMatrix:
     """Check symmetry, positive semidefiniteness, and the diagonal sign,
     and factor the matrix.
 
-    The input is symmetrized as ``(m + m^T)/2`` once its asymmetry is within
-    the absolute tolerance 1e-10; eigenvalues more negative than
-    ``-1e-8 * max_eigenvalue`` are rejected.  Eigenvalues below the rank
-    threshold are dropped from the factor, which must reproduce Sigma to
-    ``1e-8 * max |Sigma|``.
+    The input is symmetrized by :func:`_symmetric`, relative to its largest
+    entry; eigenvalues more negative than ``-1e-8 * max_eigenvalue`` are
+    rejected.  Eigenvalues below the rank threshold are dropped from the
+    factor, which must reproduce Sigma to ``1e-8 * max |Sigma|``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"covariance must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("covariance contains non-finite entries")
-    asym = np.abs(m - m.T).max()
-    if asym > _SYM_ATOL:
-        raise ValueError(f"matrix is asymmetric: max |m - m^T| = {asym:g}")
-    sym = (m + m.T) / 2.0
+    sym = _symmetric(m, "covariance")
     diag = np.diag(sym)
     if np.any(diag <= 0):
         raise ValueError(f"diagonal entries must be strictly positive, got {diag}")
@@ -128,7 +135,6 @@ def validate_covariance(m) -> CovarianceMatrix:
     recon = np.abs(b @ b.T - sym).max()
     if recon > 1e-8 * np.abs(sym).max():
         raise ValueError(f"factorization failed: reconstruction error {recon:g}")
-    sym.flags.writeable = False
     b.flags.writeable = False
     return CovarianceMatrix(sigma=sym, factor_b=b)
 

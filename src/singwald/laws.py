@@ -33,9 +33,9 @@ The branch zoo
 with P the regularized lower incomplete gamma function.  This module builds
 their node rules, cached per law parameter.  The mix2 rule (``_mix2_rule``,
 k = 2) is a midpoint rule in a rescaled polar angle, keyed by the weight
-ratio w_lo/w_hi alone and scaled by w_hi in ``cdf`` (its rates, or t where
-a tiny w_hi would overflow the rates); the test suite pins it within 1e-12
-of a 30-digit angle integral for weight ratios down to 1e-8.
+ratio w_lo/w_hi alone; ``cdf`` passes w_hi as the scale, by which
+``_angle_cdf`` divides each tile of t.  The test suite pins the rule within
+1e-12 of a 30-digit angle integral for weight ratios down to 1e-8.
 Below a ratio of 1e-16 the smaller component is dropped.  That moves F by
 at most (2/pi)*sqrt(ratio), an absolute bound: for t below about w_lo, F is
 itself that small and loses its relative accuracy (``mix2:1:1e-17`` at
@@ -211,8 +211,8 @@ def _mix2_rule(ratio: float):
     """The angle rule (r_j, w_j) of Z1^2 + ratio*Z2^2 for 0 < ratio <= 1.
 
     The law of w1*Z1^2 + w2*Z2^2 is w_hi times that of Z1^2 + ratio*Z2^2,
-    ratio = w_lo/w_hi, so one rule per ratio serves every scale: the law's
-    rates are r_j / w_hi.  In polar coordinates, 1 - F(t) = (2/pi) *
+    ratio = w_lo/w_hi, so one rule per ratio serves every scale: the law
+    at t is this one at t / w_hi.  In polar coordinates, 1 - F(t) = (2/pi) *
     int_0^{pi/2} exp(-t / (2*(cos^2(theta) + ratio*sin^2(theta)))) dtheta.
     With b = sqrt(ratio) and tan(theta) = tan(phi) / sqrt(b) this is
 
@@ -250,14 +250,7 @@ class TwoChiSquareMix(LimitLaw):
         if lo / hi < _MIX2_RATIO_MIN:
             with np.errstate(over="ignore"):  # t / hi = inf is F = 1
                 return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
-        rule = _mix2_rule(lo / hi)
-        if hi < 1.0 and rule[0].max() >= hi * np.finfo(float).max:
-            # the scaled rates would overflow (a tiny w_hi): scale t instead,
-            # where t / hi = inf is F = 1
-            with np.errstate(over="ignore"):
-                return _angle_cdf(np.asarray(t, dtype=float) / hi, rule, 2)
-        # the rule's rates scaled to this law: a copy of N nodes, not of t
-        return _angle_cdf(t, rule / [[hi], [1.0]], 2)
+        return _angle_cdf(t, _mix2_rule(lo / hi), 2, hi)
 
     def _draw(self, rng, n):
         z = rng.standard_normal((n, 2))
@@ -360,8 +353,8 @@ def monomial_law(m: MonomialForm) -> ScaledChiSquare:
 def stable_cdf(alpha: float, x):
     """First-passage form: P(alpha^2/Z^2 <= x) = P(Z^2 >= alpha^2/x), the
     chi-square-1 survival function at alpha^2/x, and 0 for x <= 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha <= _LARGEST:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # alpha^2/x = inf gives 0, as it should
         ratio = np.divide(alpha**2, x, out=np.full_like(x, np.inf), where=x > 0)
@@ -369,8 +362,8 @@ def stable_cdf(alpha: float, x):
 
 
 def sample_stable(alpha: float, n: int, seed: int) -> np.ndarray:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha <= _LARGEST:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     z = make_generator(seed).standard_normal(n)
     np.square(z, out=z)
     return np.divide(alpha**2, z, out=z)

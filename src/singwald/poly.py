@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _BLOCK, _Record
 from .errors import ParseError, content_lines, read_input
+from .gaussian import _symmetric
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -364,18 +365,9 @@ class QuadraticForm(_Record):
     _HIDDEN = ("a",)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains non-finite entries")
-        scale = np.abs(a).max()
-        if scale == 0.0:
+        sym = _symmetric(self.a, "matrix")
+        if not sym.any():
             raise ValueError("zero quadratic form")
-        if np.abs(a - a.T).max() > 1e-10 * scale:
-            raise ValueError("matrix is not symmetric")
-        sym = (a + a.T) / 2.0  # exact symmetry
-        sym.flags.writeable = False
         object.__setattr__(self, "a", sym)
 
     @property

@@ -57,8 +57,8 @@ Distribution functions
     ``chi2_cdf`` and ``chi2_sf`` are P and Q at (df/2, x/2) for every df.
     ``tetrad_singular_cdf`` takes its normal tail 1 - Phi(2 sqrt(t)) as
     Q(1/2, 2t)/2, and ``tetrad_singular_sf`` is written in erfcx; both are
-    tiles of ``_tetrad_kernel``.  An angle rule carries a law's scale in its
-    rates (``laws`` divides the mix2 rates by w_hi).  These four are the
+    tiles of ``_tetrad_kernel``.  An angle rule is free of scale: its kernel
+    divides t by the law's scale (mix2's w_hi).  These four are the
     public names: the laws of ``singwald.laws`` are built on them and on the
     angle rules, and ``singwald.tetrad`` takes its p-values from them
     without loading the laws.  Every other name is private to the package.
@@ -365,14 +365,15 @@ def _node_terms(df: int, x, w):
     return out
 
 
-def _angle_kernel(rule, df: int, t):
+def _angle_kernel(rule, df: int, scale: float, t):
     x = np.where(t > 0, t, 0.0)
     acc = np.zeros_like(x)
     # nodes go in groups of rows that fill a tile, so that a call on a few
     # points (a scalar CDF inside a root finder) makes few array calls;
     # every element sees the same arithmetic whatever the grouping
     group = max(1, _BLOCK // x.size)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # t / scale = inf is F = 1
+        x /= scale
         for j in range(0, rule.shape[1], group):
             r, w = rule[:, j : j + group, None]
             for row in _node_terms(df, x * r, w):
@@ -380,16 +381,17 @@ def _angle_kernel(rule, df: int, t):
     return acc
 
 
-def _angle_cdf(t, rule, df: int):
-    """F(t) = sum_j w_j * P(df/2, t * r_j) over the nodes (r_j, w_j) of an
-    angle rule from :func:`_node_rule`.
+def _angle_cdf(t, rule, df: int, scale: float = 1.0):
+    """F(t) = sum_j w_j * P(df/2, (t / scale) * r_j) over the nodes (r_j, w_j)
+    of an angle rule from :func:`_node_rule`: each tile of t is divided by
+    ``scale``, so that one rule serves its law at every scale.
 
     Each point's terms are added one node at a time, in the same order for
     every point.  With nonnegative weights that sum to exactly 1 this gives
     F(0) = 0, F <= 1 and, wherever P is nondecreasing in floating point, F
     nondecreasing, without clipping.  Points t <= 0 (and NaN) map to 0.
     """
-    return _blockwise(functools.partial(_angle_kernel, rule, df), t)
+    return _blockwise(functools.partial(_angle_kernel, rule, df, scale), t)
 
 
 def _tetrad_kernel(upper: bool, t):

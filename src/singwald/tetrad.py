@@ -165,7 +165,7 @@ class TetradWald(_Record):
 def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
     """Wald statistics of the tetrads ``idx`` (shape (..., 4), rows i, j, k, l)
     of a covariance ``theta`` of shape (p, p), or of a stack (..., p, p),
-    each estimated from n observations.
+    each estimated from n observations; a row that repeats a column raises.
 
     The flattened tetrads run in blocks of ``_BLOCK``, each written into
     the preallocated fields, so a scan holds its result and one block's
@@ -182,6 +182,10 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
         block = rows[start : start + _BLOCK]
         out = (..., slice(start, start + _BLOCK))
         i, j, k, l = block.T
+        repeated = (i == j) | (i == k) | (i == l) | (j == k) | (j == l) | (k == l)
+        if repeated.any():
+            bad = tuple(block[repeated.argmax()].tolist())
+            raise ValueError(f"tetrad indices must be distinct, got {bad}")
         t_ik, t_il = theta[..., i, k], theta[..., i, l]
         t_jk, t_jl = theta[..., j, k], theta[..., j, l]
         t_ii, t_jj, t_kk, t_ll = (theta[..., a, a] for a in (i, j, k, l))
@@ -223,7 +227,7 @@ def wald_tetrad_test(data: DataMatrix, idx) -> TetradWald:
 
     ``idx`` is one :class:`TetradIndex`, giving fields of shape (), or an
     (m, 4) index array, giving fields of shape (m,).  Degenerate tetrads are
-    flagged in ``degenerate``; indices outside the p columns raise.
+    flagged in ``degenerate``; a repeated or out-of-range index raises.
     """
     idx = np.asarray(idx, dtype=np.intp)
     rows = idx.reshape(-1, 4)

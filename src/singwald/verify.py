@@ -24,7 +24,7 @@ import numpy as np
 
 from . import SUITES, _Record
 from . import _ThreadPool as ThreadPoolExecutor
-from .classify import classify, sample_canonical
+from .classify import _CHI1, _QUARTER_CHI1, classify, sample_canonical
 from .gaussian import _chunks, factor, make_generator, validate_covariance
 from .laws import (
     EmpiricalDistribution,
@@ -266,7 +266,7 @@ def counterexample_negative_weights(
     ]
     if rho == 0.8:
         # the gap row passes when the distance exceeds 0.01: its statistic is negated
-        gap = _ks_draws(q, ScaledChiSquare(scale=1.0, df=1).cdf)
+        gap = _ks_draws(q, _CHI1.cdf)
         results.append(_gap_result("negative-weight-law-gap", gap, n, seed))
     return results
 
@@ -563,7 +563,6 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
     envelopes hold with equality on parts of their strata.
     """
     rng = make_generator(derive_seed(seed, 19), 0)
-    quarter_chi1 = ScaledChiSquare(scale=0.25, df=1)
     m_emp = max(n // 4, 10_000)
     slack = max(0.005, 3.0 / np.sqrt(m_emp))
 
@@ -574,7 +573,7 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
         grid = np.linspace(0.0, 12.0, 400)
         return max(
             dominance_check(
-                quarter_chi1, sample_canonical(lams, m_emp, derive_seed(seed, base + i)), grid
+                _QUARTER_CHI1, sample_canonical(lams, m_emp, derive_seed(seed, base + i)), grid
             )
             for i, lams in enumerate(spectra)
         )
@@ -616,7 +615,7 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
         VerificationResult(
             name="tetrad-cdf-dominance",
             tier="theorem",
-            statistic=dominance_check(TetradSingular(), ScaledChiSquare(scale=1.0, df=1), grid),
+            statistic=dominance_check(TetradSingular(), _CHI1, grid),
             threshold=1e-9,
             n_used=grid.size,
             seed=seed,
@@ -674,7 +673,7 @@ def verify_tetrad_convergence(
     theta_true = np.asarray(theta_true, dtype=float)
     t_stats = _simulate_tetrad_stats(theta_true, n_data, replicates, derive_seed(seed, 23))
     if np.any(theta_true[:2, 2:]):
-        name, law = "tetrad-regular-convergence", ScaledChiSquare(1.0, 1)
+        name, law = "tetrad-regular-convergence", _CHI1
     else:
         name, law = "tetrad-statistic-convergence", TetradSingular()
     # 0.03 is calibrated for 5000 replicates of the exact Wishart draw, where

@@ -46,8 +46,25 @@ class TestValidateCovariance:
         np.testing.assert_array_equal(cov.sigma, cov.sigma.T)
 
     def test_not_square(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match="^covariance must be square, got shape"):
             validate_covariance(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("k", [-20, 0, 10])
+    @pytest.mark.parametrize("m, symmetric", [
+        ([[1.0, 0.5], [0.9, 1.0]], False),
+        ([[1.0, 0.5], [0.5 + 1e-15, 1.0]], True),
+    ], ids=["gross", "1e-15"])
+    def test_symmetry_verdict_is_the_forms_at_every_scale(self, m, symmetric, k):
+        # Sigma and A share one rule, relative to the largest entry
+        m = 4.0**k * np.array(m)
+        if symmetric:
+            sigma, a = validate_covariance(m).sigma, QuadraticForm(m).a
+            assert sigma.tobytes() == a.tobytes() == ((m + m.T) / 2.0).tobytes()
+            assert not sigma.flags.writeable and not a.flags.writeable
+        else:
+            for check in (validate_covariance, QuadraticForm):
+                with pytest.raises(ValueError, match=r"^matrix is asymmetric: max \|m - m\^T\| = "):
+                    check(m)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

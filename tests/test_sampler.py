@@ -64,6 +64,15 @@ class TestSampleWald:
         b = sample_wald(MonomialForm((1.0, 1.0)), cov2(0.5), cfg)
         assert a.values.tobytes() == b.values.tobytes()
 
+    @pytest.mark.parametrize("k", [-20, 1, 10])
+    def test_scaling_sigma_by_a_power_of_four_keeps_the_bytes(self, quartic, k):
+        # the Wald ratio does not depend on the scale of Sigma, and scaling
+        # by 4^k scales its square root by 2^k exactly
+        cfg = WaldSampleConfig(n=20_000, seed=9)
+        a = sample_wald(quartic, validate_covariance(SIGMA4), cfg)
+        b = sample_wald(quartic, validate_covariance(4.0**k * SIGMA4), cfg)
+        assert a.values.tobytes() == b.values.tobytes()
+
     def test_threads_do_not_change_output(self, quartic, monkeypatch):
         sigma4 = validate_covariance(np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4)))
         cases = (

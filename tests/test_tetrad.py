@@ -353,6 +353,22 @@ class TestWaldTetradTest:
         with pytest.raises(ValueError, match=r"\(0, 1, 2, -1\) out of range"):
             wald_tetrad_test(data, [[0, 1, 2, 3], [0, 1, 2, -1]])
 
+    def test_index_array_with_a_repeated_column_raises(self):
+        # theta00*theta11 - theta01^2 is a determinant, not a tetrad: an
+        # array row meets the rule and the message of TetradIndex
+        data = simulate(np.eye(4), 100, 37)
+        rows = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 0, 1], [3, 3, 1, 2]]
+        message = r"^tetrad indices must be distinct, got \(0, 1, 0, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            wald_tetrad_test(data, rows)
+        with pytest.raises(ValueError, match=message):
+            TetradIndex(0, 1, 0, 1)
+        # the first bad row in a later block is named too
+        scan = np.tile([[0, 1, 2, 3]], (_BLOCK + 5, 1))
+        scan[_BLOCK + 2] = [2, 1, 2, 3]
+        with pytest.raises(ValueError, match=r"got \(2, 1, 2, 3\)$"):
+            wald_tetrad_test(data, scan)
+
 
 class TestBatchedKernel:
     def test_scan_equals_single_tests(self, tmp_path, capsys):
