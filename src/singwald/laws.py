@@ -53,7 +53,8 @@ from its ``_node_rule``, and the chi-square and tetrad laws by ``chi2_cdf``,
 tetrad test calls those four without loading this module; they are
 re-exported here, as is ``EmpiricalDistribution`` of
 ``singwald.empirical``.  The index-1/2 stable law of alpha^2/Z^2 is
-``chi2_sf`` at alpha^2/x.  Every law has a survival function ``sf``:
+``chi2_sf`` at alpha^2/x; alpha must have a finite normal square, about
+1.5e-154 to 1.3e154.  Every law has a survival function ``sf``:
 ``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
 ``tetrad_singular_sf`` for the scaled chi-square and tetrad laws.
 :meth:`LimitLaw.quantile` roots ``sf`` above the median and ``cdf`` below,
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -350,23 +352,33 @@ def monomial_law(m: MonomialForm) -> ScaledChiSquare:
 # One-sided stable law of index 1/2 (the law of alpha^2 / Z^2).
 # ---------------------------------------------------------------------------
 
+def _alpha_squared(alpha: float) -> float:
+    """alpha^2, for a positive alpha whose square is a finite normal float:
+    a larger alpha would overflow alpha^2, and a smaller one would lose it
+    to a subnormal or to 0."""
+    if not 0 < alpha <= _LARGEST:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha2 = float(alpha) * float(alpha)
+    if not sys.float_info.min <= alpha2 <= _LARGEST:
+        raise ValueError(f"alpha^2 must be a finite normal float, got alpha = {alpha}")
+    return alpha2
+
+
 def stable_cdf(alpha: float, x):
     """First-passage form: P(alpha^2/Z^2 <= x) = P(Z^2 >= alpha^2/x), the
     chi-square-1 survival function at alpha^2/x, and 0 for x <= 0."""
-    if not 0 < alpha <= _LARGEST:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha2 = _alpha_squared(alpha)
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # alpha^2/x = inf gives 0, as it should
-        ratio = np.divide(alpha**2, x, out=np.full_like(x, np.inf), where=x > 0)
+        ratio = np.divide(alpha2, x, out=np.full_like(x, np.inf), where=x > 0)
     return chi2_sf(ratio, 1)
 
 
 def sample_stable(alpha: float, n: int, seed: int) -> np.ndarray:
-    if not 0 < alpha <= _LARGEST:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha2 = _alpha_squared(alpha)
     z = make_generator(seed).standard_normal(n)
     np.square(z, out=z)
-    return np.divide(alpha**2, z, out=z)
+    return np.divide(alpha2, z, out=z)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .sampler import (
     dominance_check,
     ks_distance,
     sample_wald,
-    two_sample_ks,
+    two_sample_ks,  # no row calls it; bench/tracer.py patches it by this name
 )
 from .tetrad import tetrad_wald
 
@@ -454,11 +454,14 @@ def verify_trig_lemma(c: float, n: int, seed: int) -> VerificationResult:
 def verify_beta_representation(
     k1: int, k2: int, n: int, seed: int
 ) -> VerificationResult:
-    """Canonical signed-unit spectrum draws match the folded-Beta product."""
+    """Canonical signed-unit spectrum draws match the folded-Beta product.
+
+    The statistic is the one-sample KS distance of n canonical draws to the
+    law's CDF, the angle rule of ``FoldedBetaProduct.cdf`` (within 2e-9 for
+    k1 + k2 <= 8), so no reference sample is drawn."""
     lams = np.concatenate([np.ones(k1), -np.ones(k2)])
     canonical = sample_canonical(lams, n, derive_seed(seed, 11))
-    law_sample = FoldedBetaProduct(k1=k1, k2=k2).sample(n, derive_seed(seed, 12))
-    stat = two_sample_ks(canonical, law_sample)
+    stat = ks_distance(canonical, FoldedBetaProduct(k1=k1, k2=k2))
     return _ks_result(f"folded-beta-representation-{k1}-{k2}", "theorem", stat, n, seed)
 
 
@@ -580,15 +583,17 @@ def verify_bounds_suite(n: int, seed: int) -> list[VerificationResult]:
 
     worst_upper = -np.inf
     n_spectra = 20
+    uppers = {}  # spectrum size k -> its envelope and grid, one quantile solve per k
     for i in range(n_spectra):
         k = int(rng.integers(1, 7))
         lams = rng.uniform(-1.0, 1.0, k)
         if np.all(np.abs(lams) < 1e-3):
             lams[0] = 1.0
         emp = sample_canonical(lams, m_emp, derive_seed(seed, 100 + i))
-        upper = ScaledChiSquare(scale=0.25, df=k)
-        grid = np.linspace(0.0, upper.quantile(0.9995), 400)
-        worst_upper = max(worst_upper, dominance_check(emp, upper, grid))
+        if k not in uppers:
+            upper = ScaledChiSquare(scale=0.25, df=k)
+            uppers[k] = upper, np.linspace(0.0, upper.quantile(0.9995), 400)
+        worst_upper = max(worst_upper, dominance_check(emp, *uppers[k]))
     results = [envelope("upper-envelope-quarter-chisq", worst_upper)]
 
     # A constant spectrum attains the quarter chi-square envelope.

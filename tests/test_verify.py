@@ -1,10 +1,14 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from singwald.classify import sample_canonical
 from singwald.cli import run
+from singwald.laws import FoldedBetaProduct, LimitLaw, sample_stable, stable_cdf
 from singwald.poly import MonomialForm
+from singwald.sampler import ks_distance
 from singwald.verify import (
     _REGISTRY,
     VerificationResult,
@@ -13,6 +17,7 @@ from singwald.verify import (
     counterexample_negative_weights,
     derive_seed,
     format_report,
+    ks_threshold,
     moment_invariance_check,
     run_suite,
     verify_beta_representation,
@@ -229,6 +234,26 @@ class TestBetaRepresentation:
     def test_representation(self, k1, k2):
         assert verify_beta_representation(k1, k2, N, 65).passed
 
+    @pytest.mark.parametrize("k1,k2", [(3, 1), (1, 1)])
+    def test_one_sample_statistic_rejects_a_wrong_split(self, k1, k2):
+        # power control: canonical (2, 2) draws sit far from the folded-Beta
+        # law of another split, at four times the row's threshold or more
+        n = 20_000
+        canonical = sample_canonical(np.array([1.0, 1.0, -1.0, -1.0]), n, 65)
+        stat = ks_distance(canonical, FoldedBetaProduct(k1=k1, k2=k2))
+        assert stat >= 4.0 * ks_threshold(n), stat
+
+
+class TestStableAlpha:
+    @pytest.mark.parametrize("alpha", [1e200, 1e-200])
+    def test_alpha_whose_square_leaves_the_normal_floats_raises(self, alpha):
+        # 1e200**2 overflows and 1e-200**2 underflows to 0, which drew zeros
+        message = "^" + re.escape(f"alpha^2 must be a finite normal float, got alpha = {alpha}") + "$"
+        with pytest.raises(ValueError, match=message):
+            stable_cdf(alpha, [0.5, 1.0])
+        with pytest.raises(ValueError, match=message):
+            sample_stable(alpha, 3, 1)
+
 
 class TestBoundsSuite:
     def test_all_pass(self):
@@ -324,6 +349,16 @@ class TestSuiteRunner:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n + 2**20, peak
+
+    def test_no_row_draws_a_reference_sample(self, monkeypatch):
+        # every row compares its draws with a law's CDF, never with draws
+        # of the law itself
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a verify row drew a reference sample")
+
+        monkeypatch.setattr(LimitLaw, "sample", no_sample)
+        results = run_suite("theorems", n=2000, seed=1)
+        assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
