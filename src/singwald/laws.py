@@ -17,9 +17,9 @@ The branch zoo
 
         F(t) = 1 - exp(-2t) + sqrt(2*pi*t) * (1 - Phi(2*sqrt(t))).
 
-    The density diverges at 0, so only the CDF, the survival function
-    (``tetrad_singular_sf``, free of the cancellation in ``1 - F``),
-    quantile, and sampler are exposed.
+    Its survival function ``tetrad_singular_sf`` is free of the
+    cancellation in ``1 - F``, and its density
+    F'(t) = exp(-2t) + sqrt(pi/(8t)) * erfc(sqrt(2t)) diverges at 0.
 ``FoldedBetaProduct(k1, k2)``
     Law of ``R^2*(2B-1)^2/4`` with ``R^2 ~ chi2_{k1+k2}`` independent of
     ``B ~ Beta(k1/2, k2/2)``; the limit for quadratic forms whose canonical
@@ -28,39 +28,41 @@ The branch zoo
 
 ``TwoChiSquareMix`` and ``FoldedBetaProduct`` are mixtures over an angle,
 
-    F(t) = sum_j w_j * P(k/2, t * r_j),
+    F(t) = sum_j w_j * P(k/2, t * r_j),    1 - F(t) = sum_j w_j * Q(k/2, t * r_j),
 
-with P the regularized lower incomplete gamma function.  This module builds
-their node rules, cached per law parameter.  The mix2 rule (``_mix2_rule``,
-k = 2) is a midpoint rule in a rescaled polar angle, keyed by the weight
-ratio w_lo/w_hi alone; ``cdf`` passes w_hi as the scale, by which
+with P and Q the regularized lower and upper incomplete gamma functions.
+This module builds their node rules, cached per law parameter, on which
+``_AngleRuleLaw`` gives both their cdf, sf and log-density.  The mix2 rule
+(``_mix2_rule``, k = 2) is a midpoint rule in a rescaled polar angle, keyed
+by the weight ratio w_lo/w_hi alone, with w_hi as the scale, by which
 ``_angle_cdf`` divides each tile of t.  The test suite pins the rule within
-1e-12 of a 30-digit angle integral for weight ratios down to 1e-8.
-Below a ratio of 1e-16 the smaller component is dropped.  That moves F by
-at most (2/pi)*sqrt(ratio), an absolute bound: for t below about w_lo, F is
-itself that small and loses its relative accuracy (``mix2:1:1e-17`` at
-t = 1e-18 gives 7.979e-10 where the law is 1.562e-10; item 12 of
-ROADMAP.md owns the fix).  The folded-Beta rule (``_fb_rule``,
-k = k1 + k2) takes Gauss-Legendre panels in the Beta angle, graded toward
-the angle where the rate diverges; the test suite pins it within 2e-9 of
-adaptive quadrature for k1 + k2 <= 8.  Its error grows with k: about 1e-5
-at k1 = k2 = 50 and 2e-3 at 201:200.
+1e-12 of a 30-digit angle integral for weight ratios down to 1e-8, and its
+survival function within 1e-13 relative for t up to 40 w_hi.  Below a
+ratio of 1e-16 the law is taken as ``ScaledChiSquare(w_hi, 1)``, cdf, sf
+and log-density alike.  That moves F by at most (2/pi)*sqrt(ratio), an
+absolute bound: for t below about w_lo, F is itself that small and loses
+its relative accuracy (``mix2:1:1e-17`` at t = 1e-18 gives 7.979e-10 where
+the law is 1.562e-10; item 12 of ROADMAP.md owns the fix).  The
+folded-Beta rule (``_fb_rule``, k = k1 + k2) takes Gauss-Legendre panels in
+the Beta angle, graded toward the angle where the rate diverges; the test
+suite pins it within 2e-9 of adaptive quadrature for k1 + k2 <= 8.  Its
+error grows with k: about 1e-5 at k1 = k2 = 50 and 2e-3 at 201:200, and
+in the far tail that of its sf: ``beta-fold:2:2`` puts the 1 - 1e-12
+quantile at 13.4776725592, the tetrad law at 13.4776724753.
 
 Every distribution function is evaluated in ``singwald.special``, which
-also holds the root finder: the mixtures by its ``_angle_cdf`` over a rule
-from its ``_node_rule``, and the chi-square and tetrad laws by ``chi2_cdf``,
-``chi2_sf``, ``tetrad_singular_cdf`` and ``tetrad_singular_sf``.  The
-tetrad test calls those four without loading this module; they are
-re-exported here, as is ``EmpiricalDistribution`` of
+also holds the root finder: the mixtures by its ``_angle_cdf`` and
+``_angle_log_pdf`` over a rule from its ``_node_rule``, and the chi-square
+and tetrad laws by ``chi2_cdf``, ``chi2_sf``, ``tetrad_singular_cdf`` and
+``tetrad_singular_sf``.  The tetrad test calls those four without loading
+this module; they are re-exported here, as is ``EmpiricalDistribution`` of
 ``singwald.empirical``.  The index-1/2 stable law of alpha^2/Z^2 is
 ``chi2_sf`` at alpha^2/x; alpha must have a finite normal square, about
-1.5e-154 to 1.3e154.  Every law has a survival function ``sf``:
-``1 - cdf`` by default, and the tail-accurate ``chi2_sf`` and
-``tetrad_singular_sf`` for the scaled chi-square and tetrad laws.
-:meth:`LimitLaw.quantile` roots ``sf`` above the median and ``cdf`` below,
-starting from the law's mean, with Newton steps for the scaled chi-square
-law (whose log-density is closed form) and secant steps for the others; a
-quantile past the largest float is an error that names p.
+1.5e-154 to 1.3e154.  Every law family defines ``cdf``, a tail-accurate
+survival function ``sf`` and its log-density ``_log_pdf``, with no default
+in ``LimitLaw``.  :meth:`LimitLaw.quantile` roots ``sf`` above the median
+and ``cdf`` below, starting from the law's mean, with Newton steps on the
+log-density; a quantile past the largest float is an error that names p.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from .gaussian import make_generator
 from .special import (
     _LARGEST,
     _angle_cdf,
+    _angle_log_pdf,
     _node_rule,
     _positive_int,
     _root,
@@ -113,31 +116,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class LimitLaw(_Record):
-    """Common quantile / sampling plumbing for the concrete branches."""
-
-    def cdf(self, t):
-        raise NotImplementedError
+    """Common quantile / sampling plumbing for the concrete branches, which
+    define ``cdf``, ``sf``, ``_log_pdf`` (log F'(t) at t > 0), ``mean`` and
+    ``_draw``."""
 
     def sample(self, n: int, seed: int) -> EmpiricalDistribution:
         if n < 2:
             raise ValueError("n must be at least 2")
         rng = make_generator(seed)
         return EmpiricalDistribution.from_samples(self._draw(rng, n))
-
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def sf(self, t):
-        """Survival function 1 - F(t); laws with a tail-accurate form
-        override it."""
-        return 1.0 - self.cdf(t)
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    # log F'(t) for a Newton step in the quantile root finder; None makes
-    # it take secant steps
-    _log_pdf = None
 
     def quantile(self, p: float) -> float:
         """Inverse CDF at p in (0, 1): roots sf(t) = 1 - p above the median,
@@ -202,7 +189,7 @@ def _leggauss(n: int):
     return nodes, weights
 
 
-# Below this weight ratio the mix2 rule would need more than 8e4 nodes, and
+# Below this weight ratio the mix2 rule would need more than 1.5e5 nodes, and
 # the smaller component moves the CDF by at most (2/pi)*sqrt(ratio) <= 6.4e-9,
 # an absolute bound.
 _MIX2_RATIO_MIN = 1e-16
@@ -223,12 +210,13 @@ def _mix2_rule(ratio: float):
 
     whose integrand is periodic and analytic in a strip of half-width about
     ratio^(1/4).  The midpoint rule in phi then converges geometrically;
-    N = max(16, ceil(8 * ratio^(-1/4))) nodes keep the error below 1e-12.
-    The weights w_j are the normalised Jacobian and the rates are
-    r_j = r(phi_j), for :func:`_angle_cdf` at df = 2.
+    N = max(16, ceil(15 * ratio^(-1/4))) nodes keep the error below 1e-12,
+    and that of the sf below 1e-13 of itself up to t = 40 w_hi.  The weights
+    w_j are the normalised Jacobian and the rates are r_j = r(phi_j), for
+    :func:`_angle_cdf` at df = 2.
     """
     b = math.sqrt(ratio)
-    n = max(16, math.ceil(8.0 * ratio**-0.25))
+    n = max(16, math.ceil(15.0 * ratio**-0.25))
     phi = (np.arange(n) + 0.5) * (np.pi / (2 * n))
     cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
     den = b * cos2 + sin2
@@ -236,7 +224,22 @@ def _mix2_rule(ratio: float):
     return _node_rule(rate, 1.0 / (den * np.sum(1.0 / den)))
 
 
-class TwoChiSquareMix(LimitLaw):
+class _AngleRuleLaw(LimitLaw):
+    """A mixture over an angle, F(t) = sum_j w_j * P(df/2, (t / scale) * r_j):
+    its cdf, sf and log-density, all from the rule, df and scale that the
+    family's ``_angle_rule()`` returns."""
+
+    def cdf(self, t):
+        return _angle_cdf(t, *self._angle_rule())
+
+    def sf(self, t):
+        return _angle_cdf(t, *self._angle_rule(), upper=True)
+
+    def _log_pdf(self, t):
+        return _angle_log_pdf(t, *self._angle_rule())
+
+
+class TwoChiSquareMix(_AngleRuleLaw):
     w1: float
     w2: float
     _SPEC = "mix2"
@@ -247,12 +250,25 @@ class TwoChiSquareMix(LimitLaw):
         if not 0 <= self.w2 <= _LARGEST:
             raise ValueError(f"w2 must be nonnegative and finite, got {self.w2}")
 
-    def cdf(self, t):
+    def _angle_rule(self):
         hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
-        if lo / hi < _MIX2_RATIO_MIN:
-            with np.errstate(over="ignore"):  # t / hi = inf is F = 1
-                return chi2_cdf(np.asarray(t, dtype=float) / hi, 1)
-        return _angle_cdf(t, _mix2_rule(lo / hi), 2, hi)
+        return _mix2_rule(lo / hi), 2, hi
+
+    def _law(self):
+        """The law whose cdf, sf and log-density this one takes:
+        ScaledChiSquare(w_hi, 1) below a weight ratio of ``_MIX2_RATIO_MIN``,
+        and above it this law as an ``_AngleRuleLaw`` (``super()``)."""
+        hi, lo = max(self.w1, self.w2), min(self.w1, self.w2)
+        return ScaledChiSquare(hi, 1) if lo / hi < _MIX2_RATIO_MIN else super()
+
+    def cdf(self, t):
+        return self._law().cdf(t)
+
+    def sf(self, t):
+        return self._law().sf(t)
+
+    def _log_pdf(self, t):
+        return self._law()._log_pdf(t)
 
     def _draw(self, rng, n):
         z = rng.standard_normal((n, 2))
@@ -295,7 +311,7 @@ def _fb_rule(k1: int, k2: int):
     return _node_rule(2.0 / np.sin(2.0 * s) ** 2, p)
 
 
-class FoldedBetaProduct(LimitLaw):
+class FoldedBetaProduct(_AngleRuleLaw):
     k1: int
     k2: int
     _SPEC = "beta-fold"
@@ -304,20 +320,14 @@ class FoldedBetaProduct(LimitLaw):
         object.__setattr__(self, "k1", _positive_int(self.k1, "k1"))
         object.__setattr__(self, "k2", _positive_int(self.k2, "k2"))
 
-    def cdf(self, t):
-        return _angle_cdf(t, _fb_rule(self.k1, self.k2), self.k1 + self.k2)
+    def _angle_rule(self):
+        return _fb_rule(self.k1, self.k2), self.k1 + self.k2, 1.0
 
     def _draw(self, rng, n):
-        # every chi-square draw, then every Beta draw, from the stream; the
-        # arithmetic runs in place in their two buffers
-        r2 = rng.chisquare(self.k1 + self.k2, n)
-        b = rng.beta(self.k1 / 2.0, self.k2 / 2.0, n)
-        b *= 2.0
-        b -= 1.0
-        np.square(b, out=b)
-        r2 *= 0.25
-        r2 *= b
-        return r2
+        # every chi-square draw, then every Beta draw, from the stream
+        return 0.25 * rng.chisquare(self.k1 + self.k2, n) * (
+            2.0 * rng.beta(self.k1 / 2.0, self.k2 / 2.0, n) - 1.0
+        ) ** 2
 
     def mean(self) -> float:
         a, b = self.k1 / 2.0, self.k2 / 2.0
@@ -334,6 +344,11 @@ class TetradSingular(LimitLaw):
 
     def sf(self, t):
         return tetrad_singular_sf(t)
+
+    def _log_pdf(self, t):
+        # both terms of F'(t) underflow past t = 372
+        d = math.exp(-2.0 * t) + math.sqrt(math.pi / (8.0 * t)) * math.erfc(math.sqrt(2.0 * t))
+        return math.log(d) if d > 0.0 else -math.inf
 
     def _draw(self, rng, n):
         return 0.25 * rng.chisquare(4, n) * rng.random(n) ** 2

@@ -208,32 +208,11 @@ def _ks_every_point(x: np.ndarray, law) -> float:
 
 def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Exact two-sample KS statistic: the largest ``|F_a - F_b|`` over the
-    pooled draws.
-
-    The two sorted samples are merged one chunk at a time.  A chunk ends at
-    the smaller of the two samples' values ``_BLOCK`` draws ahead and
-    takes every copy of that value from both samples, so no run of equal
-    pooled values is split, and both step CDFs are read at the same count
-    pairs as in one merge of the whole samples.
-    """
-    x, y = a.values, b.values
-    i = j = 0
-    worst = 0.0
-    while i < a.n or j < b.n:
-        edge = min(v[min(k + _BLOCK, v.size) - 1] for v, k in ((x, i), (y, j)) if k < v.size)
-        i_end, j_end = np.searchsorted(x, edge, "right"), np.searchsorted(y, edge, "right")
-        pooled = np.concatenate([x[i:i_end], y[j:j_end]])
-        order = np.argsort(pooled, kind="stable")
-        pooled = pooled[order]
-        # Both step CDFs are right-continuous: read them at the last draw of
-        # each run of equal values, at the chunk's 0-based merged ranks ``ends``.
-        ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
-        ca = np.cumsum(order < i_end - i)[ends] + i
-        # F_b's count at merged rank r is r + 1 - F_a's
-        cb = ends + (i + j + 1) - ca
-        worst = max(worst, float(np.abs(ca / a.n - cb / b.n).max()))
-        i, j = i_end, j_end
-    return worst
+    pooled draws, both step CDFs counted at every pooled draw."""
+    pooled = np.concatenate([a.values, b.values])
+    fa = np.searchsorted(a.values, pooled, side="right") / a.n
+    fb = np.searchsorted(b.values, pooled, side="right") / b.n
+    return float(np.abs(fa - fb).max())
 
 
 def dominance_check(lower, upper, grid) -> float:

@@ -1,7 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from singwald.poly import HomogeneousPolynomial
+
+
+def peak_bytes(fn):
+    """``fn()`` under tracemalloc: its result and the peak of the memory
+    traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -99,3 +99,16 @@ def test_every_law_keeps_the_traced_quantile():
     assert len(concrete) >= 4
     for cls in concrete:
         assert cls.quantile is laws.LimitLaw.quantile, cls.__name__
+
+
+def test_every_law_family_brings_its_own_cdf_sf_and_log_density():
+    # LimitLaw declares none of the three, so no family can fall back on a
+    # default: an sf of 1 - cdf, which cancels in the tail, or a quantile
+    # root without Newton steps
+    from singwald import laws
+
+    assert len(laws._LAWS) >= 4
+    for cls in laws._LAWS.values():
+        for name in ("cdf", "sf", "_log_pdf"):
+            owner = next((base for base in cls.__mro__ if name in vars(base)), None)
+            assert owner not in (None, laws.LimitLaw), (cls.__name__, name)

@@ -1,10 +1,11 @@
+import math
 import re
-import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from scipy import integrate, special, stats
 
 from singwald.laws import (
@@ -42,6 +43,10 @@ ALL_LAWS = [
     FoldedBetaProduct(2, 2),
     FoldedBetaProduct(3, 1),
 ]
+
+
+# the tail probabilities of the pinned ``wald quantile --probs`` tables
+PINNED_TAIL_PROBS = (1e-12, 1e-9, 1e-6, 0.999999, 0.999999999, 0.999999999999)
 
 
 class StableLaw:
@@ -239,8 +244,8 @@ def mix2_cdf_legendre(t, w1, w2):
     return out
 
 
-def mix2_cdf_mpmath(t, w1, w2):
-    """F(t) = 1 - (2/pi) * int_0^{pi/2} exp(-t / (2 q(theta))) dtheta with
+def mix2_sf_mpmath(t, w1, w2):
+    """1 - F(t) = (2/pi) * int_0^{pi/2} exp(-t / (2 q(theta))) dtheta with
     q = w1 cos^2 + w2 sin^2, by adaptive quadrature at 30 digits, split at
     the angle where q changes over."""
     with mpmath.workdps(30):
@@ -250,7 +255,12 @@ def mix2_cdf_mpmath(t, w1, w2):
         width = mpmath.sqrt(min(w1, w2) / max(w1, w2))
         cuts = {mid + k * width for k in (-10, -1, 0, 1, 10)}
         pts = [0] + sorted(c for c in cuts if 0 < c < mpmath.pi / 2) + [mpmath.pi / 2]
-        return float(1 - 2 / mpmath.pi * mpmath.quad(f, pts))
+        return 2 / mpmath.pi * mpmath.quad(f, pts)
+
+
+def mix2_cdf_mpmath(t, w1, w2):
+    with mpmath.workdps(30):
+        return float(1 - mix2_sf_mpmath(t, w1, w2))
 
 
 MIX2_RATIOS = (1.0, 0.8, 0.05, 1e-3, 1e-5, 1e-8)
@@ -274,6 +284,14 @@ class TestMix2AngleRule:
         t = mix2_points(law, 13)
         want = np.array([mix2_cdf_mpmath(v, w1, w2) for v in t])
         assert np.abs(law.cdf(t) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1e-6, 0.05, 0.8])
+    def test_sf_keeps_its_relative_accuracy_in_the_tail(self, ratio):
+        # the sum of the upper terms w_j * Q, not 1 - F, which at t = 40 is
+        # a multiple of 2^-53 against an sf of 2.5e-10
+        law, t = TwoChiSquareMix(1.0, ratio), np.geomspace(1e-3, 40.0, 13)
+        want = np.array([float(mix2_sf_mpmath(v, 1.0, ratio)) for v in t])
+        assert np.abs(law.sf(t) / want - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("w1, w2", MIX2_GRID)
     def test_against_legendre_rule(self, w1, w2):
@@ -311,12 +329,7 @@ class TestMix2AngleRule:
         law = TwoChiSquareMix(0.25, 0.2)
         t = np.linspace(0.0, 5.0, 10**6)
         law.cdf(t[:10])
-        tracemalloc.start()
-        try:
-            law.cdf(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: law.cdf(t))
         # the 8 MB output plus a few 128 KB tile temporaries: a whole-array
         # copy of t / w_hi (8 MB more) would not fit
         assert peak < 12 * 2**20
@@ -370,6 +383,26 @@ class TestMix2AngleRule:
         law = parse_law(f"mix2:{2**1000}:{2**998}")
         t = 2.0**1000 * np.arange(0.0, 40.0, 0.01)
         np.testing.assert_array_equal(law.cdf(t), TwoChiSquareMix(2.0**1000, 2.0**998).cdf(t))
+
+    def test_zero_weight_quantiles_are_the_scaled_chi_square_quantiles(self):
+        # below the smallest ratio the law is ScaledChiSquare(w_hi, 1), its
+        # sf and log-density too, so the root finder sees the same floats
+        probs = [*np.round(0.005 * np.arange(1, 200), 12), *PINNED_TAIL_PROBS]
+        got = [TwoChiSquareMix(0.25, 0.0).quantile(p) for p in probs]
+        assert got == [ScaledChiSquare(0.25, 1).quantile(p) for p in probs]
+
+    @pytest.mark.parametrize("spec", ["mix2:1e-300:1e-315", f"mix2:{2**1000}:{2**998}",
+                                      f"mix2:{2.0**1000}:{2.0**1000 * 1e-15}"])
+    def test_quantiles_at_the_ends_of_the_float_range_raise_no_warning(self, spec):
+        # the rates reach 5e14 at a ratio of 1e-15, so r_j / w_hi would
+        # overflow at w_hi = 1e-300; the log-density never forms it
+        law = parse_law(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1e-12, 1e-6, 0.3, 0.5, 0.9, *PINNED_TAIL_PROBS[3:]):
+                q = law.quantile(p)
+                side = law.sf(q) if p > 0.5 else law.cdf(q)
+                assert side == pytest.approx(min(p, 1.0 - p), rel=1e-9), (p, q)
 
     def test_tiny_ratio_takes_the_larger_weight(self):
         # below a ratio of 1e-16 the law is evaluated as chi-square-1 scaled
@@ -444,12 +477,7 @@ class TestFoldedBetaProduct:
         law = FoldedBetaProduct(3, 1)
         t = np.linspace(0.0, 10.0, 10**5)
         law.cdf(t[:10])
-        tracemalloc.start()
-        try:
-            law.cdf(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: law.cdf(t))
         # the 0.8 MB output plus a few 128 KB tile temporaries, not a
         # points-by-nodes matrix
         assert peak < 16 * 2**20
@@ -499,6 +527,35 @@ class TestTetradSingularLaw:
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
+def test_log_pdf_is_the_slope_of_the_cdf(law):
+    # a central difference of the small side at relative step 1e-4, whose
+    # error is about 1e-8 of the slope
+    for p in (1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6):
+        t = law.quantile(p)
+        h = 1e-4 * t
+        if p > 0.5:
+            slope = (law.sf(t - h) - law.sf(t + h)) / (2.0 * h)
+        else:
+            slope = (law.cdf(t + h) - law.cdf(t - h)) / (2.0 * h)
+        assert math.exp(law._log_pdf(t)) == pytest.approx(slope, rel=1e-6), (p, t)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
+def test_quantiles_take_few_side_evaluations(law, monkeypatch):
+    # Newton steps on every law: the 199 grid and 6 tail probabilities of
+    # the pinned tables cost at most 1,150 cdf and sf calls in all
+    calls = [0]
+    for name in ("cdf", "sf"):
+        def counted(self, t, side=getattr(type(law), name)):
+            calls[0] += 1
+            return side(self, t)
+        monkeypatch.setattr(type(law), name, counted)
+    for p in [*np.round(0.005 * np.arange(1, 200), 12), *PINNED_TAIL_PROBS]:
+        law.quantile(float(p))
+    assert calls[0] <= 1150
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.spec_string())
 def test_cdf_quantile_round_trip(law):
     for p in np.arange(0.01, 1.0, 0.07):
         q = law.quantile(float(p))
@@ -513,6 +570,20 @@ def test_small_p_quantile_keeps_relative_accuracy(law):
         q = law.quantile(p)
         assert q > 0.0, p
         assert abs(float(law.cdf(q)) / p - 1.0) <= 1e-9, (p, q)
+
+
+@pytest.mark.parametrize("law, unit, scale, p", [
+    # the hazard sf'/sf passes e^709 at a subnormal scale
+    (ScaledChiSquare(1e-320, 1), ScaledChiSquare(1.0, 1), 1e-320, 0.7),
+    (TwoChiSquareMix(5e-324, 5e-324), TwoChiSquareMix(1.0, 1.0), 5e-324, 0.7),
+    # a lower-side root above e^709
+    (TwoChiSquareMix(1.7e308, 1e308), TwoChiSquareMix(1.7, 1.0), 1e308, 0.3),
+], ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else None)
+def test_newton_steps_at_the_ends_of_the_float_range(law, unit, scale, p):
+    # the root finder caps the exp of a log-slope and of a log-step where
+    # it would overflow; the root is the unit law's, scaled, to within the
+    # spacing of the subnormals
+    assert law.quantile(p) == pytest.approx(scale * unit.quantile(p), rel=1e-12, abs=1e-323)
 
 
 @pytest.mark.parametrize("law", ALL_CDFS, ids=lambda l: l.spec_string())

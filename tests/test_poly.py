@@ -1,10 +1,10 @@
 import math
 import re
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from hypothesis import example, given, settings, strategies as st
 
 from singwald.errors import ParseError
@@ -362,12 +362,7 @@ def test_compiled_kernel_matches_term_loops(f, n, point_seed):
 def test_kernel_memory_is_blocked(quartic):
     # An unblocked kernel holds a (35, 2^18) monomial buffer, about 73 MB.
     x = np.random.default_rng(5).standard_normal((1 << 18, 4))
-    tracemalloc.start()
-    try:
-        value, grad = quartic.evaluate(x), quartic.gradient(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (value, grad), peak = peak_bytes(lambda: (quartic.evaluate(x), quartic.gradient(x)))
     assert value.shape == (1 << 18,) and grad.shape == (1 << 18, 4)
     assert peak < 32 * 2**20, peak / 2**20
 

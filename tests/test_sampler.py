@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from test_laws import ALL_CDFS
 
 from singwald.errors import DegenerateSamplingError
@@ -125,15 +126,10 @@ class TestSampleWald:
     def test_result_is_the_sorted_buffer_not_a_copy(self):
         # Sixteen batches: the result buffer is the largest allocation, and
         # sorting a copy of it would double the peak.
-        import tracemalloc
-
         n = 1 << 22
-        tracemalloc.start()
-        try:
-            emp = sample_wald(MonomialForm((1.0, 1.0)), cov2(0.5), WaldSampleConfig(n=n, seed=3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        emp, peak = peak_bytes(
+            lambda: sample_wald(MonomialForm((1.0, 1.0)), cov2(0.5), WaldSampleConfig(n=n, seed=3))
+        )
         assert np.all(np.diff(emp.values) >= 0)
         assert peak < 1.6 * emp.values.nbytes
 
@@ -212,15 +208,8 @@ class TestStreamedBatches:
         # Whole 2^18-row batches peaked 22 MB above the 8 MB result; chunks
         # of 2^14 rows peak about 7 MB above it, most of that the polynomial
         # kernel's own per-block tables.
-        import tracemalloc
-
         sigma = validate_covariance(SIGMA4)
-        tracemalloc.start()
-        try:
-            emp = sample_wald(quartic, sigma, WaldSampleConfig(n=1 << 20, seed=3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        emp, peak = peak_bytes(lambda: sample_wald(quartic, sigma, WaldSampleConfig(n=1 << 20, seed=3)))
         assert peak < emp.values.nbytes + 12 * 2**20
 
 

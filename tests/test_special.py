@@ -1,11 +1,11 @@
 """The numpy special-function kernels against 40-digit mpmath."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 from singwald import special
 
@@ -161,24 +161,21 @@ def test_erfcx_table_is_reproducible():
 @pytest.mark.parametrize("df", [1, 2, 3, 6, 25])
 def test_inverse_round_trip(df):
     # the root finder inverts the incomplete gamma functions with Newton
-    # steps (given the log-density) and with secant steps (without it),
-    # from the mean a; the lower-side root of 1e-300 underflows for df = 1
-    # (x ~ 8e-601)
+    # steps on their log-density, from the mean a; the lower-side root of
+    # 1e-300 underflows for df = 1 (x ~ 8e-601)
     def log_density(a):
         return lambda x: (a - 1.0) * math.log(x) - x - math.lgamma(a)
 
     a = df / 2.0
-    for newton in (log_density(a), None):
-        for target, upper in ((1e-150, False), (1e-300, True)):
-            side = special._upper_gamma if upper else special._lower_gamma
-            for t in (target, 1e-12, 0.3, 0.5):
-                x = special._root(lambda v: side(df, v), t, a, upper, newton)
-                assert float(side(df, x)) == pytest.approx(t, rel=1e-12, abs=0.0)
-    for newton in (log_density(0.5), None):
-        root = special._root(lambda v: special._lower_gamma(1, v), 1e-300, 0.5, False, newton)
-        assert root == 0.0
+    for target, upper in ((1e-150, False), (1e-300, True)):
+        side = special._upper_gamma if upper else special._lower_gamma
+        for t in (target, 1e-12, 0.3, 0.5):
+            x = special._root(lambda v: side(df, v), t, a, upper, log_density(a))
+            assert float(side(df, x)) == pytest.approx(t, rel=1e-12, abs=0.0)
+    root = special._root(lambda v: special._lower_gamma(1, v), 1e-300, 0.5, False, log_density(0.5))
+    assert root == 0.0
     with pytest.raises(ValueError):
-        special._root(lambda v: special._lower_gamma(3, v), 0.0, a)
+        special._root(lambda v: special._lower_gamma(3, v), 0.0, a, False, log_density(a))
 
 
 @pytest.mark.parametrize("fn", [special.tetrad_singular_cdf, special.tetrad_singular_sf])
@@ -187,12 +184,7 @@ def test_tetrad_closed_forms_are_blocked(fn):
     # several arrays the size of the input
     t = np.linspace(0.0, 40.0, 10**6)
     fn(t[:10])
-    tracemalloc.start()
-    try:
-        fn(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: fn(t))
     assert peak <= t.nbytes + 2 * 2**20
 
 

@@ -2,12 +2,12 @@ import ast
 import csv
 import math
 import re
-import tracemalloc
 from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from singwald.classify import classify
@@ -501,12 +501,7 @@ class TestBatchedKernel:
         theta = a @ a.T / 60
         idx = tetrad_index_array(30)
         tetrad_wald(theta, 1000, idx[:3])
-        tracemalloc.start()
-        try:
-            res = tetrad_wald(theta, 1000, idx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = peak_bytes(lambda: tetrad_wald(theta, 1000, idx))
         assert res.t_stat.shape == (82215,)
         record = sum(
             getattr(res, name).nbytes

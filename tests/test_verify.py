@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 from singwald.classify import sample_canonical
 from singwald.cli import run
@@ -339,15 +340,8 @@ class TestSuiteRunner:
     def test_registry_entry_peaks_under_five_n_arrays(self, entry):
         # Every whole-n draw is streamed in row chunks, so at n = 1e5 no
         # entry holds more than five n-arrays (4 MB) and 1 MB besides.
-        import tracemalloc
-
         n = 10**5
-        tracemalloc.start()
-        try:
-            entry[2](n, 77)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: entry[2](n, 77))
         assert peak <= 5 * 8 * n + 2**20, peak
 
     def test_no_row_draws_a_reference_sample(self, monkeypatch):
