@@ -111,12 +111,14 @@ class _ThreadPool:
     ``concurrent.futures.ThreadPoolExecutor``, whose import would load
     ``logging`` and ``queue`` into every command that maps its work.
 
-    ``map`` hands the items out in order to ``max_workers`` threads, at
-    most one per item, and returns the results in item order.  After a
-    task raises, no further item starts; once the running ones finish, the
-    exception of the earliest failed item is raised in the caller.  One
-    worker or one item runs on the calling thread: a pool thread takes its
-    own malloc arena, which costs peak memory for no speed-up.
+    ``map`` hands the items out in order to ``max_workers`` workers, at
+    most one per item, and returns the results in item order.  The calling
+    thread is always one of the workers, so a map starts
+    ``min(max_workers, items) - 1`` threads and one worker starts none: a
+    pool thread takes its own malloc arena, which costs peak memory.
+    After a task raises, no further item starts; once the running ones
+    finish, the exception of the earliest failed item is raised in the
+    caller.
 
     ``sampler`` and ``verify`` import it as ``ThreadPoolExecutor`` and call
     ``with ThreadPoolExecutor(max_workers=n) as pool: pool.map(...)``,
@@ -136,8 +138,6 @@ class _ThreadPool:
 
     def map(self, fn, items) -> list:
         tasks = deque(enumerate(items))
-        if self._workers == 1 or len(tasks) <= 1:
-            return [fn(item) for _, item in tasks]
         results = [None] * len(tasks)
         failures = []
 
@@ -154,10 +154,11 @@ class _ThreadPool:
                     failures.append((i, exc))
                     tasks.clear()
 
-        threads = [threading.Thread(target=work) for _ in range(min(self._workers, len(tasks)))]
+        threads = [threading.Thread(target=work) for _ in range(min(self._workers, len(tasks)) - 1)]
         for thread in threads:
             thread.start()
         try:
+            work()
             for thread in threads:
                 thread.join()
         finally:

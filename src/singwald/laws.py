@@ -42,7 +42,7 @@ ratio of 1e-16 the law is taken as ``ScaledChiSquare(w_hi, 1)``, cdf, sf
 and log-density alike.  That moves F by at most (2/pi)*sqrt(ratio), an
 absolute bound: for t below about w_lo, F is itself that small and loses
 its relative accuracy (``mix2:1:1e-17`` at t = 1e-18 gives 7.979e-10 where
-the law is 1.562e-10; item 12 of ROADMAP.md owns the fix).  The
+the law is 1.562e-10; item 19 of ROADMAP.md owns the fix).  The
 folded-Beta rule (``_fb_rule``, k = k1 + k2) takes Gauss-Legendre panels in
 the Beta angle, graded toward the angle where the rate diverges; the test
 suite pins it within 2e-9 of adaptive quadrature for k1 + k2 <= 8.  Its
@@ -173,10 +173,13 @@ class ScaledChiSquare(LimitLaw):
             return chi2_sf(np.asarray(t, dtype=float) / self.scale, self.df)
 
     def _log_pdf(self, t):
-        # 2 * scale may overflow; x stays finite, and a log-density of -inf
-        # only turns the root finder's Newton step into a bracket step
+        # 2 * scale overflows above about 9e307, where its log is taken as a
+        # sum; below, the one log keeps the bits of every pinned quantile
         a, x = self.df / 2.0, t / self.scale / 2.0
-        return (a - 1.0) * math.log(x) - x - math.lgamma(a) - math.log(2.0 * self.scale)
+        log_two_scale = math.log(2.0 * self.scale)
+        if log_two_scale == math.inf:
+            log_two_scale = math.log(2.0) + math.log(self.scale)
+        return (a - 1.0) * math.log(x) - x - math.lgamma(a) - log_two_scale
 
     def mean(self) -> float:
         return self.scale * self.df

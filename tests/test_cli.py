@@ -1,3 +1,4 @@
+import math
 import os
 import pkgutil
 import subprocess
@@ -586,8 +587,8 @@ def test_every_table_is_one_call_of_the_one_writer(tetrad_files, data_csv, monke
 # Each request is exabytes in size or leaves the float range (a denominator
 # that underflows, a moment that overflows), so it fails at once without
 # allocating; exit 1 is kept for a failed theorem-tier check.  A numpy
-# RuntimeWarning is an error here: the cause must come as one error line.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# RuntimeWarning is an error in tier-1 (pyproject.toml): the cause must come
+# as one error line.
 @pytest.mark.parametrize("argv", [
     ("cdf", "tetrad", "--grid", "0:1e9:1e-9"),
     ("quantile", "tetrad", "--grid", "0.1:0.9:1e-18"),
@@ -607,7 +608,6 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
 
 # Input errors reach run() as one ValueError: exit 2, nothing on stdout,
 # and one error line that names the cause.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, wald_seed, cause", [
     (("cdf", "tetrad", "--grid", "a:b:c"), None, "grid must be start:stop:step"),
     (("cdf", "tetrad", "--grid", "0:1:0.5"), "abc", "WALD_SEED must be an integer, got 'abc'"),
@@ -627,9 +627,11 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
      "the quantile at p=0.999 overflows the float range"),
     (("quantile", "mix2:1e-16:1.7e308", "--probs", "0.999999999999"), None,
      "the quantile at p=0.999999999999 overflows the float range"),
+    (("quantile", "scaled-chisq:1.7e308:3", "--probs", "0.5"), None,
+     "the quantile at p=0.5 overflows the float range"),
 ], ids=["grid", "wald-seed", "moment-order", "moment-sigma-nan", "moment-sigma-inf",
         "tetrad-index", "underflow-cdf", "underflow-quantile", "empty-probs", "empty-grid",
-        "overflow-quantile-chisq", "overflow-quantile-mix2"])
+        "overflow-quantile-chisq", "overflow-quantile-mix2", "overflow-median-chisq"])
 def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv, monkeypatch,
                                                 capsys):
     if wald_seed is None:
@@ -664,11 +666,24 @@ def test_negative_list_value_reaches_its_validator(argv, cause, data_csv, capsys
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [f"error: {cause}"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tetrad_cdf_is_one_up_to_the_largest_float(capsys):
     assert run(["cdf", "tetrad", "--grid", "0:1.7e308:4.25e+307"]) == 0
     rows = capsys.readouterr().out.splitlines()[-5:]
     assert [row.split("\t")[1] for row in rows] == ["0", "1", "1", "1", "1"]
+
+
+# 2 * scale overflows past about 9e307; the chi-square log-density takes its
+# log as a sum there, so the root finder's Newton steps reach the far tail
+@pytest.mark.parametrize("spec, probs", [
+    ("scaled-chisq:1.7e308:3", "1e-300,1e-12"),
+    ("mix2:1.7e308:0", "1e-300"),
+], ids=["scaled-chisq", "mix2"])
+def test_lower_quantiles_of_a_chi_square_at_the_largest_scale(spec, probs, capsys):
+    assert run(["quantile", spec, "--probs", probs]) == 0
+    probs = probs.split(",")
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()[-len(probs):]]
+    assert [p for p, _ in rows] == probs
+    assert all(0.0 < float(q) < math.inf for _, q in rows)
 
 
 def test_parser_covers_all_subcommands():

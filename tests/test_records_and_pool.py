@@ -61,23 +61,41 @@ def test_pool_returns_results_in_item_order(workers):
         assert pool.map(_slow_square, []) == []
 
 
-def test_pool_runs_at_most_its_workers_and_one_thread_per_item():
+def test_pool_runs_at_most_its_workers_and_one_thread_per_item(monkeypatch):
     names = set()
     lock = threading.Lock()
+    caller = threading.current_thread()
+    caller_took_one = threading.Event()
+    started = []
+
+    class _Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     def task(i):
         with lock:
             names.add(threading.current_thread().name)
+        if threading.current_thread() is caller:
+            caller_took_one.set()
+        else:
+            # a pool thread holds its item until the caller has one too
+            caller_took_one.wait(timeout=10)
         time.sleep(0.001)
         return i
 
+    monkeypatch.setattr(threading, "Thread", _Counted)
     with pytest.raises(ValueError, match="at least 1"):
         _ThreadPool(max_workers=0)
     assert _ThreadPool(max_workers=3).map(task, range(9)) == list(range(9))
-    assert 1 <= len(names) <= 3 and threading.current_thread().name not in names
-    names.clear()
-    _ThreadPool(max_workers=8).map(task, range(2))
-    assert len(names) <= 2
+    # the calling thread is one of the workers, so the map starts two threads
+    assert caller.name in names and len(names) <= 3 and len(started) == 2
+    for workers, items, threads in [(8, 2, 1), (1, 4, 0), (3, 1, 0), (3, 0, 0), (2, 5, 1)]:
+        names.clear()
+        started.clear()
+        caller_took_one.clear()
+        assert _ThreadPool(max_workers=workers).map(task, range(items)) == list(range(items))
+        assert len(started) == threads and len(names) <= min(workers, items)
 
 
 def test_one_worker_or_one_item_runs_on_the_calling_thread():

@@ -319,9 +319,10 @@ class TestSuiteRunner:
 
     def test_threads_do_not_change_results(self):
         a = run_suite("all", n=5000, seed=74, threads=1)
-        b = run_suite("all", n=5000, seed=74, threads=2)
-        assert format_report(a) == format_report(b)
-        assert [(r.name, r.statistic) for r in a] == [(r.name, r.statistic) for r in b]
+        for threads in (2, 3):  # 3: the calling thread and two pool threads
+            b = run_suite("all", n=5000, seed=74, threads=threads)
+            assert format_report(a) == format_report(b)
+            assert [(r.name, r.statistic) for r in a] == [(r.name, r.statistic) for r in b]
 
     def test_registry_claims_are_the_row_stems(self):
         # every row of an entry starts with one of its claims, and every
