@@ -118,7 +118,9 @@ class _ThreadPool:
     pool thread takes its own malloc arena, which costs peak memory.
     After a task raises, no further item starts; once the running ones
     finish, the exception of the earliest failed item is raised in the
-    caller.
+    caller.  An interrupt or exit (a ``BaseException`` that is not an
+    ``Exception``) is raised ahead of any item's error: Ctrl-C often lands
+    in the caller's own item.
 
     ``sampler`` and ``verify`` import it as ``ThreadPoolExecutor`` and call
     ``with ThreadPoolExecutor(max_workers=n) as pool: pool.map(...)``,
@@ -164,7 +166,7 @@ class _ThreadPool:
         finally:
             tasks.clear()  # an interrupted caller starts no further item
         if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+            raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
         return results
 
 

@@ -5,7 +5,9 @@ The branch zoo
 ``ScaledChiSquare(scale, df)``
     scale * chi-square(df).  Covers the regular chi-square-1 limit, the
     power-product limits ``chi2_1 / degree^2``, and the quarter chi-square
-    envelope bounds.
+    envelope bounds.  Where t / scale leaves the normal range, its cdf is
+    the leading term of the lower tail, so it keeps its relative accuracy
+    at any scale.
 ``TwoChiSquareMix(w1, w2)``
     Law of ``w1*Z1^2 + w2*Z2^2`` for independent standard normals.  This is
     the limit for a definite bivariate quadratic form, with ``w1 = 1/4`` and
@@ -149,6 +151,9 @@ class LimitLaw(_Record):
         return ":".join([self._SPEC, *values])
 
 
+_LOG2 = math.log(2.0)
+
+
 class ScaledChiSquare(LimitLaw):
     scale: float
     df: int
@@ -162,8 +167,20 @@ class ScaledChiSquare(LimitLaw):
         object.__setattr__(self, "df", _positive_int(self.df))
 
     def cdf(self, t):
+        t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):  # t / scale = inf is F = 1
-            return chi2_cdf(np.asarray(t, dtype=float) / self.scale, self.df)
+            x = t / self.scale
+        f = chi2_cdf(x, self.df)
+        # below the normal range x / 2 has lost bits (it is 0 once t / scale
+        # underflows); there F is (x / 2)^a / Gamma(a + 1) to a relative
+        # 1e-308, with (x / 2)^a taken as (sqrt(t) / sqrt(2 scale))^df
+        tiny = (t > 0.0) & (x < 2.0 * sys.float_info.min)
+        if not tiny.any():
+            return f
+        f = np.array(f, dtype=float)
+        root = np.sqrt(t[tiny]) / (math.sqrt(2.0) * math.sqrt(self.scale))
+        f[tiny] = root**self.df * math.exp(-math.lgamma(self.df / 2.0 + 1.0))
+        return float(f) if f.ndim == 0 else f
 
     def _draw(self, rng, n):
         return self.scale * rng.chisquare(self.df, n)
@@ -173,13 +190,11 @@ class ScaledChiSquare(LimitLaw):
             return chi2_sf(np.asarray(t, dtype=float) / self.scale, self.df)
 
     def _log_pdf(self, t):
-        # 2 * scale overflows above about 9e307, where its log is taken as a
-        # sum; below, the one log keeps the bits of every pinned quantile
-        a, x = self.df / 2.0, t / self.scale / 2.0
-        log_two_scale = math.log(2.0 * self.scale)
-        if log_two_scale == math.inf:
-            log_two_scale = math.log(2.0) + math.log(self.scale)
-        return (a - 1.0) * math.log(x) - x - math.lgamma(a) - log_two_scale
+        # in logs: t / scale underflows and 2 * scale overflows at the ends
+        # of the float range
+        a, log_two_scale = self.df / 2.0, math.log(self.scale) + _LOG2
+        log_x = math.log(t) - log_two_scale
+        return (a - 1.0) * log_x - t / self.scale / 2.0 - math.lgamma(a) - log_two_scale
 
     def mean(self) -> float:
         return self.scale * self.df

@@ -461,7 +461,9 @@ def _root(side, target: float, x: float, upper: bool, log_density) -> float:
     It stops when a step moves x by at most 2^-50 of itself, or when no
     float is left inside the bracket, where the end whose side is closer to
     target wins (0 for a root that underflows).  A root past the largest
-    float is inf.
+    float is inf.  A bracket that closes on a side value of exactly 0 at an
+    x above 0 is a RuntimeError: the side has lost its resolution there, and
+    either end would be a wrong root.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
@@ -499,6 +501,11 @@ def _root(side, target: float, x: float, upper: bool, log_density) -> float:
             else:
                 new = math.sqrt(lo) * math.sqrt(hi)
             if not lo < new < hi:
+                if lo > 0.0 and 0.0 in (f_lo, f_hi):
+                    raise RuntimeError(
+                        f"the {'sf' if upper else 'cdf'} reads 0 at x={lo if f_lo == 0.0 else hi!r},"
+                        f" inside the law's support: no root for target={target!r}"
+                    )
                 return lo if abs(f_lo - target) <= abs(f_hi - target) else hi
         x = new
     raise RuntimeError(f"root finder did not converge for target={target!r}")

@@ -13,6 +13,7 @@ from singwald import cli as cli_module
 from singwald.cli import _TETRAD_HEADER, _covariance, build_parser, run
 from singwald.errors import ParseError
 from singwald.gaussian import load_matrix, validate_covariance
+from singwald.laws import parse_law
 from singwald.poly import load_polynomial
 from singwald.sampler import WaldSampleConfig, sample_wald
 from singwald.tetrad import (
@@ -672,18 +673,26 @@ def test_tetrad_cdf_is_one_up_to_the_largest_float(capsys):
     assert [row.split("\t")[1] for row in rows] == ["0", "1", "1", "1", "1"]
 
 
-# 2 * scale overflows past about 9e307; the chi-square log-density takes its
-# log as a sum there, so the root finder's Newton steps reach the far tail
-@pytest.mark.parametrize("spec, probs", [
-    ("scaled-chisq:1.7e308:3", "1e-300,1e-12"),
-    ("mix2:1.7e308:0", "1e-300"),
+# At these scales 2 * scale overflows and t / scale underflows: the chi-square
+# log-density is taken in logs and the lower tail from square roots, so Newton
+# steps reach the far tail and invert a cdf that keeps its bits.  Below
+# y = q / (2 scale) of 1e-200, P(df/2, y) is y^(df/2) / Gamma(df/2 + 1) to far
+# below an ulp, which gives the 1e-300 quantile in closed form.
+@pytest.mark.parametrize("spec, df, probs", [
+    ("scaled-chisq:1.7e308:3", 3, "1e-300,1e-12"),
+    ("mix2:1.7e308:0", 1, "1e-300"),
 ], ids=["scaled-chisq", "mix2"])
-def test_lower_quantiles_of_a_chi_square_at_the_largest_scale(spec, probs, capsys):
+def test_lower_quantiles_of_a_chi_square_at_the_largest_scale(spec, df, probs, capsys):
     assert run(["quantile", spec, "--probs", probs]) == 0
     probs = probs.split(",")
     rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()[-len(probs):]]
     assert [p for p, _ in rows] == probs
-    assert all(0.0 < float(q) < math.inf for _, q in rows)
+    a = df / 2.0
+    want = math.exp(math.log(2.0) + math.log(1.7e308) + (math.log(1e-300) + math.lgamma(a + 1.0)) / a)
+    assert float(rows[0][1]) == pytest.approx(want, rel=1e-11, abs=0.0)
+    law = parse_law(spec)
+    for p, q in rows:
+        assert float(law.cdf(float(q))) == pytest.approx(float(p), rel=1e-10, abs=0.0)
 
 
 def test_parser_covers_all_subcommands():

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -174,6 +175,23 @@ class TestScaledChiSquare:
         law = ScaledChiSquare(1e-300, 1)
         assert law.sf(1e10) == 0.0
         assert law.cdf(1e10) == 1.0
+
+    @pytest.mark.parametrize("scale, df", [(1.7e308, 1), (1e10, 1), (1.0, 1), (1.7e308, 2)])
+    def test_lower_tail_where_t_over_scale_leaves_the_normal_range(self, scale, df):
+        # y = t / (2 scale) is subnormal or 0 here; the cdf keeps the
+        # relative accuracy of y^(df/2) / Gamma(df/2 + 1), and rises
+        # through the switch at y = 2^-1022
+        law, edge = ScaledChiSquare(scale, df), 2.0 * sys.float_info.min
+        t = np.array([math.ldexp(scale, -k) for k in range(1000, 1400, 5)])
+        t = np.concatenate([t[t > 0.0], scale * edge * (1.0 + 1e-15 * np.arange(-40.0, 40.0))])
+        got = law.cdf(t)
+        assert np.all(np.diff(got[np.argsort(t)]) >= 0.0)
+        with mpmath.workdps(30):
+            for v, f in zip(t, got):
+                y = mpmath.mpf(v) / (2 * mpmath.mpf(scale))
+                want = y ** (mpmath.mpf(df) / 2) / mpmath.gamma(mpmath.mpf(df) / 2 + 1)
+                if want > sys.float_info.min:
+                    assert abs(f / want - 1) <= 1e-15, (v, f)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

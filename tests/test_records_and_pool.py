@@ -164,6 +164,19 @@ def test_pool_raises_the_earliest_failure_and_starts_no_later_item():
     assert set(started) <= {0, 1, 2, 3}
 
 
+def test_pool_raises_an_interrupt_ahead_of_an_earlier_failure():
+    # Ctrl-C lands in the calling thread, often inside its own item: the
+    # interrupt must not be lost to an ordinary error of an earlier item
+    both_started = threading.Barrier(2)
+
+    def task(i):
+        both_started.wait(timeout=10)
+        raise ValueError("item 0") if i == 0 else KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _ThreadPool(max_workers=2).map(task, range(2))
+
+
 def test_modules_map_on_the_pool_under_the_executor_name():
     # the benchmark's tracer swaps its traced pool in under this name
     assert sampler.ThreadPoolExecutor is _ThreadPool

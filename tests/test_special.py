@@ -178,6 +178,17 @@ def test_inverse_round_trip(df):
         special._root(lambda v: special._lower_gamma(3, v), 0.0, a, False, log_density(a))
 
 
+def test_root_names_a_side_that_reads_zero_inside_the_support():
+    # x / 1e300 underflows below x = 5e-24, so this cdf reads 0 there while
+    # the law's is near 1e-162; a bracket closed on that 0 has no root in it
+    def log_density(x):
+        return -0.5 * math.log(x) - x / 1e300 - math.lgamma(0.5) - 0.5 * math.log(1e300)
+
+    side = lambda v: special._lower_gamma(1, v / 1e300)
+    with pytest.raises(RuntimeError, match=r"the cdf reads 0 at x=.* inside the law's support"):
+        special._root(side, 1e-300, 1.0, False, log_density)
+
+
 @pytest.mark.parametrize("fn", [special.tetrad_singular_cdf, special.tetrad_singular_sf])
 def test_tetrad_closed_forms_are_blocked(fn):
     # the tile loop holds the output and a few 128 KB tile temporaries, not
