@@ -30,7 +30,6 @@ __getattr__ = _importer(globals(), {
     "poly": ("load_polynomial",),
     "sampler": ("WaldSampleConfig", "sample_wald"),
     "tetrad": (
-        "TetradIndex",
         "load_data_csv",
         "tetrad_index_array",
         "wald_tetrad_test",
@@ -190,17 +189,14 @@ _TETRAD_HEADER = "i\tj\tk\tl\tgamma\tt\tp_regular\tp_singular\tregime\n"
 
 
 def _tetrad_columns(res) -> list:
-    """The table columns of the tetrads of ``res``: its indices, gamma, the
-    statistic, both p-values and its regime.  A degenerate tetrad keeps its
-    gamma; its statistic and p-values are undefined and print as nan."""
+    """The table columns of the tetrads of ``res``: its indices, its own
+    float arrays (gamma, the statistic and both p-values, which a degenerate
+    tetrad holds as NaN) and its regime."""
     idx = np.reshape(res.idx, (-1, 4))
     names = range(int(idx.max(initial=0)) + 1)
-    bad = np.atleast_1d(res.degenerate)
-    undefined = lambda a: np.where(bad, np.nan, a)
-    regime = np.where(bad, 2, res.regime_hint == "near_singular")
+    regime = np.where(res.degenerate, 2, res.regime_hint == "near_singular")
     return [
-        *((i, names) for i in idx.T), np.atleast_1d(res.gamma_hat),
-        undefined(res.t_stat), undefined(res.p_regular), undefined(res.p_singular),
+        *((i, names) for i in idx.T), res.gamma_hat, res.t_stat, res.p_regular, res.p_singular,
         (regime, ("regular", "near_singular", "degenerate")),
     ]
 
@@ -291,7 +287,7 @@ def _dispatch(args, seed: int, threads: int, out) -> int:
                 i, j, k, l = (int(tok) for tok in args.indices.split(","))
             except ValueError:
                 raise ValueError("--indices must be i,j,k,l") from None
-            idx = [_cli.TetradIndex(i, j, k, l)]
+            idx = [(i, j, k, l)]
         res = _cli.wald_tetrad_test(data, idx)
         bad = res.degenerate
         constant = _cli.zero_variance_columns(data) if bad.any() else []

@@ -453,17 +453,19 @@ def _root(side, target: float, x: float, upper: bool, log_density) -> float:
     the side whose value is small, so that target carries full relative
     accuracy.
 
-    Each step is a Newton step on log(side/target) = 0, against log x on
-    the lower side, where these laws behave like powers of x, and against x
-    on the upper side, where they decay like exponentials.  A step that
-    leaves the bracket of the root known so far doubles x (halves it toward
-    0) while the bracket is open, and bisects it geometrically once closed.
-    It stops when a step moves x by at most 2^-50 of itself, or when no
-    float is left inside the bracket, where the end whose side is closer to
-    target wins (0 for a root that underflows).  A root past the largest
-    float is inf.  A bracket that closes on a side value of exactly 0 at an
-    x above 0 is a RuntimeError: the side has lost its resolution there, and
-    either end would be a wrong root.
+    Each step is a Newton step on log(side/target) = 0, against log x on the
+    lower side, where these laws behave like powers of x, and against x on
+    the upper side, where they decay like exponentials.  A lower step moves
+    x to x * e^step, and to e^(log x + step) only where e^step would leave
+    the float range: the rounding of log x costs |log x| * 2^-52 of the
+    root.  A step that leaves the bracket of the root known so far doubles x
+    (halves it toward 0) while the bracket is open, and bisects it
+    geometrically once closed.  It stops when a step moves x by at most
+    2^-50 of itself, or when no float is left inside the bracket, where the
+    end whose side is closer to target wins (0 for a root that underflows).
+    A root past the largest float is inf.  A bracket that closes on a side
+    value of exactly 0 at an x above 0 is a RuntimeError: the side has lost
+    its resolution there, and either end would be a wrong root.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
@@ -485,8 +487,9 @@ def _root(side, target: float, x: float, upper: bool, log_density) -> float:
             w = log_density(x) - math.log(f)
             slope = -math.exp(min(w, 709.0)) if upper else math.exp(min(w + u, 709.0))
             if slope != 0.0:
-                u -= g / slope
-                new = u if upper else (math.exp(u) if u < 709.0 else math.inf)
+                step = -g / slope
+                new = x + step if upper else math.inf if u + step >= 709.0 else (
+                    x * math.exp(step) if abs(step) < 700.0 else math.exp(u + step))
                 if new == 0.0 and hi > _TINY:
                     new = _TINY  # the root may underflow: try the smallest float
         if abs(new - x) <= 2.0**-50 * x:

@@ -34,9 +34,9 @@ One batched kernel, :func:`tetrad_wald`, computes the statistic for m
 tetrads of one covariance or of a stack of covariances, in blocks of
 ``_BLOCK`` tetrads with no Python loop within a block.
 :func:`wald_tetrad_test` applies it to data: one empirical covariance
-serves one tetrad or every tetrad of a scan, and degenerate tetrads are
-flagged, not raised.  The calibration simulation in
-``singwald.verify`` calls the kernel on a stack of covariances.
+serves one tetrad or every tetrad of a scan.  The kernel checks the indices
+and gives a degenerate tetrad NaN statistics.  The calibration simulation
+in ``singwald.verify`` calls the kernel on a stack of covariances.
 """
 
 from __future__ import annotations
@@ -97,18 +97,8 @@ class DataMatrix(_Record):
         return self.values.shape[1]
 
 
-class TetradIndex(namedtuple("TetradIndex", "i j k l")):
-    """Four distinct zero-based column indices (i, j, k, l)."""
-
-    __slots__ = ()
-
-    def __new__(cls, i, j, k, l):
-        self = super().__new__(cls, i, j, k, l)
-        if len(set(self)) != 4:
-            raise ValueError(f"tetrad indices must be distinct, got {tuple(self)}")
-        if min(self) < 0:
-            raise ValueError(f"tetrad indices must be nonnegative, got {tuple(self)}")
-        return self
+TetradIndex = namedtuple("TetradIndex", "i j k l")
+TetradIndex.__doc__ = "Zero-based column indices (i, j, k, l); tetrad_wald checks them."
 
 
 def empirical_covariance(data: DataMatrix) -> np.ndarray:
@@ -150,7 +140,8 @@ class TetradWald(_Record):
     """Tetrad Wald results as arrays of shape (theta stack..., idx stack...).
 
     ``degenerate`` marks tetrads whose estimated variance ``grad^T V grad``
-    is not positive and finite; their other entries are meaningless.
+    is not positive and finite; they keep ``gamma_hat``, and their
+    ``t_stat``, ``p_regular`` and ``p_singular`` are NaN.
     """
 
     idx: np.ndarray
@@ -165,14 +156,19 @@ class TetradWald(_Record):
 def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
     """Wald statistics of the tetrads ``idx`` (shape (..., 4), rows i, j, k, l)
     of a covariance ``theta`` of shape (p, p), or of a stack (..., p, p),
-    each estimated from n observations; a row that repeats a column raises.
+    each estimated from n observations; a row with an index outside [0, p)
+    or a repeated index raises.
 
     The flattened tetrads run in blocks of ``_BLOCK``, each written into
-    the preallocated fields, so a scan holds its result and one block's
-    temporaries."""
+    the preallocated fields, so a scan holds its result (117 bytes per
+    tetrad with its index row) and one block's temporaries."""
     theta = np.asarray(theta, dtype=float)
     idx = np.asarray(idx, dtype=np.intp)
     rows = idx.reshape(-1, 4)
+    p = theta.shape[-1]
+    if rows.size and not 0 <= rows.min() <= rows.max() < p:
+        outside = tuple(rows[((rows < 0) | (rows >= p)).any(axis=1)][0].tolist())
+        raise ValueError(f"tetrad indices {outside} out of range for p={p} columns")
     flat_shape = theta.shape[:-2] + rows.shape[:1]
     gamma, t_stat, p_regular, p_singular = (np.empty(flat_shape) for _ in range(4))
     regime_hint = np.empty(flat_shape, dtype="<U13")
@@ -196,10 +192,13 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
         h_jj = t_kk * t_il**2 - 2.0 * t_kl * t_il * t_ik + t_ll * t_ik**2
         h_ij = t_kl * (t_jl * t_ik + t_jk * t_il) - t_kk * t_jl * t_il - t_ll * t_jk * t_ik
         denom = t_ii * h_ii + 2.0 * t_ij * h_ij + t_jj * h_jj + 2.0 * g**2
+        bad = degenerate[out] = ~((denom > 0.0) & np.isfinite(denom))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stat[out] = n * g**2 / denom
             p_regular[out] = chi2_sf(t_stat[out], 1)
             p_singular[out] = tetrad_singular_sf(t_stat[out])
+        for field in (t_stat, p_regular, p_singular):
+            field[out][bad] = np.nan
         # |grad|^2 against the largest diagonal entry of Sigma_C
         grad_sq = t_jl**2 + t_jk**2 + t_il**2 + t_ik**2
         var_max = np.maximum(
@@ -208,7 +207,6 @@ def tetrad_wald(theta: np.ndarray, n: int, idx) -> TetradWald:
         )
         threshold = 4.0 * var_max * scale
         regime_hint[out] = np.where(grad_sq < threshold, "near_singular", "regular")
-        degenerate[out] = ~((denom > 0.0) & np.isfinite(denom))
     shape = theta.shape[:-2] + idx.shape[:-1]
     return TetradWald(
         idx=idx,
@@ -226,17 +224,8 @@ def wald_tetrad_test(data: DataMatrix, idx) -> TetradWald:
     singular p-value, from one empirical covariance.
 
     ``idx`` is one :class:`TetradIndex`, giving fields of shape (), or an
-    (m, 4) index array, giving fields of shape (m,).  Degenerate tetrads are
-    flagged in ``degenerate``; a repeated or out-of-range index raises.
+    (m, 4) index array, giving fields of shape (m,), as :func:`tetrad_wald`.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    rows = idx.reshape(-1, 4)
-    if rows.size and not 0 <= rows.min() <= rows.max() < data.p:
-        outside = rows[((rows < 0) | (rows >= data.p)).any(axis=1)]
-        raise ValueError(
-            f"tetrad indices {tuple(outside[0].tolist())} out of range for "
-            f"p={data.p} columns"
-        )
     return tetrad_wald(empirical_covariance(data), data.n, idx)
 
 

@@ -17,6 +17,7 @@ from singwald.laws import parse_law
 from singwald.poly import load_polynomial
 from singwald.sampler import WaldSampleConfig, sample_wald
 from singwald.tetrad import (
+    DataMatrix,
     TetradIndex,
     TetradWald,
     load_data_csv,
@@ -396,11 +397,14 @@ def assert_same_lines(got: str, want: str):
     assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
 
 
-def one_factor_csv(path, seed: int, p: int = 20, n: int = 1000):
-    """One-factor data shaped like the benchmark's tetrad scan."""
+def one_factor_csv(path, seed: int, p: int = 20, n: int = 1000, constant=None):
+    """One-factor data shaped like the benchmark's tetrad scan; column
+    ``constant``, if given, holds 1 in every row."""
     rng = np.random.default_rng([seed, 3])
     loadings, noise_sd = rng.uniform(0.5, 1.5, p), np.sqrt(rng.uniform(0.5, 1.5, p))
     x = rng.standard_normal(n)[:, None] * loadings + rng.standard_normal((n, p)) * noise_sd
+    if constant is not None:
+        x[:, constant] = 1.0
     path.write_text(
         ",".join(f"x{j + 1}" for j in range(p)) + "\n"
         + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
@@ -453,8 +457,11 @@ class TestTetradTest:
         t_stat = np.concatenate([[np.inf, 0.0, 5e-324, 1e300], rng.chisquare(1, m - 4)])
         p_regular = np.concatenate([[0.0, 1.0, 1e-300, 0.5], rng.uniform(size=m - 4)])
         p_singular = np.concatenate([[1.0, 0.0, 12345678905.0, 9.9999999995e-05], rng.uniform(size=m - 4)])
+        # a degenerate tetrad holds NaN statistics, as the kernel writes it
         degenerate = np.zeros(m, dtype=bool)
         degenerate[[7, 300]] = True
+        for field in (t_stat, p_regular, p_singular):
+            field[degenerate] = np.nan
         rec = TetradWald(
             idx=rng.integers(0, 150, (m, 4)), gamma_hat=gamma, t_stat=t_stat,
             p_regular=p_regular, p_singular=p_singular,
@@ -463,6 +470,17 @@ class TestTetradTest:
         )
         text = "".join(cli_module._lines(cli_module._tetrad_columns(rec), 10))
         assert_same_lines(text, fstring_rows(rec))
+
+    def test_float_columns_are_the_records_own_arrays(self):
+        # the table prints the kernel's arrays, NaN rows included, and
+        # copies none of them
+        values = np.random.default_rng(12).standard_normal((30, 6))
+        values[:, 2] = 3.0
+        res = wald_tetrad_test(DataMatrix(values=values), tetrad_index_array(6))
+        assert res.degenerate.any()
+        floats = cli_module._tetrad_columns(res)[4:8]
+        for column, field in zip(floats, (res.gamma_hat, res.t_stat, res.p_regular, res.p_singular)):
+            assert np.shares_memory(column, field)
 
     def test_single_tetrad_line(self, data_csv, capsys):
         assert run(["tetrad-test", "--data", str(data_csv), "--indices", "0,1,2,3"]) == 0
@@ -616,7 +634,7 @@ def test_allocation_and_convergence_failures_exit_two(argv, tetrad_files, capsys
     (("moments", "--sigma", "nan"), None, "sigma_param must be finite, got nan"),
     (("moments", "--sigma", "inf"), None, "sigma_param must be finite, got inf"),
     (("tetrad-test", "--data", "{csv}", "--indices=-1,0,1,2"), None,
-     "tetrad indices must be nonnegative"),
+     "tetrad indices (-1, 0, 1, 2) out of range for p=4 columns"),
     # every node density of the folded-Beta rule underflows to 0
     (("cdf", "beta-fold:2000:2000", "--grid", "0:2000:500"), None, "node masses underflow"),
     (("quantile", "beta-fold:2000:2000", "--probs", "0.5"), None, "node masses underflow"),
@@ -654,7 +672,7 @@ def test_input_error_exits_two_naming_its_cause(argv, wald_seed, cause, data_csv
     (("moments", "--sigma", "0.7", "--phi", "-0.1,0.2"), "phi values must lie in [0, pi/2)"),
     (("moments", "--sigma", "0.7", "--m", "-1,2"), "moment orders must be positive integers"),
     (("tetrad-test", "--data", "{csv}", "--indices", "-1,1,2,3"),
-     "tetrad indices must be nonnegative, got (-1, 1, 2, 3)"),
+     "tetrad indices (-1, 1, 2, 3) out of range for p=4 columns"),
 ], ids=["probs", "phi", "m", "indices"])
 def test_negative_list_value_reaches_its_validator(argv, cause, data_csv, capsys):
     argv = [tok.format(csv=data_csv) for tok in argv]

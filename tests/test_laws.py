@@ -624,6 +624,20 @@ def test_newton_steps_at_the_ends_of_the_float_range(law, unit, scale, p):
     assert law.quantile(p) == pytest.approx(scale * unit.quantile(p), rel=1e-12, abs=1e-323)
 
 
+@pytest.mark.parametrize("scale, df, p", [(1.7e308, 1, 1e-300), (1e300, 5, 1e-250),
+                                          (1.7e308, 3, 1e-300)])
+def test_far_lower_tail_root_keeps_full_relative_accuracy(scale, df, p):
+    # the root is near 1e-292, 1e200 and 1e108, where log x carries
+    # |log x| * 2^-52 of rounding; a Newton step taken as x * e^step
+    # keeps the root within a few ulp of the closed form
+    # 2 * scale * (p * Gamma(df/2 + 1))^(2/df)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(df) / 2
+        want = 2 * mpmath.mpf(scale) * (mpmath.mpf(p) * mpmath.gamma(a + 1)) ** (1 / a)
+        got = ScaledChiSquare(scale, df).quantile(p)
+        assert abs(got / want - 1) <= 2e-15, got
+
+
 @pytest.mark.parametrize("law", ALL_CDFS, ids=lambda l: l.spec_string())
 def test_cdf_of_a_point_does_not_depend_on_the_others(law):
     # the kernels group points and nodes by call size; each value must be

@@ -5,8 +5,9 @@
 - ``wald sample --n 500000`` on the benchmark's quartic and ``wald
   tetrad-test --all`` on the one-factor CSV of ``test_cli.one_factor_csv``
   (p = 20, n = 1000), both rebuilt the way ``bench/workloads.py`` writes
-  them, at seeds 1, 5 and 23, and the scan at p = 24, seed 1, whose 31,878
-  tetrads cross a block boundary of the tetrad kernel;
+  them, at seeds 1, 5 and 23; the scan at p = 8, seed 1, with a constant
+  column, whose degenerate rows print nan; and the scan at p = 24, seed 1,
+  whose 31,878 tetrads cross a block boundary of the tetrad kernel;
 - ``wald verify --suite all --n 100000`` at seeds 1, 5 and 23.
 
 Each output runs in-process through ``cli.run`` with ``--threads``
@@ -88,6 +89,11 @@ for s in SEEDS:
     CASES[f"tetrad-test one_factor_csv({s}) --all"] = (
         lambda tmp, s=s: ["tetrad-test", "--data", str(one_factor_csv(tmp / "d.csv", s)), "--all"],
         (1,))
+# a constant column: 105 of the 210 rows print nan statistics and "degenerate"
+CASES["tetrad-test one_factor_csv(1, p=8, constant=3) --all"] = (
+    lambda tmp: ["tetrad-test", "--data",
+                 str(one_factor_csv(tmp / "d.csv", 1, p=8, constant=3)), "--all"],
+    (1,))
 # 31,878 tetrads: the scan crosses a block boundary of the kernel
 CASES["tetrad-test one_factor_csv(1, p=24) --all"] = (
     lambda tmp: ["tetrad-test", "--data", str(one_factor_csv(tmp / "d.csv", 1, p=24)), "--all"],
@@ -122,12 +128,12 @@ def test_pinned_commands_are_the_tables():
 
 def test_pinned_labels_are_the_outputs():
     """``wald sample`` and ``wald tetrad-test --all`` follow: three samples,
-    then four scans, the last of which (p = 24, 31,878 tetrads) crosses a
+    then five scans, the last of which (p = 24, 31,878 tetrads) crosses a
     block boundary of the tetrad kernel."""
     outputs = [label for label in CASES if label.startswith(("sample ", "tetrad-test "))]
     start = len(LAW_TABLES)
     assert list(_pinned())[start:start + len(outputs)] == outputs
-    assert [label.split()[0] for label in outputs] == ["sample"] * 3 + ["tetrad-test"] * 4
+    assert [label.split()[0] for label in outputs] == ["sample"] * 3 + ["tetrad-test"] * 5
     assert outputs[-1] == "tetrad-test one_factor_csv(1, p=24) --all"
 
 

@@ -211,8 +211,35 @@ class TestTetradStat:
         assert_kernel_matches(theta, IDX, tetrad_form.evaluate(coords))
 
     def test_distinct_indices_required(self):
+        data = simulate(np.eye(4), 100, 37)
         with pytest.raises(ValueError, match="distinct"):
-            TetradIndex(0, 1, 2, 2)
+            wald_tetrad_test(data, TetradIndex(0, 1, 2, 2))
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_kernel_rejects_an_index_out_of_range(self, bad):
+        # -1 would read column p - 1, and p would be numpy's bare IndexError
+        theta = np.eye(5)
+        message = rf"^tetrad indices \(0, 1, 2, {bad}\) out of range for p=5 columns$"
+        for covs in (theta, np.stack([theta, 2.0 * theta, 3.0 * theta])):
+            with pytest.raises(ValueError, match=message):
+                tetrad_wald(covs, 100, [(0, 1, 2, 3), (0, 1, 2, bad)])
+
+    def test_degenerate_rows_hold_nan_statistics_and_keep_gamma(self):
+        # an indefinite theta: the variance grad^T V grad of some tetrads is
+        # negative, and those tetrads keep their nonzero gamma
+        b = np.random.default_rng(35).standard_normal((6, 6))
+        theta = (b + b.T) / 2
+        idx = tetrad_index_array(6)
+        i, j, k, l = idx.T
+        for covs in (theta, np.stack([theta, theta + 3.0 * np.eye(6)])):
+            res = tetrad_wald(covs, 100, idx)
+            bad = res.degenerate
+            assert bad.any() and not bad.all()
+            for field in (res.t_stat, res.p_regular, res.p_singular):
+                assert np.isnan(field[bad]).all() and not np.isnan(field[~bad]).any()
+            want = covs[..., i, k] * covs[..., j, l] - covs[..., i, l] * covs[..., j, k]
+            np.testing.assert_array_equal(res.gamma_hat, want)
+            assert (res.gamma_hat[bad] != 0.0).all()
 
 
 class TestAsymptoticVariance:
@@ -355,14 +382,14 @@ class TestWaldTetradTest:
 
     def test_index_array_with_a_repeated_column_raises(self):
         # theta00*theta11 - theta01^2 is a determinant, not a tetrad: an
-        # array row meets the rule and the message of TetradIndex
+        # array row and a single TetradIndex meet one rule and one message
         data = simulate(np.eye(4), 100, 37)
         rows = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 0, 1], [3, 3, 1, 2]]
         message = r"^tetrad indices must be distinct, got \(0, 1, 0, 1\)$"
         with pytest.raises(ValueError, match=message):
             wald_tetrad_test(data, rows)
         with pytest.raises(ValueError, match=message):
-            TetradIndex(0, 1, 0, 1)
+            wald_tetrad_test(data, TetradIndex(0, 1, 0, 1))
         # the first bad row in a later block is named too
         scan = np.tile([[0, 1, 2, 3]], (_BLOCK + 5, 1))
         scan[_BLOCK + 2] = [2, 1, 2, 3]
