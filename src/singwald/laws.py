@@ -365,7 +365,7 @@ class TetradSingular(LimitLaw):
 
     def _log_pdf(self, t):
         # both terms of F'(t) underflow past t = 372
-        d = math.exp(-2.0 * t) + math.sqrt(math.pi / (8.0 * t)) * math.erfc(math.sqrt(2.0 * t))
+        d = math.exp(-2.0 * t) + math.sqrt(math.pi / 8.0) / math.sqrt(t) * math.erfc(math.sqrt(2.0 * t))
         return math.log(d) if d > 0.0 else -math.inf
 
     def _draw(self, rng, n):

@@ -11,6 +11,7 @@ draws, each with its own Philox stream and its own slice of one result
 buffer, so output is deterministic in ``(seed, n)`` no matter how many
 threads run the batches.  A batch is drawn and evaluated in the row chunks
 of ``gaussian._chunks``, so its intermediates stay cache-sized.
+``ks_distance`` refines one sorted set of the draws it has evaluated.
 """
 
 from __future__ import annotations
@@ -144,11 +145,12 @@ def ks_distance(emp: EmpiricalDistribution, law) -> float:
     draws.  ``law.cdf`` must be nondecreasing, and its value at a point must
     not depend on the other points of the call.  Then for evaluated
     indices a < b every i between them has ``(i+1)/n - F(x_i) <= b/n -
-    F(x_a)`` and ``F(x_i) - i/n <= F(x_b) - (a+1)/n``, so F is evaluated on
-    a coarse stride and only the segments whose bounds can reach the
-    running maximum are refined.  The result is the same float maximum as
-    the evaluation at every draw.  An evaluated F that is NaN or steps down
-    by more than the margin sends the call to that full evaluation.
+    F(x_a)`` and ``F(x_i) - i/n <= F(x_b) - (a+1)/n``.  So F is evaluated
+    on a coarse stride, then at each finer stride only between neighbours
+    of the sorted evaluated draws whose bounds can reach the running
+    maximum.  The result is the same float maximum as the evaluation at
+    every draw.  An evaluated F that is NaN or steps down by more than the
+    margin sends the call to that full evaluation.
 
     Against another empirical sample it is the exact two-sample statistic.
     """
@@ -159,35 +161,22 @@ def ks_distance(emp: EmpiricalDistribution, law) -> float:
     idx = np.arange(0, n + _KS_STRIDE - 1, _KS_STRIDE)
     idx[-1] = n - 1
     f = np.asarray(law.cdf(x[idx]), dtype=float)
-    if not _nondecreasing(f):
-        return _ks_every_point(x, law)
-    d_plus, d_minus = _ks_gaps(idx, f, n)
-    a, b, fa, fb = idx[:-1], idx[1:], f[:-1], f[1:]
     stride = _KS_STRIDE
-    while stride > 1:
+    while True:
+        if not _nondecreasing(f):
+            return _ks_every_point(x, law)
+        d_plus, d_minus = _ks_gaps(idx, f, n)
         floor = max(d_plus, d_minus) - _KS_MARGIN
+        a, b, fa, fb = idx[:-1], idx[1:], f[:-1], f[1:]
         keep = (b - a > 1) & ((b / n - fa >= floor) | (fb - (a + 1) / n >= floor))
-        if not keep.any():
-            break
-        a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
+        if stride == 1 or not keep.any():
+            return max(d_plus, d_minus)
         stride //= _KS_SPLIT
-        # Each row runs a, a + stride, ..., b; points past b collapse onto b.
-        grid = np.minimum(a[:, None] + stride * np.arange(_KS_SPLIT + 1), b[:, None])
-        inner = grid[:, 1:-1] < b[:, None]
-        new = grid[:, 1:-1][inner]
-        fgrid = np.repeat(fb[:, None], _KS_SPLIT + 1, axis=1)
-        fgrid[:, 0] = fa
-        # A segment shorter than the new stride gains no point at this level.
+        new = a[keep][:, None] + stride * np.arange(1, _KS_SPLIT)
+        new = new[new < b[keep][:, None]]
         if new.size:
-            fnew = np.asarray(law.cdf(x[new]), dtype=float)
-            fgrid[:, 1:-1][inner] = fnew
-            if not _nondecreasing(fgrid):
-                return _ks_every_point(x, law)
-            plus, minus = _ks_gaps(new, fnew, n)
-            d_plus, d_minus = max(d_plus, plus), max(d_minus, minus)
-        a, b = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-        fa, fb = fgrid[:, :-1].ravel(), fgrid[:, 1:].ravel()
-    return max(d_plus, d_minus)
+            at = np.searchsorted(idx, new)
+            idx, f = np.insert(idx, at, new), np.insert(f, at, law.cdf(x[new]))
 
 
 def _ks_gaps(idx: np.ndarray, f: np.ndarray, n: int) -> tuple[float, float]:
@@ -196,8 +185,8 @@ def _ks_gaps(idx: np.ndarray, f: np.ndarray, n: int) -> tuple[float, float]:
 
 
 def _nondecreasing(f: np.ndarray) -> bool:
-    """True when no value is NaN and none steps down along the last axis
-    by more than the pruning margin."""
+    """True when no value is NaN and none steps down by more than the
+    pruning margin."""
     return not np.isnan(f).any() and bool((np.diff(f) >= -_KS_MARGIN).all())
 
 

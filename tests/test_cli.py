@@ -207,6 +207,12 @@ class TestQuantile:
         assert lines[1].split("\t")[0] == "1e-09"
         assert float(lines[1].split("\t")[1]) > 0.0
 
+    def test_tetrad_far_lower_tail(self, capsys):
+        # the root 2 p^2 / pi, which underflows to 0 at p = 1e-300
+        assert run(["quantile", "tetrad", "--probs", "1e-150,1e-300"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert rows == ["1e-150\t6.36619772368e-301", "1e-300\t0"]
+
     # argparse takes exactly one of --probs and --grid: a usage error, exit 2
     def test_needs_probs_or_grid(self, capsys):
         with pytest.raises(SystemExit) as exc:

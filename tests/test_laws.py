@@ -638,6 +638,24 @@ def test_far_lower_tail_root_keeps_full_relative_accuracy(scale, df, p):
         assert abs(got / want - 1) <= 2e-15, got
 
 
+# beta-fold's lower tail is wrong well above these p (ROADMAP item 17)
+@pytest.mark.parametrize("p", [1e-100, 1e-125, 1e-150, 1e-200, 1e-300])
+@pytest.mark.parametrize("law", [ScaledChiSquare(1.0, 1), TwoChiSquareMix(0.25, 0.2),
+                                 TetradSingular()], ids=lambda l: l.spec_string())
+def test_far_lower_tail_quantile_inverts_the_cdf_or_underflows(law, p):
+    # the root inverts the cdf to its own accuracy, or it lies below the
+    # smallest subnormal, where the cdf already exceeds p, and reads 0
+    q = law.quantile(p)
+    if q == 0.0:
+        assert float(law.cdf(5e-324)) > p
+    else:
+        assert abs(float(law.cdf(q)) / p - 1.0) <= 1e-9, q
+    # near 0 the tetrad cdf is sqrt(pi t / 2), whose root is 2 p^2 / pi
+    want = 2.0 * p * p / math.pi
+    if isinstance(law, TetradSingular) and want >= sys.float_info.min:
+        assert q == pytest.approx(want, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("law", ALL_CDFS, ids=lambda l: l.spec_string())
 def test_cdf_of_a_point_does_not_depend_on_the_others(law):
     # the kernels group points and nodes by call size; each value must be

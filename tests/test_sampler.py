@@ -332,6 +332,25 @@ class TestKsPruning:
         assert sum(counted.sizes) <= 10**5
 
     @pytest.mark.parametrize(
+        "law, sizes",
+        [
+            pytest.param(law, sizes, id=law.spec_string())
+            for law, sizes in (
+                (ScaledChiSquare(1.0, 1), [1564, 721, 252]),
+                (TetradSingular(), [1564, 1407, 280]),
+                (FoldedBetaProduct(3, 1), [1564, 1246, 77]),
+            )
+        ],
+    )
+    def test_cdf_call_sizes_are_pinned(self, law, sizes):
+        # one call per level (stride 64, 8, 1); the sizes fix which
+        # segments the bound test keeps at each level
+        emp = law.sample(10**5, 6)
+        counted = CountingCdf(law.cdf)
+        ks_distance(emp, counted)
+        assert counted.sizes == sizes
+
+    @pytest.mark.parametrize(
         "law", [ScaledChiSquare(1.0, 1), TetradSingular(), FoldedBetaProduct(3, 1)],
         ids=lambda l: l.spec_string(),
     )
