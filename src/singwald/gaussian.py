@@ -13,7 +13,8 @@ scheduling.
 A draw of n rows is taken in the row chunks of :func:`_chunks`, one after
 the other from its stream, and reduced chunk by chunk, so no n-sized
 intermediate is held.  Every chunk-wise draw in the package yields the
-bytes of the same draw taken whole.
+bytes of the same draw taken whole; Gaussian rows come from
+:func:`_normal_rows` alone.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ def _chunks(n: int):
     for j in range(last):
         yield j * _BLOCK, (j + 1) * _BLOCK
     yield last * _BLOCK, n
+
+
+def _normal_rows(rng: np.random.Generator, b: np.ndarray, n: int):
+    """n rows of N(0, BB^T) from ``rng``, one row chunk of :func:`_chunks`
+    at a time, for a (k, m) factor b; stacked, the chunks are the bytes of
+    ``rng.standard_normal((n, m)) @ b.T``.  Every Gaussian row is drawn here."""
+    for start, stop in _chunks(n):
+        yield rng.standard_normal((stop - start, b.shape[1])) @ b.T
 
 
 class CovarianceMatrix(_Record):

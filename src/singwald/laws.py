@@ -50,7 +50,11 @@ the Beta angle, graded toward the angle where the rate diverges; the test
 suite pins it within 2e-9 of adaptive quadrature for k1 + k2 <= 8.  Its
 error grows with k: about 1e-5 at k1 = k2 = 50 and 2e-3 at 201:200, and
 in the far tail that of its sf: ``beta-fold:2:2`` puts the 1 - 1e-12
-quantile at 13.4776725592, the tetrad law at 13.4776724753.
+quantile at 13.4776725592, the tetrad law at 13.4776724753.  Its lower
+tail is wrong below about t = 1e-15, where the rule's last node cuts the
+rates off (``beta-fold:2:2`` puts the 1e-12 quantile at 2.2e-18, the
+tetrad law at 6.4e-25), and the series switch of ``special._node_terms``
+costs P relative accuracy at large k; item 17 of ROADMAP.md owns both.
 
 Every distribution function is evaluated in ``singwald.special``, which
 also holds the root finder: the mixtures by its ``_angle_cdf`` and

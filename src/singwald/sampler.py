@@ -9,8 +9,8 @@ when f is a power product with real exponents, with X = BZ for the
 covariance's own square root B.  Work is split into batches of ``_BATCH``
 draws, each with its own Philox stream and its own slice of one result
 buffer, so output is deterministic in ``(seed, n)`` no matter how many
-threads run the batches.  A batch is drawn and evaluated in the row chunks
-of ``gaussian._chunks``, so its intermediates stay cache-sized.
+threads run the batches.  A batch is drawn and evaluated one row chunk of
+``gaussian._normal_rows`` at a time, so its intermediates stay cache-sized.
 ``ks_distance`` refines one sorted set of the draws it has evaluated.
 """
 
@@ -22,7 +22,7 @@ from . import _BLOCK, _Record
 from . import _ThreadPool as ThreadPoolExecutor
 from .empirical import EmpiricalDistribution
 from .errors import DegenerateSamplingError
-from .gaussian import CovarianceMatrix, _chunks, factor, make_generator
+from .gaussian import CovarianceMatrix, _normal_rows, factor, make_generator
 from .poly import HomogeneousPolynomial, MonomialForm, _euler_value, _row_quadratic
 
 __all__ = [
@@ -109,10 +109,7 @@ def sample_wald(
                     "the polynomial is degenerate on the support of Sigma"
                 )
             need = part.size - filled
-            # The round is drawn in the row chunks of gaussian._chunks from
-            # the same stream, which keeps the bytes of the whole round.
-            for start, stop in _chunks(need):
-                x = rng.standard_normal((stop - start, root.shape[1])) @ root.T
+            for x in _normal_rows(rng, root, need):
                 num, den = _wald_terms(f, smat, x)
                 good = np.isfinite(den) & (den >= _DENOMINATOR_GUARD)
                 # Compact only a chunk the guard touched: in practice none is.

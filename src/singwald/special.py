@@ -321,9 +321,11 @@ def _node_terms(df: int, x, w, upper: bool = False):
     where Q is below any ulp of w (the upper term reads 0 past it), and
     w * P is w - w * Q, accurate to a few ulp of w.  Where P < 1e-6 the
     rounding of that difference would be noise far above P itself, so the
-    positive series for P takes over and keeps P's relative accuracy and
-    monotonicity.  Above ``_CLOSED_FORM_DF_MAX`` the clamp would cut off
-    mass, and :func:`_lower_gamma` or :func:`_upper_gamma` takes over.
+    positive series for P takes over.  Its switch ignores the factor
+    e^(-x), so just above it P's relative error reaches 4.7e-4 at df = 100
+    (item 17 of ROADMAP.md).  Above ``_CLOSED_FORM_DF_MAX`` the clamp would
+    cut off mass, and :func:`_lower_gamma` or :func:`_upper_gamma` takes
+    over.
     """
     if df == 2:
         # -w * expm1(-x) or w * exp(-x), in one buffer: exactly +0 at x = 0,

@@ -129,7 +129,7 @@ def asymptotic_v_normal(theta: np.ndarray, pairs) -> np.ndarray:
         raise ValueError("theta must be symmetric")
     pairs = np.asarray(pairs, dtype=np.intp)
     p = theta.shape[-1]
-    if pairs.size and not -p <= pairs.min() <= pairs.max() < p:
+    if pairs.size and not 0 <= pairs.min() <= pairs.max() < p:
         raise IndexError(f"pair index out of range for p={p}")
     a, b = pairs[..., :, None, 0], pairs[..., :, None, 1]
     c, d = pairs[..., None, :, 0], pairs[..., None, :, 1]

@@ -25,7 +25,7 @@ import numpy as np
 from . import SUITES, _Record
 from . import _ThreadPool as ThreadPoolExecutor
 from .classify import _CHI1, _QUARTER_CHI1, classify, sample_canonical
-from .gaussian import _chunks, factor, make_generator, validate_covariance
+from .gaussian import _chunks, _normal_rows, factor, make_generator, validate_covariance
 from .laws import (
     EmpiricalDistribution,
     FoldedBetaProduct,
@@ -121,16 +121,6 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed * _GOLDEN + 0x1234567 + index * 0x2545F4914F6CDD1D) & _MASK
 
 
-def _mvn_chunks(sigma: np.ndarray, n: int, seed: int, stream: int = 0):
-    """n rows of N(0, sigma) from the Philox stream (seed, stream), one row
-    chunk of ``gaussian._chunks`` at a time; stacked, the chunks are the
-    bytes of the whole draw."""
-    b = factor(validate_covariance(sigma))
-    rng = make_generator(seed, stream)
-    for start, stop in _chunks(n):
-        yield rng.standard_normal((stop - start, b.shape[1])) @ b.T
-
-
 def _finite(chunks, n: int) -> np.ndarray:
     """The finite values of the 1-d ``chunks``, in order, in one buffer of
     n values."""
@@ -189,13 +179,9 @@ def verify_cauchy(p, sigma, n: int, seed: int) -> VerificationResult:
     """Convex combination sum p_i * Y_i / X_i is standard Cauchy."""
     p = _weights(p)
     k = p.size
-    draws = _finite(
-        (
-            (p[None, :] * y / x).sum(axis=1)
-            for x, y in zip(_mvn_chunks(sigma, n, seed, 0), _mvn_chunks(sigma, n, seed, 1))
-        ),
-        n,
-    )
+    b = factor(validate_covariance(sigma))
+    xs, ys = (_normal_rows(make_generator(seed, stream), b, n) for stream in (0, 1))
+    draws = _finite(((p[None, :] * y / x).sum(axis=1) for x, y in zip(xs, ys)), n)
     stat = _ks_draws(draws, lambda t: 0.5 + np.arctan(t) / np.pi)
     return _ks_result(
         "weighted-cauchy-ratio" if k <= 2 else "cauchy-ratio-evidence",
@@ -244,7 +230,7 @@ def counterexample_negative_weights(
     ring = q_of(np.column_stack([np.cos(theta), np.sin(theta)]) @ b.T)
     mean, second = 2.0 * float(ring.mean()), 8.0 * float((ring**2).mean())
     rel_sd = math.sqrt(second - mean**2) / mean
-    q = _finite(map(q_of, _mvn_chunks(sigma, n, seed)), n)
+    q = _finite(map(q_of, _normal_rows(make_generator(seed), b, n)), n)
     expected = (1.0 + 2.0 * rho**2) / (1.0 - rho**2)
     results = [
         VerificationResult(

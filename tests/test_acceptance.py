@@ -13,7 +13,7 @@ from scipy import stats
 
 from singwald.classify import classify, k_alpha, sample_canonical
 from singwald.cli import run
-from singwald.gaussian import validate_covariance
+from singwald.gaussian import _normal_rows, factor, make_generator, validate_covariance
 from singwald.laws import (
     FoldedBetaProduct,
     ScaledChiSquare,
@@ -24,7 +24,6 @@ from singwald.poly import MonomialForm, QuadraticForm
 from singwald.sampler import WaldSampleConfig, ks_distance, sample_wald
 from singwald.verify import (
     _finite,
-    _mvn_chunks,
     _simulate_tetrad_stats,
     derive_seed,
     moment_invariance_check,
@@ -199,8 +198,9 @@ def test_criterion_7_negative_weight_counterexample():
                 1.0 / x[:, 0] ** 2 - 2.0 * rho / (x[:, 0] * x[:, 1]) + 1.0 / x[:, 1] ** 2
             )
 
-        sigma = np.array([[1.0, rho], [rho, 1.0]])
-        q = _finite(map(q_of, _mvn_chunks(sigma, n, derive_seed(rng_seed, i))), n)
+        b = factor(validate_covariance([[1.0, rho], [rho, 1.0]]))
+        rows = _normal_rows(make_generator(derive_seed(rng_seed, i)), b, n)
+        q = _finite(map(q_of, rows), n)
         expected = (1.0 + 2.0 * rho**2) / (1.0 - rho**2)
         worst_rel = max(worst_rel, abs(float(q.mean()) / expected - 1.0))
         if rho == 0.8:

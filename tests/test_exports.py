@@ -57,3 +57,34 @@ def test_one_reader_opens_every_input_file():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         opens += visitor.found
     assert sorted(opens) == ["cli._open_out", "errors.read_input"]
+
+
+class _GaussianRows(_FileOpens):
+    """The scope of each ``<...>.standard_normal(...) @ <...>`` in one module."""
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node):
+        left = node.left
+        if (
+            isinstance(node.op, ast.MatMult)
+            and isinstance(left, ast.Call)
+            and isinstance(left.func, ast.Attribute)
+            and left.func.attr == "standard_normal"
+        ):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_function_forms_gaussian_rows():
+    # Every limit law is the law of a function of one X ~ N(0, Sigma), so
+    # every Monte Carlo row starts as standard normals times B^T.  That
+    # product lives in gaussian._normal_rows alone, where its chunking and
+    # its bytes are decided once.
+    rows = []
+    for path in sorted(Path(singwald.__file__).parent.glob("*.py")):
+        visitor = _GaussianRows(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        rows += visitor.found
+    assert rows == ["gaussian._normal_rows"]

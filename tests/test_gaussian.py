@@ -3,6 +3,7 @@ import pytest
 
 from singwald.errors import ParseError
 from singwald.gaussian import (
+    _normal_rows,
     eigenvalues_of_product,
     factor,
     load_matrix,
@@ -11,12 +12,13 @@ from singwald.gaussian import (
     validate_covariance,
 )
 from singwald.poly import QuadraticForm
-from singwald.verify import _mvn_chunks
 
 
 def mvn_draws(sigma, n, seed, stream=0):
-    """verify's chunk-wise N(0, sigma) draws, stacked into one (n, k) array."""
-    return np.concatenate(list(_mvn_chunks(sigma, n, seed, stream)))
+    """The chunk-wise N(0, sigma) rows of ``_normal_rows``, stacked into one
+    (n, k) array."""
+    b = factor(validate_covariance(sigma))
+    return np.concatenate(list(_normal_rows(make_generator(seed, stream), b, n)))
 
 
 class TestValidateCovariance:

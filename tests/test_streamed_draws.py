@@ -14,7 +14,13 @@ import pytest
 
 import singwald.verify as verify
 from singwald.classify import sample_canonical
-from singwald.gaussian import _chunks, factor, make_generator, validate_covariance
+from singwald.gaussian import (
+    _chunks,
+    _normal_rows,
+    factor,
+    make_generator,
+    validate_covariance,
+)
 from singwald.laws import FoldedBetaProduct, sample_stable
 from singwald.poly import _BLOCK, MonomialForm
 
@@ -55,8 +61,9 @@ def test_chunks_tile_the_rows_without_a_short_chunk(n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("sigma", [np.eye(1), np.array([[1.0, 0.5], [0.5, 1.0]]), SIGMA3])
 def test_mvn_chunks_stack_to_the_whole_draw(sigma, n):
+    b = factor(validate_covariance(sigma))
     for stream in (0, 1):
-        got = np.concatenate(list(verify._mvn_chunks(sigma, n, 11, stream)))
+        got = np.concatenate(list(_normal_rows(make_generator(11, stream), b, n)))
         assert got.tobytes() == mvn_whole(sigma, n, 11, stream).tobytes()
 
 

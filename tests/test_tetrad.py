@@ -265,6 +265,15 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError, match="symmetric"):
             asymptotic_v_normal(np.array([[1.0, 1.0], [0.0, 1.0]]), [(0, 1)])
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_pair_index_outside_the_columns_rejected(self, bad):
+        # a pair index of -1 would otherwise read column p - 1
+        theta = np.eye(4) + 0.2
+        for th in (theta, np.stack([theta, 2.0 * theta])):
+            for pairs in ([(bad, 0)], [(0, 1), (2, bad)]):
+                with pytest.raises(IndexError, match=r"^pair index out of range for p=4$"):
+                    asymptotic_v_normal(th, pairs)
+
     def test_matches_entrywise_loop(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((5, 8))

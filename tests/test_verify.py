@@ -10,6 +10,7 @@ from singwald.cli import run
 from singwald.laws import FoldedBetaProduct, LimitLaw, sample_stable, stable_cdf
 from singwald.poly import MonomialForm
 from singwald.sampler import ks_distance
+import singwald.verify as verify
 from singwald.verify import (
     _REGISTRY,
     VerificationResult,
@@ -110,6 +111,20 @@ class TestCauchyAndReciprocal:
     def test_reciprocal_diagonal_any_k_is_theorem(self):
         r = verify_reciprocal((0.2, 0.3, 0.5), np.diag([1.0, 2.0, 0.5]), N, 59)
         assert r.tier == "theorem" and r.passed
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_cauchy((0.3, 0.7), [[1, 0.5], [0.5, 1]], 2000, 1),
+    lambda: counterexample_negative_weights(0.5, 2000, 1),
+], ids=["verify_cauchy", "counterexample_negative_weights"])
+def test_each_check_validates_its_covariance_once(check, monkeypatch):
+    # Both Philox streams of verify_cauchy, and the ring and the draw of the
+    # counterexample, come from the one factor of one validated Sigma.
+    calls = []
+    real = verify.validate_covariance
+    monkeypatch.setattr(verify, "validate_covariance", lambda m: calls.append(m) or real(m))
+    check()
+    assert len(calls) == 1
 
 
 class TestCounterexample:
